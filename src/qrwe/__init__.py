@@ -29,8 +29,7 @@ from .hecke_traces import (TraceTable, gegenbauer_kernel,
 from .isogeny_counts import (IsogenyProfile, isogeny_profile, weighted_count,
                              weighted_count_full_2tors)
 from .qr_pipeline import (classical_dual_weight7_check,
-                          classical_quartic_code_enumerator,
-                          dual_code_enumerator, dual_code_report,
+                          classical_quartic_code_enumerator, dual_code_report,
                           quartic_code_enumerator, singular_quartic_part,
                           smooth_quartic_part)
 from .quadratic_forms import (class_number, hurwitz_class_number, kronecker,

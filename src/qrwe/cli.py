@@ -24,7 +24,7 @@ from .arith import prime_power_split
 from .curve_census import (census_json, empirical_moment, quartic_census,
                            weierstrass_census)
 from .enumerators import qr_dual_coefficients
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConsistencyError
 from .finite_field import field
 from .hecke_traces import DEFAULT_TABLE, moment_formula, trace
 from .qr_pipeline import (classical_quartic_code_enumerator, dual_code_report,
@@ -217,6 +217,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, KeyError) as exc:
         parser.exit(2, "error: %s\n" % exc)
+    except ConsistencyError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

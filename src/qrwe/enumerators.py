@@ -12,12 +12,16 @@ The MacWilliams transform for this enumerator substitutes
     Z -> X + a*Y + aZ          a* = (-1 - s)/2
 
 where s generates the ring Z[s], s^2 = q for q = 1 (mod 4) and
-s^2 = -q for q = 3 (mod 4).  Both transforms here clear the halves by
+s^2 = -q for q = 3 (mod 4).  The transform is one sparse product of
+precomputed powers of the substituted forms; it clears the halves by
 working with the doubled linear forms and a single 2^n denominator that
-is divided out exactly at the end.  The uniform sign choice for s is
-valid only for Y/Z-symmetric enumerators (scaling codewords by a fixed
-non-square is a code automorphism exchanging the two letter classes),
-so asymmetric inputs are refused.
+is divided out exactly at the end.  Asked only for the monomials of Y, Z
+degree j + k <= max_codim, it drops every higher-degree term from the
+power tables and from each partial product, since Y, Z degrees only add
+up.  The uniform sign choice for s is valid only for Y/Z-symmetric
+enumerators (scaling codewords by a fixed non-square is a code
+automorphism exchanging the two letter classes), so asymmetric inputs
+are refused.
 
 Every output coefficient must come out s-free, integral and
 nonnegative; anything else raises ConsistencyError, which in practice
@@ -175,24 +179,25 @@ def hamming_macwilliams_dual(weights: list, q: int, code_size: int) -> list:
 # Quadratic-residue MacWilliams transform
 # ---------------------------------------------------------------------------
 
-def _doubled_power_tables(q: int, n: int, ring: QuadRing):
+def _doubled_power_tables(q: int, limit: int, ring: QuadRing):
     """Powers of the doubled substituted forms as sparse dicts
-    {(y_deg, z_deg): Z[s] pair}; the X degree is (form degree) - y - z."""
-    plus = ring.powers((-1, 1), n)    # (-1 + s)^m
-    minus = ring.powers((-1, -1), n)  # (-1 - s)^m
+    {(y_deg, z_deg): Z[s] pair}, keeping only y_deg + z_deg <= limit;
+    the X degree is (form degree) - y - z."""
+    plus = ring.powers((-1, 1), limit)    # (-1 + s)^m
+    minus = ring.powers((-1, -1), limit)  # (-1 - s)^m
 
     def pow1(i):
         out = {}
-        for u in range(i + 1):
-            for v in range(i - u + 1):
+        for u in range(min(i, limit) + 1):
+            for v in range(min(i - u, limit - u) + 1):
                 out[(u, v)] = (_trinomial(i, u, v) * 2 ** (i - u - v)
                                * (q - 1) ** (u + v), 0)
         return out
 
     def pow2(j):
         out = {}
-        for a in range(j + 1):
-            for b in range(j - a + 1):
+        for a in range(min(j, limit) + 1):
+            for b in range(min(j - a, limit - a) + 1):
                 scale = _trinomial(j, a, b) * 2 ** (j - a - b)
                 value = ring.mul(plus[a], minus[b])
                 out[(a, b)] = (scale * value[0], scale * value[1])
@@ -200,8 +205,8 @@ def _doubled_power_tables(q: int, n: int, ring: QuadRing):
 
     def pow3(k):
         out = {}
-        for a in range(k + 1):
-            for b in range(k - a + 1):
+        for a in range(min(k, limit) + 1):
+            for b in range(min(k - a, limit - a) + 1):
                 scale = _trinomial(k, a, b) * 2 ** (k - a - b)
                 value = ring.mul(minus[a], plus[b])
                 out[(a, b)] = (scale * value[0], scale * value[1])
@@ -210,10 +215,14 @@ def _doubled_power_tables(q: int, n: int, ring: QuadRing):
     return pow1, pow2, pow3
 
 
-def _dict_mul(ring: QuadRing, f: dict, g: dict) -> dict:
+def _dict_mul(ring: QuadRing, f: dict, g: dict, limit: int) -> dict:
+    """Product of two sparse tables, dropping Y+Z degrees above limit."""
     out = {}
     for (y1, z1), c1 in f.items():
+        room = limit - y1 - z1
         for (y2, z2), c2 in g.items():
+            if y2 + z2 > room:
+                continue
             key = (y1 + y2, z1 + z2)
             a, b = ring.mul(c1, c2)
             if key in out:
@@ -241,14 +250,22 @@ def _finalize(accumulator: dict, n: int, q: int, code_size: int) -> QREnumerator
     return QREnumerator(n, q, terms)
 
 
-def qr_macwilliams_dual(enum: QREnumerator, q: int, code_size: int) -> QREnumerator:
-    """Full quadratic-residue MacWilliams transform of a symmetric
-    enumerator; returns the dual code's enumerator (1/|C| included)."""
+def qr_macwilliams_dual(enum: QREnumerator, q: int, code_size: int,
+                        max_codim: int = None) -> QREnumerator:
+    """Quadratic-residue MacWilliams transform of a symmetric enumerator;
+    returns the dual code's enumerator (1/|C| included).
+
+    With max_codim set, only the monomials with Y, Z degree
+    j + k <= max_codim are computed and returned; None means all of them.
+    """
     if not enum.is_yz_symmetric():
         raise ValueError("transform valid only for Y/Z-symmetric enumerators")
     n = enum.n
+    limit = n if max_codim is None else max_codim
+    if not 0 <= limit <= n:
+        raise ValueError("max_codim must lie in 0..%d, got %d" % (n, limit))
     ring = QuadRing(q)
-    pow1, pow2, pow3 = _doubled_power_tables(q, n, ring)
+    pow1, pow2, pow3 = _doubled_power_tables(q, limit, ring)
     pow1_cache, pow2_cache, pow3_cache = {}, {}, {}
     accumulator = {}
     for (j0, k0), coefficient in enum.terms.items():
@@ -259,8 +276,8 @@ def qr_macwilliams_dual(enum: QREnumerator, q: int, code_size: int) -> QREnumera
             pow2_cache[j0] = pow2(j0)
         if k0 not in pow3_cache:
             pow3_cache[k0] = pow3(k0)
-        product = _dict_mul(ring, pow2_cache[j0], pow3_cache[k0])
-        product = _dict_mul(ring, pow1_cache[i0], product)
+        product = _dict_mul(ring, pow2_cache[j0], pow3_cache[k0], limit)
+        product = _dict_mul(ring, pow1_cache[i0], product, limit)
         for key, (a, b) in product.items():
             a *= coefficient
             b *= coefficient
@@ -274,46 +291,5 @@ def qr_macwilliams_dual(enum: QREnumerator, q: int, code_size: int) -> QREnumera
 
 def qr_dual_coefficients(enum: QREnumerator, q: int, code_size: int,
                          max_codim: int) -> dict:
-    """Dual coefficients with Y, Z degree j + k <= max_codim only.
-
-    Avoids the full expansion: for each source monomial the target
-    coefficient is a sum of products of two trinomial coefficients over
-    the ways the substituted forms can contribute Y's and Z's, which is
-    cheap when only low-codimension targets are wanted.
-    """
-    if not enum.is_yz_symmetric():
-        raise ValueError("transform valid only for Y/Z-symmetric enumerators")
-    n = enum.n
-    if max_codim > n:
-        raise ValueError("max_codim exceeds the degree")
-    ring = QuadRing(q)
-    plus = ring.powers((-1, 1), max_codim)
-    minus = ring.powers((-1, -1), max_codim)
-    accumulator = {}
-    M = max_codim
-    for (j0, k0), coefficient in enum.terms.items():
-        i0 = n - j0 - k0
-        for jY in range(min(j0, M) + 1):
-            for jZ in range(min(j0 - jY, M - jY) + 1):
-                w2 = _trinomial(j0, jY, jZ) * 2 ** (j0 - jY - jZ)
-                for kY in range(min(k0, M - jY - jZ) + 1):
-                    for kZ in range(min(k0 - kY, M - jY - jZ - kY) + 1):
-                        w3 = _trinomial(k0, kY, kZ) * 2 ** (k0 - kY - kZ)
-                        ring_part = ring.mul(plus[jY + kZ], minus[kY + jZ])
-                        left = M - jY - jZ - kY - kZ
-                        for u in range(min(i0, left) + 1):
-                            for v in range(min(i0 - u, left - u) + 1):
-                                w1 = (_trinomial(i0, u, v) * (q - 1) ** (u + v)
-                                      * 2 ** (i0 - u - v))
-                                j = u + jY + kY
-                                k = v + jZ + kZ
-                                scale = coefficient * w1 * w2 * w3
-                                a, b = ring_part
-                                key = (j, k)
-                                if key in accumulator:
-                                    oa, ob = accumulator[key]
-                                    accumulator[key] = (oa + scale * a, ob + scale * b)
-                                else:
-                                    accumulator[key] = (scale * a, scale * b)
-    dual = _finalize(accumulator, n, q, code_size)
-    return {key: value for key, value in dual.terms.items()}
+    """Dual coefficients {(j, k): value} with j + k <= max_codim only."""
+    return qr_macwilliams_dual(enum, q, code_size, max_codim).terms

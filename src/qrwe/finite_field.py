@@ -16,18 +16,8 @@ larger q they are built lazily on first use of the numpy table API.
 """
 
 from functools import lru_cache
-from math import isqrt
 
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    for f in range(3, isqrt(n) + 1, 2):
-        if n % f == 0:
-            return False
-    return True
+from .arith import is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +103,7 @@ class FieldContext:
     def __init__(self, p: int, v: int, modulus=None):
         if p % 2 == 0:
             raise ValueError("characteristic must be odd, got p=%d" % p)
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError("characteristic must be prime, got p=%d" % p)
         if v < 1:
             raise ValueError("extension degree must be >= 1, got v=%d" % v)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import is_prime
-from .enumerators import QREnumerator, qr_dual_coefficients, qr_macwilliams_dual
+from .enumerators import QREnumerator, qr_dual_coefficients
 from .errors import ConsistencyError
 from .hecke_traces import trace_level4
 from .isogeny_counts import weighted_count, weighted_count_full_2tors
@@ -249,8 +249,3 @@ def classical_dual_weight7_check(q: int) -> dict:
             % (q - 7, computed, predicted.numerator))
     return report
 
-
-def dual_code_enumerator(q: int) -> QREnumerator:
-    """Full dual enumerator by the complete MacWilliams transform."""
-    enum = quartic_code_enumerator(q)
-    return qr_macwilliams_dual(enum, q, q ** 5)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from qrwe import cli
 from qrwe.cli import main
+from qrwe.errors import ConsistencyError
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +87,19 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["moments", "--q", "8", "--R", "1"])
     assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["dual", "--q", "13", "--max-codim", "-1"])
+    assert info.value.code == 2
+
+
+def test_consistency_error_exits_1(capsys, monkeypatch):
+    def broken(q, max_codim):
+        raise ConsistencyError("dual coefficient X^1 Y^6 Z^0: computed 1, closed form 2")
+
+    monkeypatch.setattr(cli, "dual_code_report", broken)
+    code, out, err = run_cli(capsys, "dual", "--q", "7", "--max-codim", "6")
+    assert code == 1 and out == ""
+    assert err == "error: dual coefficient X^1 Y^6 Z^0: computed 1, closed form 2\n"
 
 
 def test_verify_suite_exit_code(capsys):

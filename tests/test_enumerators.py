@@ -89,6 +89,15 @@ def test_qr_transform_refuses_asymmetric_input():
         qr_dual_coefficients(asym, 5, 5, 2)
 
 
+def test_qr_transform_rejects_out_of_range_max_codim():
+    zero_code = QREnumerator(4, 5, {(0, 0): 1})
+    for max_codim in (-1, 5):
+        with pytest.raises(ValueError, match="max_codim"):
+            qr_macwilliams_dual(zero_code, 5, 1, max_codim)
+        with pytest.raises(ValueError, match="max_codim"):
+            qr_dual_coefficients(zero_code, 5, 1, max_codim)
+
+
 def test_qr_transform_flags_malformed_size():
     zero_code = QREnumerator(4, 5, {(0, 0): 1})
     with pytest.raises(ConsistencyError):
