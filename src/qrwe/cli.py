@@ -10,8 +10,9 @@
     qrwe verify --suite {classnumbers|traces|moments|c14|duals|examples|all}
                 [--qmax N]
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Counts
-that may exceed 53 bits are printed as decimal strings inside JSON.
+Exit codes: 0 success, 1 verification failure, broken identity or
+budget refusal, 2 usage error.  Counts that may exceed 53 bits are
+printed as decimal strings inside JSON.
 """
 
 import argparse
@@ -82,12 +83,7 @@ def _cmd_dual(args) -> int:
 def _cmd_brute(args) -> int:
     ctx = _field_for(args.q)
     code = reed_solomon_code(ctx, args.h, projective=not args.classical)
-    try:
-        enum = brute_force_enumerator(code, budget=args.budget,
-                                      threads=args.threads)
-    except BudgetExceededError as exc:
-        print("refused: %s" % exc, file=sys.stderr)
-        return 1
+    enum = brute_force_enumerator(code, budget=args.budget, threads=args.threads)
     _emit_enumerator(enum, "json")
     return 0
 
@@ -219,6 +215,9 @@ def main(argv=None) -> int:
         parser.exit(2, "error: %s\n" % exc)
     except ConsistencyError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except BudgetExceededError as exc:
+        print("refused: %s" % exc, file=sys.stderr)
         return 1
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, check_budget
 from .finite_field import (FieldContext, field, poly_degree, poly_derivative,
                            poly_gcd)
 
@@ -187,9 +187,11 @@ def quartic_discriminant(ctx: FieldContext, coeffs) -> int:
 
 def quartic_census(ctx: FieldContext, threads: int = None, engine: str = "vector") -> QuarticCensus:
     """Census of all smooth binary quartics over F_q, bucketed by trace
-    t = q + 1 - #points and by rational root count."""
+    t = q + 1 - #points and by rational root count.  Refuses
+    (BudgetExceededError) when the q^5 forms exceed the budget."""
     if ctx.q % 2 == 0:
         raise ValueError("census requires odd q")
+    check_budget(ctx.q ** 5)
     if engine == "scalar":
         return _quartic_census_scalar(ctx)
     if engine != "vector":
@@ -329,13 +331,15 @@ def _quartic_census_vector(ctx: FieldContext, threads: int = None) -> QuarticCen
 # ---------------------------------------------------------------------------
 
 def weierstrass_census(ctx: FieldContext, threads: int = None) -> WeierstrassCensus:
-    """Census of the q^2 short Weierstrass models y^2 = x^3 + ax + b."""
+    """Census of the q^2 short Weierstrass models y^2 = x^3 + ax + b.
+    Refuses (BudgetExceededError) when the q^2 models exceed the budget."""
     import numpy as np
 
     if ctx.p < 5:
         raise ValueError("short Weierstrass census needs p >= 5 "
                          "(the quartic census covers p = 3)")
     q = ctx.q
+    check_budget(q ** 2)
     add, mul, chi = ctx.add_table, ctx.mul_table, ctx.char_table
     codes = np.arange(q, dtype=np.int16)
     x3 = mul[mul[codes, codes], codes]

@@ -1,4 +1,8 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and the brute-force budget."""
+
+import os
+
+DEFAULT_BUDGET = 10 ** 8
 
 
 class ConsistencyError(ArithmeticError):
@@ -17,3 +21,16 @@ class BudgetExceededError(RuntimeError):
             % (required, budget))
         self.required = required
         self.budget = budget
+
+
+def check_budget(required: int, explicit: int = None) -> None:
+    """Refuse (BudgetExceededError) a brute-force walk of `required`
+    steps above the budget: `explicit` if given, else the QRWE_BUDGET
+    environment variable, else DEFAULT_BUDGET."""
+    if explicit is not None:
+        budget = explicit
+    else:
+        env = os.environ.get("QRWE_BUDGET")
+        budget = int(env) if env else DEFAULT_BUDGET
+    if required > budget:
+        raise BudgetExceededError(required=required, budget=budget)

@@ -11,8 +11,12 @@ polynomial of degree v, which makes every derived quantity reproducible
 across runs and machines.  A different irreducible modulus may be passed
 explicitly; weight enumerators and censuses do not depend on the choice.
 
-Multiplication tables are precomputed for q <= 128 (census speed); for
-larger q they are built lazily on first use of the numpy table API.
+Every field, prime or not, uses one representation: the exp/log tables
+of the generator of smallest code and its Zech logarithms
+log(1 + g^k) (Lidl and Niederreiter, *Finite Fields*), built once at
+construction in O(q) polynomial products.  Each scalar operation is a
+few list lookups.  The q x q int16 numpy tables of the census kernels
+(q < 2^15) are vectorized from the same tables on first use.
 """
 
 from functools import lru_cache
@@ -77,8 +81,6 @@ def _digits(code: int, p: int, length: int) -> list:
 
 
 def _smallest_irreducible(p: int, v: int) -> tuple:
-    if v == 1:
-        return (0, 1)  # the polynomial x
     for code in range(p ** v):
         candidate = _digits(code, p, v) + [1]
         if _fp_is_irreducible(candidate, p):
@@ -96,9 +98,12 @@ class FieldContext:
     modulus : optional coefficient tuple (c_0, ..., c_v) of a monic
         irreducible degree-v polynomial over F_p; defaults to the
         lexicographically smallest one.
-    """
 
-    _TABLE_EAGER_LIMIT = 128
+    Attributes
+    ----------
+    generator : the element of multiplicative order q-1 with the
+        smallest code; its powers index the log/antilog tables.
+    """
 
     def __init__(self, p: int, v: int, modulus=None):
         if p % 2 == 0:
@@ -116,16 +121,13 @@ class FieldContext:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != v + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree v")
-            if v > 1 and not _fp_is_irreducible(list(modulus), p):
+            if not _fp_is_irreducible(list(modulus), p):
                 raise ValueError("modulus is reducible over F_%d" % p)
         self.modulus = modulus
 
-        self._mul_table = None
-        self._char = None
-        self._generator = None
         self._np_tables = {}
-        if v > 1 and self.q <= self._TABLE_EAGER_LIMIT:
-            self._build_mul_table()
+        self._build_mul_table()
+        self._build_char()
 
     # -- representation ----------------------------------------------------
 
@@ -148,42 +150,7 @@ class FieldContext:
         if not (0 <= x < self.q):
             raise ValueError("element code %r not reduced in F_%d" % (x, self.q))
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.v == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        shift = 1
-        while a or b:
-            out += ((a % p) + (b % p)) % p * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        if self.v == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        shift = 1
-        while a:
-            out += (-(a % p)) % p * shift
-            a //= p
-            shift *= p
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if self.v == 1:
-            return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
-        return self._mul_slow(a, b)
+    # -- log/antilog tables ---------------------------------------------------
 
     def _mul_slow(self, a: int, b: int) -> int:
         p = self.p
@@ -193,35 +160,71 @@ class FieldContext:
         return self.element(prod + [0] * (self.v - len(prod)))
 
     def _build_mul_table(self):
-        q = self.q
-        table = [0] * (q * q)
-        for a in range(q):
-            for b in range(a, q):
-                val = self._mul_slow(a, b)
-                table[a * q + b] = val
-                table[b * q + a] = val
-        self._mul_table = table
+        """Exp, log and Zech tables of the generator, in O(q) products.
+
+        exp[k] = g^k for 0 <= k < 2(q-1), stored twice over so that
+        exp[log a + log b] needs no reduction; log[x] is the discrete log
+        of x != 0; zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0.
+        """
+        q, p = self.q, self.p
+        for g in range(1, q):
+            exp = [1]
+            x = g
+            while x != 1:
+                exp.append(x)
+                x = self._mul_slow(x, g)
+            if len(exp) == q - 1:
+                break
+        self.generator = g
+        self._exp = exp + exp
+        log = [0] * q
+        for k, x in enumerate(exp):
+            log[x] = k
+        self._log = log
+        # Adding 1 changes only the constant digit of a code.
+        self._zech = [log[y] if y else -1
+                      for y in (x - x % p + (x + 1) % p for x in exp)]
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        # a + b = g^la (1 + g^(lb - la)); zech has length q - 1, so a
+        # negative lb - la indexes it modulo q - 1.
+        z = self._zech[log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
+
+    def neg(self, a: int) -> int:
+        return self._exp[self._log[a] + (self.q - 1) // 2] if a else 0
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("0 is not invertible")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 is not invertible")
-        return self.pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def scale_int(self, n: int, a: int) -> int:
         """The element n*a for an integer n (reduction through Z/p)."""
-        return self.mul((n % self.p), a) if self.v > 1 else (n * a) % self.p
+        return self.mul(n % self.p, a)
 
     def int_embed(self, n: int) -> int:
         """The image of the integer n in the prime subfield."""
@@ -230,46 +233,13 @@ class FieldContext:
     # -- quadratic character -------------------------------------------------
 
     def _build_char(self):
-        q = self.q
-        squares = set(self.mul(x, x) for x in range(q))
-        exponent = (q - 1) // 2
-        minus_one = self.p - 1
-        char = [0] * q
-        for x in range(1, q):
-            power = self.pow(x, exponent)
-            if power == 1:
-                value = 1
-            elif power == minus_one:
-                value = -1
-            else:
-                raise AssertionError("x^((q-1)/2) outside {1,-1} at x=%d" % x)
-            if (value == 1) != (x in squares):
-                raise AssertionError("character disagrees with square set at x=%d" % x)
-            char[x] = value
-        self._char = char
+        # The nonzero squares are the even powers of the generator.
+        self._char = [0] + [-1 if k & 1 else 1 for k in self._log[1:]]
 
     def quadratic_character(self, x: int) -> int:
         """0 for x = 0, +1 for a nonzero square, -1 otherwise."""
         self._check(x)
-        if self._char is None:
-            self._build_char()
         return self._char[x]
-
-    # -- multiplicative generator --------------------------------------------
-
-    @property
-    def generator(self) -> int:
-        """A cached element of multiplicative order q-1 (smallest code)."""
-        if self._generator is None:
-            order = self.q - 1
-            prime_factors = _prime_factors(order)
-            for g in range(1, self.q):
-                if all(self.pow(g, order // ell) != 1 for ell in prime_factors):
-                    self._generator = g
-                    break
-            else:
-                raise AssertionError("no multiplicative generator found")
-        return self._generator
 
     # -- numpy table API (census kernels) -------------------------------------
 
@@ -277,29 +247,32 @@ class FieldContext:
         if name not in self._np_tables:
             import numpy as np
 
-            q = self.q
-            if name == "add":
-                if self.v == 1:
-                    grid = (np.arange(q)[:, None] + np.arange(q)[None, :]) % q
-                    arr = grid.astype(np.int16)
-                else:
-                    arr = np.fromiter(
-                        (self.add(a, b) for a in range(q) for b in range(q)),
-                        dtype=np.int16, count=q * q).reshape(q, q)
-            elif name == "mul":
-                if self.v == 1:
-                    grid = (np.arange(q)[:, None] * np.arange(q)[None, :]) % q
-                    arr = grid.astype(np.int16)
-                else:
-                    arr = np.fromiter(
-                        (self.mul(a, b) for a in range(q) for b in range(q)),
-                        dtype=np.int16, count=q * q).reshape(q, q)
-            elif name == "char":
-                arr = np.fromiter(
-                    (self.quadratic_character(x) for x in range(q)),
-                    dtype=np.int8, count=q)
-            else:
+            q, p = self.q, self.p
+            if name == "char":
+                arr = np.array(self._char, dtype=np.int8)
+            elif name not in ("add", "mul"):
                 raise KeyError(name)
+            elif q >= 1 << 15:
+                raise ValueError("the int16 %s table needs q < 2^15, got q=%d" % (name, q))
+            elif name == "add":
+                # Digit-wise addition in base p; uint16 holds 2(p-1) and q.
+                codes = np.arange(q, dtype=np.uint16)
+                arr = np.zeros((q, q), dtype=np.uint16)
+                place = 1
+                for _ in range(self.v):
+                    digit = codes // place % p
+                    grid = digit[:, None] + digit[None, :]
+                    grid %= p
+                    grid *= place
+                    arr += grid
+                    place *= p
+                arr = arr.view(np.int16)
+            else:
+                # exp[log a + log b]; uint16 holds 2(q-2).
+                log = np.array(self._log, dtype=np.uint16)
+                arr = np.array(self._exp, dtype=np.int16)[log[:, None] + log[None, :]]
+                arr[0, :] = 0
+                arr[:, 0] = 0
             self._np_tables[name] = arr
         return self._np_tables[name]
 
@@ -317,21 +290,6 @@ class FieldContext:
 
     def __repr__(self):
         return "FieldContext(p=%d, v=%d, modulus=%s)" % (self.p, self.v, self.modulus)
-
-
-@lru_cache(maxsize=None)
-def _prime_factors(n: int) -> tuple:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -380,9 +338,3 @@ def poly_gcd(ctx: FieldContext, f, g) -> list:
         f, g = g, poly_mod(ctx, f, g)
     return f[:poly_degree(f) + 1]
 
-
-def poly_eval(ctx: FieldContext, f, x: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc

@@ -14,22 +14,13 @@ q^dim exceeds the budget, which defaults to 10^8 and can be overridden
 per call or with the QRWE_BUDGET environment variable.
 """
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 from .enumerators import QREnumerator
-from .errors import BudgetExceededError, ConsistencyError
+from .errors import DEFAULT_BUDGET  # noqa: F401  (still read as rs_codes.DEFAULT_BUDGET)
+from .errors import ConsistencyError, check_budget
 from .finite_field import FieldContext
-
-DEFAULT_BUDGET = 10 ** 8
-
-
-def _budget(explicit) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("QRWE_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
 
 
 @dataclass
@@ -112,9 +103,7 @@ def brute_force_enumerator(code: ReedSolomonCode, budget: int = None,
                            threads: int = None, engine: str = "vector") -> QREnumerator:
     """Exact enumerator of the code by visiting all q^dim codewords."""
     visits = code.size
-    limit = _budget(budget)
-    if visits > limit:
-        raise BudgetExceededError(required=visits, budget=limit)
+    check_budget(visits, budget)
     if engine == "scalar":
         counts = _tally_scalar(code)
     elif engine == "vector":

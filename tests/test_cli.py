@@ -74,6 +74,9 @@ def test_brute_subcommand_and_budget(capsys):
     code, out, err = run_cli(capsys, "brute", "--q", "11", "--h", "6",
                              "--budget", "1000")
     assert code == 1 and "budget" in err
+    # about 10^15 quartics: refused before the walk starts
+    code, out, err = run_cli(capsys, "census", "--q", "1009")
+    assert code == 1 and out == "" and err.startswith("refused: ") and "budget" in err
 
 
 def test_usage_errors_exit_2(capsys):

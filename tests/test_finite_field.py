@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from qrwe.finite_field import (FieldContext, field, poly_degree, poly_eval,
-                               poly_gcd)
+from qrwe.finite_field import FieldContext, field, poly_degree, poly_gcd
 
 
 def test_construction_errors_name_the_condition():
@@ -119,13 +118,36 @@ def test_poly_gcd_convention():
     f = [1, 0, 1]
     assert poly_gcd(ctx, f, []) == f
     assert poly_degree([]) == -1
-    assert poly_eval(ctx, [2, 1], 1) == 0  # x + 2 at x = 1 over F_3
 
 
-def test_numpy_tables_agree_with_ops():
-    ctx = field(3, 2)
-    add, mul = ctx.add_table, ctx.mul_table
+@pytest.mark.parametrize("p,v", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_encoding_matches_polynomial_reference(p, v):
+    """The field axioms hold for any consistent encoding; this pins the
+    codes themselves: products are polynomial products mod the modulus
+    and sums are digit-wise sums of the base-p codes."""
+    ctx = field(p, v)
     for a in ctx.elements():
+        for b in ctx.elements():
+            assert ctx.mul(a, b) == ctx._mul_slow(a, b)
+            digit_sum = sum((a // p ** i + b // p ** i) % p * p ** i for i in range(v))
+            assert ctx.add(a, b) == digit_sum
+
+
+@pytest.mark.parametrize("p,v", [(3, 2), (17, 1), (13, 2)])
+def test_numpy_tables_agree_with_ops(p, v):
+    ctx = field(p, v)
+    add, mul, char = ctx.add_table, ctx.mul_table, ctx.char_table
+    for a in ctx.elements():
+        assert int(char[a]) == ctx.quadratic_character(a)
         for b in ctx.elements():
             assert int(add[a, b]) == ctx.add(a, b)
             assert int(mul[a, b]) == ctx.mul(a, b)
+
+
+def test_int16_tables_refuse_large_q():
+    ctx = FieldContext(32771, 1)
+    assert ctx.mul(ctx.generator, ctx.inv(ctx.generator)) == 1
+    with pytest.raises(ValueError, match="q < 2\\^15"):
+        ctx.add_table
+    with pytest.raises(ValueError, match="q < 2\\^15"):
+        ctx.mul_table
