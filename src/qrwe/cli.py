@@ -43,6 +43,12 @@ def _field_for(q: int):
     return field(p, v)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError("need an integer >= 1, got %r" % text)
+    return int(text)
+
+
 def _emit_enumerator(enum, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(enum.to_json_dict()))
@@ -141,10 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qrwe",
         description="Quadratic-residue weight enumerators of Reed-Solomon "
                     "codes, exactly.")
-    parser.add_argument("--threads", type=int,
+    parser.add_argument("--threads", type=_positive_int,
                         default=os.cpu_count(),
-                        help="parallelism for censuses and brute force "
-                             "(results are independent of this)")
+                        help="parallelism for censuses and brute force, "
+                             "at most the CPU count (results are "
+                             "independent of this)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     c14 = sub.add_parser("c14", help="enumerator of the degree-4 code (formula path)")

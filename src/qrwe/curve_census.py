@@ -3,35 +3,41 @@
 Two independent enumerations, used as oracles for the closed-form
 weighted class counts and moment formulas:
 
- * `quartic_census` walks every binary quartic form over F_q, keeps the
-   ones with distinct roots over the closure, and buckets them by trace
-   of Frobenius of w^2 = f4(x, y) and by the number of rational roots of
-   f4 (0, 1, 2 or 4).  Works in every odd characteristic, including 3.
+ * `quartic_census` counts every binary quartic form over F_q, keeps
+   the ones with distinct roots over the closure, and buckets them by
+   trace of Frobenius of w^2 = f4(x, y) and by the number of rational
+   roots of f4 (0, 1, 2 or 4).  Works in every odd characteristic,
+   including 3.
 
- * `weierstrass_census` walks the q^2 short Weierstrass models
+ * `weierstrass_census` counts the q^2 short Weierstrass models
    y^2 = x^3 + ax + b (p >= 5 only), bucketing by trace, plus the count
    of models whose cubic splits (fully rational 2-torsion).
 
-Enumeration is partitioned by the two leading quartic coefficients into
-q^2 independent work units whose per-bucket counts are merged
-additively, so results are deterministic for any thread count.  Each
-work unit is evaluated with numpy gathers through the field's lookup
-tables.  A plain-Python reference walk (`quartic_census(ctx,
-engine="scalar")`) implements the same census with the gcd-based
-square-freeness test; the two engines are checked against each other
-exhaustively in the test suite.
+Both vector engines walk orbit representatives, not every form.  A
+work unit fixes the two leading quartic coefficients (c4, c3), or the
+Weierstrass coefficient a, and is evaluated exactly, for all q^3 (or q)
+remaining coefficients at once, with numpy gathers through the field's
+lookup tables.  Changes of variable and scalings that keep the trace,
+the root count and smoothness carry one unit onto another bijectively,
+so each orbit of units is evaluated once and its counts are multiplied
+by the orbit size: 3 units instead of q^2 for quartics, 1 + gcd(4, q-1)
+instead of q for Weierstrass models.  Counts are merged additively, so
+results are deterministic for any thread count.  A plain-Python
+reference walk (`quartic_census(ctx, engine="scalar")`) visits every
+quartic and tests square-freeness by a gcd; the test suite checks it
+against the vector engine, and every unit against its representative,
+exhaustively at small q.
 
 Smoothness in the vector engine uses the universal integer discriminant
 of the binary quartic, which vanishes exactly on forms with a repeated
 projective root in every odd characteristic.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
-from .errors import ConsistencyError, check_budget
+from .errors import ConsistencyError, check_budget, map_units
 from .finite_field import (FieldContext, field, poly_degree, poly_derivative,
                            poly_gcd)
 
@@ -307,15 +313,17 @@ def _quartic_census_vector(ctx: FieldContext, threads: int = None) -> QuarticCen
     kernel = _QuarticKernel(ctx)
     q = ctx.q
     bound = isqrt(4 * q)
-    units = [(c4, c3) for c4 in range(q) for c3 in range(q)]
-    counts = np.zeros((2 * bound + 1) * 5, dtype=np.int64)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(lambda u: kernel.run_unit(*u), units):
-                counts += part
-    else:
-        for c4, c3 in units:
-            counts += kernel.run_unit(c4, c3)
+    nonsquare = int(np.argmax(ctx.char_table == -1))
+    # Each unit stands for its orbit of leading pairs (c4, c3): x -> x + sy
+    # moves c3 by 4sc4, scaling the form by a square moves c4 within its
+    # square class, and y -> uy moves c3 when c4 = 0.  All three keep the
+    # trace, the root count and smoothness.  The (0, 0) unit is skipped:
+    # y^2 divides all its forms, so none is smooth.
+    orbits = (((1, 0), (q - 1) * q // 2),
+              ((nonsquare, 0), (q - 1) * q // 2),
+              ((0, 1), q - 1))
+    parts = map_units(lambda orbit: kernel.run_unit(*orbit[0]), orbits, threads)
+    counts = sum(weight * part for (_, weight), part in zip(orbits, parts))
     buckets = {}
     for t_index in range(2 * bound + 1):
         row = counts[t_index * 5:(t_index + 1) * 5]
@@ -357,24 +365,25 @@ def weierstrass_census(ctx: FieldContext, threads: int = None) -> WeierstrassCen
         disc = add[ctx.mul(c4, a3)][s27b2]    # 4a^3 + 27 b^2 per b
         return traces, roots, disc != 0
 
+    # (a, b) -> (u^4 a, u^6 b) is an isomorphism that permutes the b of
+    # one a.  So a = 0 is one unit, and each of the d classes of
+    # F_q^* / (F_q^*)^4, the (q-1)/d powers g^(r + di) of the generator,
+    # is one unit of that weight.
+    d = gcd(4, q - 1)
+    units = [(0, 1)] + [(ctx.pow(ctx.generator, r), (q - 1) // d) for r in range(d)]
+    results = map_units(lambda unit: run_unit(unit[0]), units, threads)
     buckets = {}
-    unit_results = []
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            unit_results = list(pool.map(run_unit, range(q)))
-    else:
-        unit_results = [run_unit(a) for a in range(q)]
-    for traces, roots, smooth in unit_results:
+    for (_, weight), (traces, roots, smooth) in zip(units, results):
         for b in range(q):
             if not smooth[b]:
                 continue
             t = int(traces[b])
             bucket = buckets.setdefault(t, WeierstrassBucket())
-            bucket.models += 1
+            bucket.models += weight
             r = int(roots[b])
-            bucket.by_roots[r] += 1
+            bucket.by_roots[r] += weight
             if r == 3:
-                bucket.full2tors += 1
+                bucket.full2tors += weight
     return WeierstrassCensus(q=q, buckets=buckets)
 
 
@@ -409,8 +418,10 @@ def legendre_family_sum(p: int, R: int) -> int:
     The sum runs over (a, b) in F_p^2 with b != 0 and a^2 - 4b != 0,
     i.e. exactly the pairs where the cubic has distinct roots.  This
     enumeration is itself the oracle for the closed-form expression in
-    terms of the weight-(2R+2) trace on Gamma_0(4).
+    terms of the weight-(2R+2) trace on Gamma_0(4).  Refuses
+    (BudgetExceededError) when the p^3 terms exceed the budget.
     """
+    check_budget(p ** 3)
     ctx = field(p, 1)
     chi = [ctx.quadratic_character(x) for x in range(p)]
     total = 0
@@ -434,11 +445,13 @@ def j_special_census(ctx: FieldContext) -> dict:
     Class counts divide the model counts by (q-1)/|Aut|, where |Aut| is
     6 or 2 for j = 0 (depending on whether -3 is a square) and 4 or 2
     for j = 1728 (whether -4 is a square); every bucket must divide
-    exactly, which the census asserts.
+    exactly, which the census asserts.  Refuses (BudgetExceededError)
+    when its 2q^2 element evaluations exceed the budget.
     """
     if ctx.p < 5:
         raise ValueError("special j-invariant census needs p >= 5")
     q = ctx.q
+    check_budget(2 * q ** 2)
     out = {}
     for label, aut_disc in (("j0", -3), ("j1728", -4)):
         aut_order = {1: 6 if label == "j0" else 4, -1: 2}[

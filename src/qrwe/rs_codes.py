@@ -4,22 +4,25 @@ enumerators.
 The projective code of order h evaluates every binary form of degree h
 at the q+1 standard representatives (1, a) for a in field order, then
 (0, 1); the classical code drops the final coordinate.  Codewords are
-walked as F_q-linear combinations of the generator rows by a mixed-radix
-odometer whose single-row delta updates make each visit O(n) field
-additions; the vector engine performs the same walk in blocks, with the
-enumeration partitioned on the two highest message digits.
+walked as F_q-linear combinations of the generator rows.  The scalar
+engine is a mixed-radix odometer whose single-row delta updates make
+each visit O(n) field additions; it visits every codeword and is the
+reference.  The vector engine splits the walk on the two highest
+message digits into blocks evaluated with numpy gathers, and uses that
+scaling a codeword by a nonzero square keeps its (squares, non-squares)
+counts while a non-square swaps them: it walks the q+1 tops whose first
+nonzero digit is 1 and the zero top, q+2 blocks instead of q^2.
 
 Brute-force enumeration refuses politely (BudgetExceededError) when
 q^dim exceeds the budget, which defaults to 10^8 and can be overridden
 per call or with the QRWE_BUDGET environment variable.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 from .enumerators import QREnumerator
 from .errors import DEFAULT_BUDGET  # noqa: F401  (still read as rs_codes.DEFAULT_BUDGET)
-from .errors import ConsistencyError, check_budget
+from .errors import ConsistencyError, check_budget, map_units
 from .finite_field import FieldContext
 
 
@@ -177,10 +180,15 @@ def _tally_vector(code: ReedSolomonCode, threads: int = None) -> dict:
     for r in range(max(dim - 2, 0)):
         low = add[low[:, None, :], multiples[r][None, :, :]].reshape(-1, n)
 
+    # Scaling a codeword by a nonzero square keeps (j, k) and scaling by
+    # a non-square swaps them.  Every nonzero top is a unit multiple of
+    # exactly one top whose first nonzero digit is 1, and the low
+    # combinations are closed under scaling, so those tops (tally P) and
+    # the zero top (tally Z) give (q-1)/2 (P + P^T) + Z.
     if dim == 1:
-        tops = [(s, None) for s in range(q)]
-    elif dim >= 2:
-        tops = [(s1, s2) for s1 in range(q) for s2 in range(q)]
+        tops = [(1, None), (0, None)]
+    else:
+        tops = [(1, s2) for s2 in range(q)] + [(0, 1), (0, 0)]
 
     def run_unit(top):
         s1, s2 = top
@@ -194,14 +202,9 @@ def _tally_vector(code: ReedSolomonCode, threads: int = None) -> dict:
         k = (classes == 2).sum(axis=1)
         return np.bincount(j * (n + 1) + k, minlength=(n + 1) * (n + 1))
 
-    counts = np.zeros((n + 1) * (n + 1), dtype=np.int64)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(run_unit, tops):
-                counts += part
-    else:
-        for top in tops:
-            counts += run_unit(top)
+    parts = map_units(run_unit, tops, threads)
+    tally = sum(parts[:-1]).reshape(n + 1, n + 1)
+    counts = ((q - 1) // 2 * (tally + tally.T)).ravel() + parts[-1]
     out = {}
     for flat, value in enumerate(counts):
         if value:

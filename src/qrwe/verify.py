@@ -25,10 +25,10 @@ from .quadratic_forms import (hurwitz_class_number, kronecker,
                               weighted_class_number)
 from .rs_codes import brute_force_enumerator, puncture_enumerator, reed_solomon_code
 
-CENSUS_QS = (3, 5, 7, 9, 11, 13, 25, 27)
-ISOGENY_QS = (3, 5, 7, 9, 11, 13, 25)
+CENSUS_QS = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37)
+ISOGENY_QS = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27)
 JSPECIAL_QS = (5, 7, 11, 13, 25)
-C14_QS = (5, 7, 9, 11, 13)
+C14_QS = (5, 7, 9, 11, 13, 17, 19, 23)
 DUAL_QS = (7, 9, 11)
 PUNCTURE_QS = (7, 9)
 EXAMPLE_PRIMES_1MOD4 = (13, 17, 29)

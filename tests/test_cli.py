@@ -93,6 +93,9 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["dual", "--q", "13", "--max-codim", "-1"])
     assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["--threads", "0", "census", "--q", "5"])
+    assert info.value.code == 2
 
 
 def test_consistency_error_exits_1(capsys, monkeypatch):

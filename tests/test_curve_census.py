@@ -4,11 +4,12 @@ from itertools import product
 
 import pytest
 
-from qrwe.curve_census import (census_json, empirical_moment,
+from qrwe.curve_census import (_QuarticKernel, census_json, empirical_moment,
                                is_squarefree_quartic, j_special_census,
                                legendre_family_sum, quartic_census,
                                quartic_discriminant, quartic_point_count,
                                weierstrass_census)
+from qrwe.errors import BudgetExceededError
 from qrwe.finite_field import field
 from qrwe.hecke_traces import moment_formula
 from qrwe.isogeny_counts import weighted_count, weighted_count_full_2tors
@@ -62,6 +63,26 @@ def test_scalar_and_vector_census_agree(p, v):
         assert scalar.buckets[t].by_roots == vector.buckets[t].by_roots
 
 
+@pytest.mark.parametrize("p,v", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
+def test_every_quartic_unit_matches_its_orbit_representative(p, v):
+    # the vector engine evaluates only (1, 0), (nu, 0) and (0, 1)
+    ctx = field(p, v)
+    kernel = _QuarticKernel(ctx)
+    nonsquare = min(x for x in ctx.elements() if ctx.quadratic_character(x) == -1)
+    representatives = {}
+    for c4, c3 in product(range(ctx.q), repeat=2):
+        if c4:
+            rep = (1, 0) if ctx.quadratic_character(c4) == 1 else (nonsquare, 0)
+        elif c3:
+            rep = (0, 1)
+        else:
+            assert not kernel.run_unit(0, 0).any()  # y^2 divides every form
+            continue
+        if rep not in representatives:
+            representatives[rep] = kernel.run_unit(*rep)
+        assert (kernel.run_unit(c4, c3) == representatives[rep]).all(), (c4, c3)
+
+
 def test_census_threads_deterministic(quartic_census_for):
     ctx = field(7, 1)
     serial = quartic_census(ctx)
@@ -108,6 +129,29 @@ def test_weierstrass_census_totals_and_agreement(quartic_census_for):
                     == qcensus.weighted_count_full_2tors(t))
 
 
+@pytest.mark.parametrize("p,v", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2)])
+def test_weierstrass_census_matches_full_walk(p, v):
+    # every model (a, b), where the census evaluates 1 + gcd(4, q-1) values of a
+    ctx = field(p, v)
+    four, twenty_seven = ctx.int_embed(4), ctx.int_embed(27)
+    expected = {}
+    for a, b in product(ctx.elements(), repeat=2):
+        disc = ctx.add(ctx.mul(four, ctx.pow(a, 3)),
+                       ctx.mul(twenty_seven, ctx.mul(b, b)))
+        if disc == 0:
+            continue
+        values = [ctx.add(ctx.add(ctx.pow(x, 3), ctx.mul(a, x)), b)
+                  for x in ctx.elements()]
+        t = -sum(ctx.quadratic_character(value) for value in values)
+        roots = values.count(0)
+        models, full, by_roots = expected.get(t, (0, 0, (0, 0, 0, 0)))
+        by_roots = tuple(n + (r == roots) for r, n in enumerate(by_roots))
+        expected[t] = (models + 1, full + (roots == 3), by_roots)
+    census = weierstrass_census(ctx)
+    assert {t: (b.models, b.full2tors, tuple(b.by_roots))
+            for t, b in census.buckets.items()} == expected
+
+
 def test_weierstrass_rejects_char_3():
     with pytest.raises(ValueError, match="p >= 5"):
         weierstrass_census(field(3, 2))
@@ -152,6 +196,18 @@ def test_j_special_census_small():
     data7 = j_special_census(field(7, 1))
     assert data7["j0"]["class_total"] == 6
     assert data7["j1728"]["classes"] == {0: 2}
+
+
+def test_family_sum_and_j_special_census_refuse_beyond_budget(monkeypatch):
+    monkeypatch.setenv("QRWE_BUDGET", "50")
+    with pytest.raises(BudgetExceededError) as info:
+        legendre_family_sum(5, 1)
+    assert info.value.required == 5 ** 3
+    with pytest.raises(BudgetExceededError) as info:
+        j_special_census(field(7, 1))
+    assert info.value.required == 2 * 7 ** 2
+    monkeypatch.setenv("QRWE_BUDGET", "125")
+    assert legendre_family_sum(5, 1) == 72
 
 
 def test_j_special_rejects_char_3():

@@ -1,7 +1,9 @@
+import os
+
 import pytest
 
 from qrwe.enumerators import QREnumerator, mds_weight_distribution, qr_macwilliams_dual
-from qrwe.errors import BudgetExceededError, ConsistencyError
+from qrwe.errors import BudgetExceededError, ConsistencyError, clamp_threads
 from qrwe.finite_field import FieldContext, field
 from qrwe.rs_codes import (brute_force_enumerator, inner_product,
                            puncture_enumerator, reed_solomon_code)
@@ -30,9 +32,12 @@ def test_dual_orthogonality():
 
 
 def test_brute_force_total_and_engines():
-    for p, v, h in ((5, 1, 4), (7, 1, 2), (3, 2, 2)):
+    # dim 1 and 2, an extension field and a classical code among them
+    for p, v, h, projective in ((5, 1, 4, True), (7, 1, 2, True), (3, 2, 2, True),
+                                (7, 1, 0, True), (11, 1, 1, True), (3, 2, 3, True),
+                                (5, 1, 2, False)):
         ctx = field(p, v)
-        code = reed_solomon_code(ctx, h)
+        code = reed_solomon_code(ctx, h, projective=projective)
         fast = brute_force_enumerator(code)
         slow = brute_force_enumerator(code, engine="scalar")
         assert fast == slow
@@ -43,6 +48,19 @@ def test_brute_force_threads_deterministic():
     code = reed_solomon_code(field(7, 1), 3)
     assert (brute_force_enumerator(code, threads=4)
             == brute_force_enumerator(code))
+
+
+def test_clamp_threads(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert clamp_threads(None, 10) == 1
+    assert clamp_threads(0, 10) == 1
+    assert clamp_threads(-2, 10) == 1
+    assert clamp_threads(3, 10) == 3
+    assert clamp_threads(10 ** 6, 10) == 4
+    assert clamp_threads(10 ** 6, 2) == 2
+    assert clamp_threads(3, 0) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert clamp_threads(10 ** 6, 10) == 1
 
 
 def test_enumerator_independent_of_modulus():
