@@ -11,10 +11,10 @@ is backed by an independent brute-force oracle and all arithmetic is
 exact.
 """
 
-from .curve_census import (QuarticCensus, WeierstrassCensus, census_json,
-                           empirical_moment, j_special_census,
-                           legendre_family_sum, quartic_census,
-                           quartic_point_count, weierstrass_census)
+from .curve_census import (Census, census_json, empirical_moment,
+                           j_special_census, legendre_family_sum,
+                           quartic_census, quartic_point_count,
+                           weierstrass_census)
 from .enumerators import (QREnumerator, QuadRing, hamming_macwilliams_dual,
                           mds_weight_distribution, qr_dual_coefficients,
                           qr_macwilliams_dual)

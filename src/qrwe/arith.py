@@ -33,6 +33,14 @@ def prime_power_split(q: int) -> tuple:
     return p, v
 
 
+def odd_prime_power_split(q: int) -> tuple:
+    """(p, v) with q = p^v and p odd, or ValueError otherwise."""
+    p, v = prime_power_split(q)
+    if p == 2:
+        raise ValueError("q must be odd, got q=%d" % q)
+    return p, v
+
+
 def sigma1(n: int) -> int:
     """Sum of the positive divisors of n."""
     total = 0

@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import verify as verify_suites
-from .arith import prime_power_split
+from .arith import odd_prime_power_split
 from .curve_census import (census_json, empirical_moment, quartic_census,
                            weierstrass_census)
 from .enumerators import qr_dual_coefficients
@@ -37,10 +37,7 @@ _FLAVOR = {"all": "all", "2tors": "two_torsion", "full2tors": "full_two_torsion"
 
 
 def _field_for(q: int):
-    p, v = prime_power_split(q)
-    if p == 2:
-        raise ValueError("q must be odd")
-    return field(p, v)
+    return field(*odd_prime_power_split(q))
 
 
 def _positive_int(text: str) -> int:

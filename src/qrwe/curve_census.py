@@ -65,61 +65,52 @@ _DISC_TERMS = (
 
 @dataclass
 class TraceBucket:
-    total: int = 0
-    by_roots: list = None
+    by_roots: list  # model counts indexed by rational root count
 
-    def __post_init__(self):
-        if self.by_roots is None:
-            self.by_roots = [0, 0, 0, 0, 0]
+    @property
+    def total(self) -> int:
+        return sum(self.by_roots)
 
 
 @dataclass
-class QuarticCensus:
+class Census:
+    """Models bucketed by trace.  The engine that builds the census sets
+    the weight of one model, 1/denominator, and how many times each model
+    with every root rational (the last `by_roots` slot) counts towards
+    the classes with full 2-torsion."""
     q: int
+    kind: str
     buckets: dict  # trace -> TraceBucket
-    kind = "quartic"
+    denominator: int
+    full_multiplier: int
 
     def weighted_count(self, t: int) -> Fraction:
-        denom = (self.q - 1) ** 2 * self.q * (self.q + 1)
         bucket = self.buckets.get(t)
-        return Fraction(bucket.total if bucket else 0, denom)
+        return Fraction(bucket.total if bucket else 0, self.denominator)
 
     def weighted_count_full_2tors(self, t: int) -> Fraction:
-        denom = (self.q - 1) ** 2 * self.q * (self.q + 1)
         bucket = self.buckets.get(t)
-        return Fraction(4 * bucket.by_roots[4] if bucket else 0, denom)
+        full = self.full_multiplier * bucket.by_roots[-1] if bucket else 0
+        return Fraction(full, self.denominator)
 
     def traces(self):
         return sorted(self.buckets)
 
 
-@dataclass
-class WeierstrassBucket:
-    models: int = 0
-    full2tors: int = 0
-    by_roots: list = None  # indexed by rational root count of the cubic
-
-    def __post_init__(self):
-        if self.by_roots is None:
-            self.by_roots = [0, 0, 0, 0]
+def _quartic_census_of(q: int, buckets: dict) -> Census:
+    return Census(q=q, kind="quartic", buckets=buckets,
+                  denominator=(q - 1) ** 2 * q * (q + 1), full_multiplier=4)
 
 
-@dataclass
-class WeierstrassCensus:
-    q: int
-    buckets: dict  # trace -> WeierstrassBucket
-    kind = "weierstrass"
-
-    def weighted_count(self, t: int) -> Fraction:
-        bucket = self.buckets.get(t)
-        return Fraction(bucket.models if bucket else 0, self.q - 1)
-
-    def weighted_count_full_2tors(self, t: int) -> Fraction:
-        bucket = self.buckets.get(t)
-        return Fraction(bucket.full2tors if bucket else 0, self.q - 1)
-
-    def traces(self):
-        return sorted(self.buckets)
+def _weighted_buckets(units, parts, bound: int, slots: int) -> dict:
+    """Buckets from per-unit count vectors indexed (t + bound) * slots +
+    roots, each unit's counts multiplied by its orbit weight."""
+    counts = sum(weight * part for (_, weight), part in zip(units, parts))
+    buckets = {}
+    for t_index, row in enumerate(counts.reshape(2 * bound + 1, slots)):
+        if row.any():
+            buckets[t_index - bound] = TraceBucket(by_roots=[int(x) for x in row])
+    return buckets
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +182,7 @@ def quartic_discriminant(ctx: FieldContext, coeffs) -> int:
 # The quartic census
 # ---------------------------------------------------------------------------
 
-def quartic_census(ctx: FieldContext, threads: int = None, engine: str = "vector") -> QuarticCensus:
+def quartic_census(ctx: FieldContext, threads: int = None, engine: str = "vector") -> Census:
     """Census of all smooth binary quartics over F_q, bucketed by trace
     t = q + 1 - #points and by rational root count.  Refuses
     (BudgetExceededError) when the q^5 forms exceed the budget."""
@@ -205,7 +196,7 @@ def quartic_census(ctx: FieldContext, threads: int = None, engine: str = "vector
     return _quartic_census_vector(ctx, threads)
 
 
-def _quartic_census_scalar(ctx: FieldContext) -> QuarticCensus:
+def _quartic_census_scalar(ctx: FieldContext) -> Census:
     q = ctx.q
     buckets = {}
     rng = range(q)
@@ -221,10 +212,9 @@ def _quartic_census_scalar(ctx: FieldContext) -> QuarticCensus:
                             continue
                         points, roots = quartic_point_count(ctx, coeffs)
                         t = q + 1 - points
-                        bucket = buckets.setdefault(t, TraceBucket())
-                        bucket.total += 1
+                        bucket = buckets.setdefault(t, TraceBucket(by_roots=[0] * 5))
                         bucket.by_roots[roots] += 1
-    return QuarticCensus(q=q, buckets=buckets)
+    return _quartic_census_of(q, buckets)
 
 
 class _QuarticKernel:
@@ -307,7 +297,7 @@ class _QuarticKernel:
         return total
 
 
-def _quartic_census_vector(ctx: FieldContext, threads: int = None) -> QuarticCensus:
+def _quartic_census_vector(ctx: FieldContext, threads: int = None) -> Census:
     import numpy as np
 
     kernel = _QuarticKernel(ctx)
@@ -323,22 +313,14 @@ def _quartic_census_vector(ctx: FieldContext, threads: int = None) -> QuarticCen
               ((nonsquare, 0), (q - 1) * q // 2),
               ((0, 1), q - 1))
     parts = map_units(lambda orbit: kernel.run_unit(*orbit[0]), orbits, threads)
-    counts = sum(weight * part for (_, weight), part in zip(orbits, parts))
-    buckets = {}
-    for t_index in range(2 * bound + 1):
-        row = counts[t_index * 5:(t_index + 1) * 5]
-        if not row.any():
-            continue
-        t = t_index - bound
-        buckets[t] = TraceBucket(total=int(row.sum()), by_roots=[int(x) for x in row])
-    return QuarticCensus(q=q, buckets=buckets)
+    return _quartic_census_of(q, _weighted_buckets(orbits, parts, bound, 5))
 
 
 # ---------------------------------------------------------------------------
 # The Weierstrass census (p >= 5)
 # ---------------------------------------------------------------------------
 
-def weierstrass_census(ctx: FieldContext, threads: int = None) -> WeierstrassCensus:
+def weierstrass_census(ctx: FieldContext, threads: int = None) -> Census:
     """Census of the q^2 short Weierstrass models y^2 = x^3 + ax + b.
     Refuses (BudgetExceededError) when the q^2 models exceed the budget."""
     import numpy as np
@@ -355,6 +337,7 @@ def weierstrass_census(ctx: FieldContext, threads: int = None) -> WeierstrassCen
     c27 = ctx.int_embed(27)
     c4 = ctx.int_embed(4)
     s27b2 = mul[c27][b2]                      # 27 b^2 per b
+    bound = isqrt(4 * q)
 
     def run_unit(a):
         cubic = add[x3, mul[a][codes]]        # x^3 + ax per x
@@ -363,7 +346,8 @@ def weierstrass_census(ctx: FieldContext, threads: int = None) -> WeierstrassCen
         roots = (values == 0).sum(axis=0, dtype=np.int64)
         a3 = ctx.mul(ctx.mul(a, a), a)
         disc = add[ctx.mul(c4, a3)][s27b2]    # 4a^3 + 27 b^2 per b
-        return traces, roots, disc != 0
+        idx = ((traces + bound) * 4 + roots)[disc != 0]
+        return np.bincount(idx, minlength=(2 * bound + 1) * 4)
 
     # (a, b) -> (u^4 a, u^6 b) is an isomorphism that permutes the b of
     # one a.  So a = 0 is one unit, and each of the d classes of
@@ -371,20 +355,10 @@ def weierstrass_census(ctx: FieldContext, threads: int = None) -> WeierstrassCen
     # is one unit of that weight.
     d = gcd(4, q - 1)
     units = [(0, 1)] + [(ctx.pow(ctx.generator, r), (q - 1) // d) for r in range(d)]
-    results = map_units(lambda unit: run_unit(unit[0]), units, threads)
-    buckets = {}
-    for (_, weight), (traces, roots, smooth) in zip(units, results):
-        for b in range(q):
-            if not smooth[b]:
-                continue
-            t = int(traces[b])
-            bucket = buckets.setdefault(t, WeierstrassBucket())
-            bucket.models += weight
-            r = int(roots[b])
-            bucket.by_roots[r] += weight
-            if r == 3:
-                bucket.full2tors += weight
-    return WeierstrassCensus(q=q, buckets=buckets)
+    parts = map_units(lambda unit: run_unit(unit[0]), units, threads)
+    return Census(q=q, kind="weierstrass",
+                  buckets=_weighted_buckets(units, parts, bound, 4),
+                  denominator=q - 1, full_multiplier=1)
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +366,9 @@ def weierstrass_census(ctx: FieldContext, threads: int = None) -> WeierstrassCen
 # ---------------------------------------------------------------------------
 
 def empirical_moment(census, R: int, flavor: str = "all") -> Fraction:
-    """Weighted 2R-th moment of the trace read off a census.
-
-    Quartic censuses weigh each trace bucket by total/((q-1)^2 q (q+1)),
-    Weierstrass censuses by models/(q-1); the full-2-torsion channel
-    uses the 4-rational-root (resp. split-cubic) counts.
-    """
+    """Weighted 2R-th moment of the trace read off a census, weighing
+    each trace by `census.weighted_count` (`weighted_count_full_2tors`
+    for the full-2-torsion flavor)."""
     if flavor not in ("all", "two_torsion", "full_two_torsion"):
         raise ValueError("unknown flavor %r" % (flavor,))
     total = Fraction(0)
@@ -498,19 +469,11 @@ def j_special_census(ctx: FieldContext) -> dict:
 # JSON dump format
 # ---------------------------------------------------------------------------
 
-def census_json(census) -> dict:
+def census_json(census: Census) -> dict:
     """{"q", "kind", "buckets": [{"t", "total", "by_roots"}...]} with all
     counts as decimal strings, buckets ascending in t."""
-    buckets = []
-    for t in census.traces():
-        bucket = census.buckets[t]
-        if census.kind == "quartic":
-            total, by_roots = bucket.total, bucket.by_roots
-        else:
-            total, by_roots = bucket.models, bucket.by_roots
-        buckets.append({
-            "t": t,
-            "total": str(total),
-            "by_roots": [str(x) for x in by_roots],
-        })
+    buckets = [{"t": t,
+                "total": str(census.buckets[t].total),
+                "by_roots": [str(x) for x in census.buckets[t].by_roots]}
+               for t in census.traces()]
     return {"q": census.q, "kind": census.kind, "buckets": buckets}

@@ -1,18 +1,37 @@
 """Eichler-Selberg trace formulas and moment formulas for curve counts.
 
-Traces of the Hecke operator T_q on S_k(Gamma_0(N)) for N in {1, 2, 4},
-odd prime powers q and even weight k are evaluated in Hurwitz-class-number
-form.  The level-1 evaluation uses Zagier's convention H(0) = -1/12 for
-the boundary term t^2 = 4q.  For k = 2 (where the spaces are trivial for
-these levels) the formulas carry the usual sigma_1(q) correction term so
-that the returned trace is 0.
+For an odd prime power q = p^v and even weight k, everything here comes
+from three class-number sums over the traces t with t^2 < 4q:
+
+    K_all(k, q)  = 1/2 sum P_k(t, q) H(t^2 - 4q),
+    K_two(k, q)  = 1/2 sum over even t of P_k(t, q) H(t^2 - 4q),
+    K_full(k, q) = 1/2 sum over t = q + 1 (mod 4) of P_k(t, q) H((t^2 - 4q)/4),
+
+with P_k the Gegenbauer kernel and H the Hurwitz class number.  They
+are the moment kernels of the flavors below.  The trace of the Hecke
+operator T_q on S_k(Gamma_0(N)) for N in {1, 2, 4} is an affine
+function of them:
+
+    tr_N(k, q) = [v even] psi(N) (k-1)/12 q^(k/2-1) - (class part)
+                 - c(N)/2 min_power_sum(q, k) + [k = 2] sigma_1(q),
+
+    N   psi(N)   cusps c(N)   class part
+    1     1          1        K_all
+    2     3          2        K_two + 2 K_full
+    4     6          3        6 K_full
+
+The psi(N) term is the boundary t^2 = 4q, the cusp term the hyperbolic
+part, and sigma_1(q) makes the trace 0 at k = 2, where these spaces are
+trivial.  Level 2's sum over odd conductors of even-t orders is
+H(D) - H(D/4) for D = t^2 - 4q, and H(D/4) = 0 for even t off the
+class t = q + 1 (mod 4), which gives its class part.
 
 Every evaluation is carried out in exact rational arithmetic and must
-come out an integer; a fractional result raises ConsistencyError since
+come out an integer; a fractional trace raises ConsistencyError since
 it would mean the class-number bookkeeping is broken.
 
-On top of the traces, this module builds the closed-form weighted moment
-sums of the trace of Frobenius over elliptic curves / F_q:
+The moment kernels build the closed-form weighted moment sums of the
+trace of Frobenius over elliptic curves / F_q:
 
     flavor "all"               -> every isomorphism class,
     flavor "two_torsion"       -> classes with a rational 2-torsion point
@@ -28,9 +47,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
-from .arith import prime_power_split, sigma1
+from .arith import odd_prime_power_split, prime_power_split, sigma1
 from .errors import ConsistencyError
-from .quadratic_forms import hurwitz_class_number, weighted_class_number
+from .quadratic_forms import hurwitz_class_number
 
 FLAVORS = ("all", "two_torsion", "full_two_torsion")
 
@@ -54,76 +73,44 @@ def min_power_sum(q: int, k: int) -> int:
     return sum(min(p ** i, p ** (v - i)) ** (k - 1) for i in range(v + 1))
 
 
-def _require_odd_prime_power(q: int) -> tuple:
-    p, v = prime_power_split(q)
-    if p == 2:
-        raise ValueError("q must be odd, got q=%d" % q)
-    return p, v
-
-
 def _as_integer(value: Fraction, what: str) -> int:
     if value.denominator != 1:
         raise ConsistencyError("%s evaluated to non-integer %s" % (what, value))
     return value.numerator
 
 
-def _compute_trace_level1(k: int, q: int) -> int:
-    _require_odd_prime_power(q)
+@lru_cache(maxsize=None)
+def _class_number_sum(k: int, q: int, flavor: str) -> Fraction:
+    """The moment kernel of `flavor` at weight k and odd prime power q."""
     total = Fraction(0)
-    bound = isqrt(4 * q)
+    bound = isqrt(4 * q - 1)
     for t in range(-bound, bound + 1):
-        n = 4 * q - t * t
-        h = Fraction(-1, 12) if n == 0 else hurwitz_class_number(-n)
-        total -= Fraction(1, 2) * gegenbauer_kernel(k, t, q) * h
-    total -= Fraction(min_power_sum(q, k), 2)
-    if k == 2:
-        total += sigma1(q)
-    return _as_integer(total, "trace (level 1, k=%d, q=%d)" % (k, q))
+        if flavor == "full_two_torsion":
+            if t % 4 == (q + 1) % 4:
+                total += (gegenbauer_kernel(k, t, q)
+                          * hurwitz_class_number((t * t - 4 * q) // 4))
+        elif flavor == "all" or t % 2 == 0:
+            total += gegenbauer_kernel(k, t, q) * hurwitz_class_number(t * t - 4 * q)
+    return total / 2
 
 
-def _compute_trace_level2(k: int, q: int) -> int:
-    _, v = _require_odd_prime_power(q)
-    total = Fraction(0)
+# level N -> (index psi(N) of Gamma_0(N), cusp count, multiple of each
+# moment kernel in the trace's class part)
+_LEVELS = {1: (1, 1, {"all": 1}),
+           2: (3, 2, {"two_torsion": 1, "full_two_torsion": 2}),
+           4: (6, 3, {"full_two_torsion": 6})}
+
+
+def _compute_trace(level: int, k: int, q: int) -> int:
+    psi, cusps, multiples = _LEVELS[level]
+    _, v = odd_prime_power_split(q)
+    total = -sum(m * _class_number_sum(k, q, flavor) for flavor, m in multiples.items())
     if v % 2 == 0:
-        total += Fraction(k - 1, 4) * q ** (k // 2 - 1)
-    bound = isqrt(4 * q)
-    for t in range(-bound, bound + 1):
-        if t * t >= 4 * q:
-            continue
-        kernel = gegenbauer_kernel(k, t, q)
-        if t % 2 == 0:
-            inner = Fraction(0)
-            disc = t * t - 4 * q
-            for m in range(1, isqrt(-disc) + 1, 2):
-                if disc % (m * m) == 0 and (disc // (m * m)) % 4 in (0, 1):
-                    inner += weighted_class_number(disc // (m * m))
-            total -= Fraction(1, 2) * kernel * inner
-        if t % 4 == (q + 1) % 4:
-            total -= Fraction(3, 2) * kernel * hurwitz_class_number((t * t - 4 * q) // 4)
-    total -= min_power_sum(q, k)
+        total += Fraction(psi * (k - 1), 12) * q ** (k // 2 - 1)
+    total -= Fraction(cusps * min_power_sum(q, k), 2)
     if k == 2:
         total += sigma1(q)
-    return _as_integer(total, "trace (level 2, k=%d, q=%d)" % (k, q))
-
-
-def _compute_trace_level4(k: int, q: int) -> int:
-    _, v = _require_odd_prime_power(q)
-    total = Fraction(0)
-    if v % 2 == 0:
-        total += Fraction(k - 1, 2) * q ** (k // 2 - 1)
-    bound = isqrt(4 * q)
-    for t in range(-bound, bound + 1):
-        if t * t >= 4 * q or t % 4 != (q + 1) % 4:
-            continue
-        kernel = gegenbauer_kernel(k, t, q)
-        total -= 3 * kernel * hurwitz_class_number((t * t - 4 * q) // 4)
-    total -= Fraction(3 * min_power_sum(q, k), 2)
-    if k == 2:
-        total += sigma1(q)
-    return _as_integer(total, "trace (level 4, k=%d, q=%d)" % (k, q))
-
-
-_TRACE_FN = {1: _compute_trace_level1, 2: _compute_trace_level2, 4: _compute_trace_level4}
+    return _as_integer(total, "trace (level %d, k=%d, q=%d)" % (level, k, q))
 
 
 class TraceTable:
@@ -139,11 +126,11 @@ class TraceTable:
     def get(self, level: int, weight: int, q: int) -> int:
         key = (level, weight, q)
         if key not in self.entries:
-            if level not in _TRACE_FN:
+            if level not in _LEVELS:
                 raise ValueError("level must be 1, 2 or 4, got %d" % level)
             if weight < 2 or weight % 2 != 0:
                 raise ValueError("weight must be even and >= 2, got %d" % weight)
-            self.entries[key] = _TRACE_FN[level](weight, q)
+            self.entries[key] = _compute_trace(level, weight, q)
         return self.entries[key]
 
     def to_csv(self, stream) -> None:
@@ -213,27 +200,8 @@ def moment_kernel(q_arg, k: int, flavor: str = "all") -> Fraction:
     if q_arg == 1:
         return _kernel_at_one(k, flavor)
     q = int(q_arg)
-    _, v = _require_odd_prime_power(q)
-    even_v = v % 2 == 0
-    result = Fraction(0)
-    if even_v:
-        result += Fraction(k - 1, 12) * q ** (k // 2 - 1)
-    if flavor == "all":
-        result -= trace_level1(k, q)
-        result -= Fraction(min_power_sum(q, k), 2)
-        if k == 2:
-            result += sigma1(q)
-    elif flavor == "two_torsion":
-        result += Fraction(trace_level4(k, q), 3) - trace_level2(k, q)
-        result -= Fraction(min_power_sum(q, k), 2)
-        if k == 2:
-            result += Fraction(2, 3) * sigma1(q)
-    else:
-        result -= Fraction(trace_level4(k, q), 6)
-        result -= Fraction(min_power_sum(q, k), 4)
-        if k == 2:
-            result += Fraction(sigma1(q), 6)
-    return result
+    odd_prime_power_split(q)
+    return _class_number_sum(k, q, flavor)
 
 
 def moment_formula(q: int, R: int, flavor: str = "all") -> Fraction:
@@ -242,7 +210,7 @@ def moment_formula(q: int, R: int, flavor: str = "all") -> Fraction:
     restricted by 2-torsion structure according to `flavor`."""
     if R < 0:
         raise ValueError("moment order R must be >= 0")
-    p, v = _require_odd_prime_power(q)
+    p, v = odd_prime_power_split(q)
     if v >= 3:
         sub = q // (p * p)
     elif v == 2:

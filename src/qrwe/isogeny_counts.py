@@ -20,21 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .arith import prime_power_split
+from .arith import odd_prime_power_split
 from .quadratic_forms import (hurwitz_class_number, kronecker,
                               weighted_class_number)
 
 
-def _split_odd(q: int) -> tuple:
-    p, v = prime_power_split(q)
-    if p == 2:
-        raise ValueError("q must be odd, got q=%d" % q)
-    return p, v
-
-
 def weighted_count(q: int, t: int) -> Fraction:
     """Classes with trace t over F_q, weighted by 1/|Aut|."""
-    p, v = _split_odd(q)
+    p, v = odd_prime_power_split(q)
     if t * t > 4 * q:
         return Fraction(0)
     if v % 2 == 1:
@@ -58,7 +51,7 @@ def weighted_count(q: int, t: int) -> Fraction:
 
 def weighted_count_full_2tors(q: int, t: int) -> Fraction:
     """Classes with trace t and fully rational 2-torsion, weighted."""
-    p, _ = _split_odd(q)
+    p, _ = odd_prime_power_split(q)
     if t * t > 4 * q:
         return Fraction(0)
     if t * t == 4 * q:
@@ -85,7 +78,7 @@ class IsogenyProfile:
 
 
 def isogeny_profile(q: int) -> IsogenyProfile:
-    _split_odd(q)
+    odd_prime_power_split(q)
     bound = isqrt(4 * q)
     table = {}
     for t in range(-bound, bound + 1):

@@ -91,13 +91,6 @@ def _rank(ctx: FieldContext, rows) -> int:
     return rank
 
 
-def inner_product(ctx: FieldContext, u, v) -> int:
-    acc = 0
-    for x, y in zip(u, v):
-        acc = ctx.add(acc, ctx.mul(x, y))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Brute-force enumeration
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import pytest
 
 from qrwe import cli
 from qrwe.cli import main
+from qrwe.curve_census import census_json, weierstrass_census
 from qrwe.errors import ConsistencyError
+from qrwe.finite_field import field
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +33,19 @@ def test_moments_empirical_matches_formula(capsys):
     code2, census_out, _ = run_cli(capsys, "moments", "--q", "5", "--R", "2",
                                    "--empirical")
     assert code == code2 == 0 and formula_out == census_out
+    # p = 3 takes the quartic-census path
+    for flavor in ("2tors", "full2tors"):
+        code, formula_out, _ = run_cli(capsys, "moments", "--q", "9", "--R", "2",
+                                       "--flavor", flavor)
+        code2, census_out, _ = run_cli(capsys, "moments", "--q", "9", "--R", "2",
+                                       "--flavor", flavor, "--empirical")
+        assert code == code2 == 0 and formula_out == census_out, flavor
+
+
+def test_census_subcommand(capsys):
+    code, out, _ = run_cli(capsys, "census", "--q", "7", "--kind", "weierstrass")
+    assert code == 0
+    assert out == json.dumps(census_json(weierstrass_census(field(7, 1)))) + "\n"
 
 
 def test_classnum_and_hurwitz(capsys):

@@ -121,7 +121,7 @@ def test_weierstrass_census_totals_and_agreement(quartic_census_for):
         ctx = field(p, v)
         wcensus = weierstrass_census(ctx)
         singular_pairs = q  # 4a^3 = -27b^2 is a rational curve with q points
-        assert sum(b.models for b in wcensus.buckets.values()) == q * q - singular_pairs
+        assert sum(b.total for b in wcensus.buckets.values()) == q * q - singular_pairs
         qcensus = quartic_census_for(q)
         for t in set(wcensus.traces()) | set(qcensus.traces()):
             assert wcensus.weighted_count(t) == qcensus.weighted_count(t)
@@ -148,7 +148,7 @@ def test_weierstrass_census_matches_full_walk(p, v):
         by_roots = tuple(n + (r == roots) for r, n in enumerate(by_roots))
         expected[t] = (models + 1, full + (roots == 3), by_roots)
     census = weierstrass_census(ctx)
-    assert {t: (b.models, b.full2tors, tuple(b.by_roots))
+    assert {t: (b.total, b.by_roots[3], tuple(b.by_roots))
             for t, b in census.buckets.items()} == expected
 
 
@@ -161,7 +161,7 @@ def test_weierstrass_odd_traces_have_no_2_torsion():
     census = weierstrass_census(field(7, 1))
     for t, bucket in census.buckets.items():
         if t % 2 != 0:
-            assert bucket.full2tors == 0
+            assert bucket.by_roots[3] == 0
 
 
 def test_empirical_moment_examples(quartic_census_for):

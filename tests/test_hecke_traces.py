@@ -10,7 +10,7 @@ from qrwe.hecke_traces import (TraceTable, gegenbauer_kernel,
                                kernel_expansion_coeff, min_power_sum,
                                moment_formula, moment_kernel, trace_level1,
                                trace_level2, trace_level4)
-from qrwe.quadratic_forms import hurwitz_class_number
+from qrwe.quadratic_forms import hurwitz_class_number, weighted_class_number
 
 
 def test_kernel_low_weights():
@@ -113,6 +113,26 @@ def test_even_trace_class_number_sum_is_two_torsion_kernel():
                     total += Fraction(gegenbauer_kernel(k, t, q)) \
                         * hurwitz_class_number(t * t - 4 * q)
             assert total / 2 == moment_kernel(q, k, "two_torsion"), (q, k)
+
+
+def test_odd_conductor_sum_and_vanishing_quarter_discriminant():
+    # the level-2 class part rests on both identities, for even t with
+    # t^2 < 4q and D = t^2 - 4q
+    from math import isqrt
+    for q in odd_prime_powers(200):
+        bound = isqrt(4 * q - 1)
+        for t in range(-bound, bound + 1):
+            if t % 2 != 0:
+                continue
+            disc = t * t - 4 * q
+            odd_conductors = sum((weighted_class_number(disc // (m * m))
+                                  for m in range(1, isqrt(-disc) + 1, 2)
+                                  if disc % (m * m) == 0
+                                  and (disc // (m * m)) % 4 in (0, 1)), Fraction(0))
+            assert odd_conductors == (hurwitz_class_number(disc)
+                                      - hurwitz_class_number(disc // 4)), (q, t)
+            if t % 4 != (q + 1) % 4:
+                assert hurwitz_class_number(disc // 4) == 0, (q, t)
 
 
 def test_ordinary_part_recursion():

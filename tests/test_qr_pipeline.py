@@ -71,7 +71,7 @@ def test_model_counts_per_class_aggregate():
             t = q + 1 - (i + 2 * j)
             per_trace[t] = per_trace.get(t, 0) + value
         for t, bucket in wcensus.buckets.items():
-            assert per_trace.get(t, 0) == bucket.models * (q - 1) * q * (q + 1)
+            assert per_trace.get(t, 0) == bucket.total * (q - 1) * q * (q + 1)
 
 
 def test_dual_report_reference_coefficients():

@@ -5,8 +5,8 @@ import pytest
 from qrwe.enumerators import QREnumerator, mds_weight_distribution, qr_macwilliams_dual
 from qrwe.errors import BudgetExceededError, ConsistencyError, clamp_threads
 from qrwe.finite_field import FieldContext, field
-from qrwe.rs_codes import (brute_force_enumerator, inner_product,
-                           puncture_enumerator, reed_solomon_code)
+from qrwe.rs_codes import (brute_force_enumerator, puncture_enumerator,
+                           reed_solomon_code)
 
 
 def test_code_dimensions():
@@ -28,7 +28,10 @@ def test_dual_orthogonality():
         dual = reed_solomon_code(ctx, ctx.q - 1 - h)
         for row in code.rows:
             for other in dual.rows:
-                assert inner_product(ctx, row, other) == 0
+                acc = 0
+                for x, y in zip(row, other):
+                    acc = ctx.add(acc, ctx.mul(x, y))
+                assert acc == 0
 
 
 def test_brute_force_total_and_engines():
