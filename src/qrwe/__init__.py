@@ -32,8 +32,8 @@ from .qr_pipeline import (classical_dual_weight7_check,
                           classical_quartic_code_enumerator, dual_code_report,
                           quartic_code_enumerator, singular_quartic_part,
                           smooth_quartic_part)
-from .quadratic_forms import (class_number, hurwitz_class_number, kronecker,
-                              weighted_class_number)
+from .quadratic_forms import (class_number, hurwitz_class_number, hurwitz_row,
+                              kronecker, weighted_class_number)
 from .rs_codes import (ReedSolomonCode, brute_force_enumerator,
                        puncture_enumerator, reed_solomon_code)
 

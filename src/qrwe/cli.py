@@ -40,10 +40,12 @@ def _field_for(q: int):
     return field(*odd_prime_power_split(q))
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError("need an integer >= 1, got %r" % text)
-    return int(text)
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        if not text.isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError("need an integer >= %d, got %r" % (low, text))
+        return int(text)
+    return parse
 
 
 def _emit_enumerator(enum, fmt: str) -> None:
@@ -144,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qrwe",
         description="Quadratic-residue weight enumerators of Reed-Solomon "
                     "codes, exactly.")
-    parser.add_argument("--threads", type=_positive_int,
+    parser.add_argument("--threads", type=_int_at_least(1),
                         default=os.cpu_count(),
                         help="parallelism for censuses and brute force, "
                              "at most the CPU count (results are "
@@ -204,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", required=True,
                      choices=("classnumbers", "traces", "moments", "c14",
                               "duals", "examples", "all"))
-    ver.add_argument("--qmax", type=int, default=None)
+    ver.add_argument("--qmax", type=_int_at_least(3), default=None,
+                     help="cap every q-list at this q (3, the smallest odd "
+                          "prime power, or more)")
     ver.set_defaults(func=_cmd_verify)
 
     return parser

@@ -118,8 +118,10 @@ def eta_product(factors, precision: int) -> QSeries:
         if power < 0:
             base = _series_inverse(base)
             power = -power
+        # the sparse pentagonal factor goes outermost: __mul__ skips its
+        # zero coefficients
         for _ in range(power):
-            series = series * base
+            series = base * series
     shifted = [0] * lead + series.coefficients[:precision - lead]
     return QSeries(shifted, precision)
 

@@ -49,12 +49,11 @@ from math import comb, isqrt
 
 from .arith import odd_prime_power_split, prime_power_split, sigma1
 from .errors import ConsistencyError
-from .quadratic_forms import hurwitz_class_number
+from .quadratic_forms import hurwitz_row
 
 FLAVORS = ("all", "two_torsion", "full_two_torsion")
 
 
-@lru_cache(maxsize=None)
 def gegenbauer_kernel(k: int, t: int, q: int) -> int:
     """P_k(t, q) = (alpha^(k-1) - beta^(k-1)) / (alpha - beta) where
     alpha, beta are the roots of X^2 - tX + q; integer Lucas-type
@@ -81,17 +80,20 @@ def _as_integer(value: Fraction, what: str) -> int:
 
 @lru_cache(maxsize=None)
 def _class_number_sum(k: int, q: int, flavor: str) -> Fraction:
-    """The moment kernel of `flavor` at weight k and odd prime power q."""
-    total = Fraction(0)
-    bound = isqrt(4 * q - 1)
-    for t in range(-bound, bound + 1):
-        if flavor == "full_two_torsion":
-            if t % 4 == (q + 1) % 4:
-                total += (gegenbauer_kernel(k, t, q)
-                          * hurwitz_class_number((t * t - 4 * q) // 4))
-        elif flavor == "all" or t % 2 == 0:
-            total += gegenbauer_kernel(k, t, q) * hurwitz_class_number(t * t - 4 * q)
-    return total / 2
+    """The moment kernel of `flavor` at weight k and odd prime power q.
+
+    The class numbers are read, as the integers 6H, off one Hurwitz
+    row: H(t^2 - 4q) at |t| in `hurwitz_row(4q)`, and H((t^2 - 4q)/4)
+    = H(u^2 - q) at u = |t|/2 in `hurwitz_row(q)`.  The integer sum of
+    P_k(t, q) 6H is divided by 12 once."""
+    full = flavor == "full_two_torsion"
+    row = hurwitz_row(q if full else 4 * q)
+    start, step = ((q + 1) % 4, 4) if full else (0, 1 if flavor == "all" else 2)
+    total = 0
+    for t in range(start, isqrt(4 * q - 1) + 1, step):
+        # P_k(-t, q) = P_k(t, q) for even k, so t > 0 stands for t and -t
+        total += (2 if t else 1) * gegenbauer_kernel(k, t, q) * row[t // 2 if full else t]
+    return Fraction(total, 12)
 
 
 # level N -> (index psi(N) of Gamma_0(N), cusp count, multiple of each

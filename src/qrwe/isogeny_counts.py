@@ -4,8 +4,9 @@
 elliptic curves with trace of Frobenius t, each class weighted by
 1/|Aut(E)|.  `weighted_count_full_2tors(q, t)` restricts to classes
 whose rational 2-torsion is all of E[2].  Both are exact rationals built
-from Hurwitz-Kronecker class numbers; the brute-force censuses in
-`curve_census` verify them case by case.
+from Hurwitz-Kronecker class numbers, read off `hurwitz_row` for t != 0
+and counted one discriminant at a time for t = 0; the brute-force
+censuses in `curve_census` verify them case by case.
 
 Branch layout notes:
  * the boundary cases t = 0, t^2 = q, t^2 = 3q, t^2 = 4q are tested
@@ -21,8 +22,13 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import odd_prime_power_split
-from .quadratic_forms import (hurwitz_class_number, kronecker,
+from .quadratic_forms import (hurwitz_class_number, hurwitz_row, kronecker,
                               weighted_class_number)
+
+
+def _half_hurwitz(m: int, t: int) -> Fraction:
+    """H(t^2 - m) / 2 for t != 0 with t^2 < m, read off the Hurwitz row."""
+    return Fraction(hurwitz_row(m)[abs(t)], 12)
 
 
 def weighted_count(q: int, t: int) -> Fraction:
@@ -36,7 +42,7 @@ def weighted_count(q: int, t: int) -> Fraction:
         if t * t == 3 * q and p == 3:
             return Fraction(1, 6)
         if t * t < 4 * q and t % p != 0:
-            return hurwitz_class_number(t * t - 4 * q) / 2
+            return _half_hurwitz(4 * q, t)
         return Fraction(0)
     if t == 0:
         return Fraction(1 - kronecker(-4, p), 4)
@@ -45,7 +51,7 @@ def weighted_count(q: int, t: int) -> Fraction:
     if t * t == 4 * q:
         return Fraction(p - 1, 24)
     if t % p != 0:
-        return hurwitz_class_number(t * t - 4 * q) / 2
+        return _half_hurwitz(4 * q, t)
     return Fraction(0)
 
 
@@ -63,7 +69,7 @@ def weighted_count_full_2tors(q: int, t: int) -> Fraction:
     if t * t in (q, 2 * q, 3 * q):
         return Fraction(0)
     if t % p != 0 and t % 4 == (q + 1) % 4:
-        return hurwitz_class_number((t * t - 4 * q) // 4) / 2
+        return _half_hurwitz(q, t // 2)
     return Fraction(0)
 
 

@@ -4,6 +4,13 @@ Everything here is computed by direct enumeration of reduced binary
 quadratic forms, never read from tables, so the module doubles as its
 own oracle.  Rational weights are exact `fractions.Fraction` values.
 
+Two enumerations compute the same numbers.  `class_number` and
+`hurwitz_class_number` count the forms of one discriminant at a time,
+O(|d|) each; they are the scalar reference.  `hurwitz_row(m)` gives
+H(t^2 - m) for every t with t^2 < m from one sweep over the reduced
+forms (a, b, c) with 3a^2 <= m, O(m) in all: the Eichler-Selberg sums
+read whole rows.
+
 Conventions:
   * a discriminant d is a negative integer with d = 0 or 1 (mod 4);
   * h(d) counts reduced primitive positive definite forms
@@ -123,3 +130,42 @@ def hurwitz_class_number(delta: int) -> Fraction:
         if quotient % 4 in (0, 1):
             total += weighted_class_number(quotient)
     return total
+
+
+@lru_cache(maxsize=256)
+def hurwitz_row(m: int) -> tuple:
+    """The integers 6 H(t^2 - m) for t = 0, 1, ... with t^2 < m.
+
+    H(N) counts every reduced form of discriminant -N, primitive or
+    not, with weight 1, except a(x^2 + y^2) (weight 1/2) and
+    a(x^2 + xy + y^2) (weight 1/3); six times it is an integer.  A
+    reduced form (a, b, c) has discriminant t^2 - m exactly when
+    t^2 = b^2 + m - 4ac, so for fixed (a, b) the traces t are the square
+    roots of b^2 + m modulo 4a with t^2 <= m - 4a^2 + b^2 (that is,
+    c >= a).  Forms with b and -b are counted together; on the boundary
+    a = c only b >= 0 is kept.  The cache holds a fixed number of rows.
+    """
+    if m < 1:
+        raise ValueError("Hurwitz row needs m >= 1, got %d" % m)
+    row = [0] * (isqrt(m - 1) + 1)
+    for a in range(1, isqrt(m // 3) + 1):
+        mod = 4 * a
+        # square roots modulo 4a, only those below the largest t when
+        # that is less than 4a
+        roots = {}
+        for r in range(min(mod, isqrt(m - 3 * a * a) + 1)):
+            roots.setdefault(r * r % mod, []).append(r)
+        for b in range(a + 1):
+            top = m - 4 * a * a + b * b  # t^2 <= top, and t^2 = top means c = a
+            if top < 0:
+                continue
+            tmax = isqrt(top)
+            both = 12 if 0 < b < a else 6  # (a, b, c) and (a, -b, c)
+            for r in roots.get((b * b + m) % mod, ()):
+                for t in range(r, tmax + 1, mod):
+                    row[t] += both
+            if tmax * tmax == top:
+                # c = a: b = 0 is a(x^2 + y^2), b = a is a(x^2 + xy + y^2),
+                # and -b is not reduced
+                row[tmax] -= both - (3 if b == 0 else 2 if b == a else 6)
+    return tuple(row)

@@ -127,3 +127,17 @@ def test_verify_suite_exit_code(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "classnumbers")
     assert code == 0
     assert out.count("PASS") == 8 and "FAIL" not in out
+
+
+def test_verify_refuses_small_qmax_and_skips_emptied_checks(capsys):
+    # a q-cap below 3 leaves no odd prime power to check
+    for bad in ("-5", "2"):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--suite", "traces", "--qmax", bad])
+        assert info.value.code == 2
+    code, out, _ = run_cli(capsys, "verify", "--suite", "c14", "--qmax", "4")
+    assert code == 0
+    assert out == "SKIP  degree-4 enumerator matches brute force: none of its q is <= 4\n"
+    code, out, _ = run_cli(capsys, "verify", "--suite", "moments", "--qmax", "3")
+    assert code == 0 and out.count("PASS") == 3 and "FAIL" not in out
+    assert "SKIP  special j-invariant classes match: none of its q is <= 3\n" in out

@@ -198,3 +198,13 @@ def test_moment_formula_rejects_bad_input():
         moment_formula(5, -1)
     with pytest.raises(ValueError):
         moment_kernel(5, 4, "nope")
+
+
+def test_level1_trace_at_large_prime():
+    # tau(100003) from one Hurwitz row; Ramanujan's congruence and the
+    # Deligne bound check it independently of the pinned value
+    p = 100003
+    tau = trace_level1(12, p)
+    assert tau == 1194906306375914517502892252
+    assert (tau - 1 - p ** 11) % 691 == 0
+    assert tau * tau <= 4 * p ** 11

@@ -64,3 +64,10 @@ def test_rejects_even_q():
         weighted_count(8, 1)
     with pytest.raises(ValueError):
         weighted_count_full_2tors(16, 0)
+
+
+def test_isogeny_profile_at_large_prime():
+    q = 100003
+    table = isogeny_profile(q).table
+    assert sum(count for count, _ in table.values()) == q
+    assert sum(full for _, full in table.values()) == Fraction(q, 6) - Fraction(1, 3)

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qrwe.arith import odd_prime_powers
 from qrwe.quadratic_forms import (_count_reduced_forms, class_number,
-                                  hurwitz_class_number, kronecker,
+                                  hurwitz_class_number, hurwitz_row, kronecker,
                                   weighted_class_number)
 
 KNOWN_CLASS_NUMBERS = {
@@ -105,3 +107,27 @@ def test_conductor_scaling_identity():
                 if f % p == 0:
                     expected *= 1 - Fraction(kronecker(d, p), p)
             assert weighted_class_number(f * f * d) == expected, (d, f)
+
+
+def test_hurwitz_row_matches_one_discriminant_at_a_time():
+    # every m < 3000 meets forms of weight 1/2 (t^2 - m = -4a^2) and
+    # of weight 1/3 (t^2 - m = -3a^2)
+    for m in range(1, 3000):
+        row = hurwitz_row(m)
+        assert len(row) == isqrt(m - 1) + 1, m
+        for t, value in enumerate(row):
+            assert value == 6 * hurwitz_class_number(t * t - m), (m, t)
+
+
+def test_hurwitz_row_at_trace_formula_arguments():
+    # the rows the Eichler-Selberg sums read: m = 4q and m = q
+    for q in odd_prime_powers(2000):
+        for m in (q, 4 * q):
+            row = hurwitz_row(m)
+            assert row == tuple(6 * hurwitz_class_number(t * t - m)
+                                for t in range(isqrt(m - 1) + 1)), m
+
+
+def test_hurwitz_row_rejects_nonpositive():
+    with pytest.raises(ValueError):
+        hurwitz_row(0)
