@@ -15,9 +15,8 @@ from .curve_census import (Census, census_json, empirical_moment,
                            j_special_census, legendre_family_sum,
                            quartic_census, quartic_point_count,
                            weierstrass_census)
-from .enumerators import (QREnumerator, QuadRing, hamming_macwilliams_dual,
-                          mds_weight_distribution, qr_dual_coefficients,
-                          qr_macwilliams_dual)
+from .enumerators import (QREnumerator, mds_weight_distribution,
+                          qr_dual_coefficients, qr_macwilliams_dual)
 from .errors import BudgetExceededError, ConsistencyError
 from .eta_products import (QSeries, eta_product, hecke_eigenvalue_prime_power,
                            ramanujan_tau)

@@ -1,4 +1,5 @@
-"""Trivariate weight-enumerator algebra and MacWilliams transforms.
+"""Trivariate weight enumerators, MDS weight distributions and the
+quadratic-residue MacWilliams transform.
 
 A quadratic-residue weight enumerator of a length-n code over F_q is the
 homogeneous polynomial sum_c X^(zeros) Y^(square values) Z^(non-square
@@ -11,56 +12,31 @@ The MacWilliams transform for this enumerator substitutes
     Y -> X + aY + a*Z          a  = (-1 + s)/2
     Z -> X + a*Y + aZ          a* = (-1 - s)/2
 
-where s generates the ring Z[s], s^2 = q for q = 1 (mod 4) and
-s^2 = -q for q = 3 (mod 4).  The transform is one sparse product of
-precomputed powers of the substituted forms; it clears the halves by
-working with the doubled linear forms and a single 2^n denominator that
-is divided out exactly at the end.  Asked only for the monomials of Y, Z
-degree j + k <= max_codim, it drops every higher-degree term from the
-power tables and from each partial product, since Y, Z degrees only add
-up.  The uniform sign choice for s is valid only for Y/Z-symmetric
-enumerators (scaling codewords by a fixed non-square is a code
-automorphism exchanging the two letter classes), so asymmetric inputs
-are refused.
+with s^2 = q for q = 1 (mod 4) and s^2 = -q for q = 3 (mod 4).  The
+uniform sign choice for s is valid only for Y/Z-symmetric enumerators
+(scaling codewords by a fixed non-square is a code automorphism
+exchanging the two letter classes), so asymmetric inputs are refused.
 
-Every output coefficient must come out s-free, integral and
-nonnegative; anything else raises ConsistencyError, which in practice
-means the input was not the enumerator of a linear code of the stated
-size.
+In U = Y + Z, V = Y - Z and P = 2X - U the doubled forms are
+2X + (q-1)U and P +- sV.  For symmetric input the terms (j0, k0) and
+(k0, j0) substitute together to (P^2 - s^2 V^2)^k0 ((P + sV)^d +
+(P - sV)^d) with d = j0 - k0, in which only even powers of sV survive,
+so s^2 = +-q enters as an integer and the arithmetic stays in Z.  Per X
+degree i0 and V degree v the input collapses to one integer weight; it
+multiplies the U series of (2 + (q-1)U)^i0 (2 - U)^(n - i0 - v) (at
+X = 1), and U^u V^v is expanded back into Y, Z.  The halves are cleared
+by a single 2^n denominator divided out exactly at the end.  The (U, V)
+degree is the (Y, Z) degree, so asked only for the monomials of degree
+j + k <= max_codim, every series stops at that degree.
+
+Every output coefficient must come out integral and nonnegative;
+anything else raises ConsistencyError, which in practice means the input
+was not the enumerator of a linear code of the stated size.
 """
 
 from math import comb
 
 from .errors import ConsistencyError
-
-
-def _trinomial(n: int, a: int, b: int) -> int:
-    return comb(n, a) * comb(n - a, b)
-
-
-class QuadRing:
-    """Z[s] with s^2 = q (q = 1 mod 4) or -q (q = 3 mod 4); elements are
-    pairs (rational part, s part)."""
-
-    def __init__(self, q: int):
-        if q % 2 == 0:
-            raise ValueError("q must be odd")
-        self.q = q
-        self.s_squared = q if q % 4 == 1 else -q
-
-    def mul(self, x: tuple, y: tuple) -> tuple:
-        a, b = x
-        c, d = y
-        return (a * c + b * d * self.s_squared, a * d + b * c)
-
-    def conj(self, x: tuple) -> tuple:
-        return (x[0], -x[1])
-
-    def powers(self, base: tuple, count: int) -> list:
-        out = [(1, 0)]
-        for _ in range(count):
-            out.append(self.mul(out[-1], base))
-        return out
 
 
 class QREnumerator:
@@ -155,90 +131,41 @@ def mds_weight_distribution(n: int, dim: int, q: int) -> list:
     return out
 
 
-def hamming_macwilliams_dual(weights: list, q: int, code_size: int) -> list:
-    """Dual weight distribution via W(X + (q-1)Y, X - Y) / |C|."""
-    n = len(weights) - 1
-    out = [0] * (n + 1)
-    for i, a_i in enumerate(weights):
-        if a_i == 0:
-            continue
-        # (X + (q-1)Y)^(n-i) (X - Y)^i
-        for u in range(n - i + 1):
-            for v in range(i + 1):
-                w = u + v
-                out[w] += a_i * comb(n - i, u) * (q - 1) ** u * comb(i, v) * (-1) ** v
-    for w, value in enumerate(out):
-        if value % code_size != 0 or value < 0:
-            raise ConsistencyError("dual weight A_%d = %s is not a nonnegative "
-                                   "multiple of |C| = %d" % (w, value, code_size))
-        out[w] = value // code_size
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Quadratic-residue MacWilliams transform
 # ---------------------------------------------------------------------------
 
-def _doubled_power_tables(q: int, limit: int, ring: QuadRing):
-    """Powers of the doubled substituted forms as sparse dicts
-    {(y_deg, z_deg): Z[s] pair}, keeping only y_deg + z_deg <= limit;
-    the X degree is (form degree) - y - z."""
-    plus = ring.powers((-1, 1), limit)    # (-1 + s)^m
-    minus = ring.powers((-1, -1), limit)  # (-1 - s)^m
+def _pair_weights(enum: QREnumerator, q: int, limit: int) -> dict:
+    """{(i0, v): w} with the doubled substitution of the input equal to
+    sum w (2X + (q-1)U)^i0 P^(n - i0 - v) V^v, for V degrees v <= limit.
 
-    def pow1(i):
-        out = {}
-        for u in range(min(i, limit) + 1):
-            for v in range(min(i - u, limit - u) + 1):
-                out[(u, v)] = (_trinomial(i, u, v) * 2 ** (i - u - v)
-                               * (q - 1) ** (u + v), 0)
-        return out
-
-    def pow2(j):
-        out = {}
-        for a in range(min(j, limit) + 1):
-            for b in range(min(j - a, limit - a) + 1):
-                scale = _trinomial(j, a, b) * 2 ** (j - a - b)
-                value = ring.mul(plus[a], minus[b])
-                out[(a, b)] = (scale * value[0], scale * value[1])
-        return out
-
-    def pow3(k):
-        out = {}
-        for a in range(min(k, limit) + 1):
-            for b in range(min(k - a, limit - a) + 1):
-                scale = _trinomial(k, a, b) * 2 ** (k - a - b)
-                value = ring.mul(minus[a], plus[b])
-                out[(a, b)] = (scale * value[0], scale * value[1])
-        return out
-
-    return pow1, pow2, pow3
-
-
-def _dict_mul(ring: QuadRing, f: dict, g: dict, limit: int) -> dict:
-    """Product of two sparse tables, dropping Y+Z degrees above limit."""
-    out = {}
-    for (y1, z1), c1 in f.items():
-        room = limit - y1 - z1
-        for (y2, z2), c2 in g.items():
-            if y2 + z2 > room:
-                continue
-            key = (y1 + y2, z1 + z2)
-            a, b = ring.mul(c1, c2)
-            if key in out:
-                oa, ob = out[key]
-                out[key] = (oa + a, ob + b)
-            else:
-                out[key] = (a, b)
-    return out
+    The pair (j0, k0), (k0, j0) with d = j0 - k0 > 0 contributes
+    A (P^2 - s^2 V^2)^k0 ((P + sV)^d + (P - sV)^d), a term with j0 = k0
+    only A (P^2 - s^2 V^2)^k0.  Either way v is even and the V^v
+    coefficient is s^v sum_i (-1)^i C(k0, i) C(d, v - 2i), doubled for
+    a pair.
+    """
+    s_sq = q if q % 4 == 1 else -q
+    weights = {}
+    for (j0, k0), coefficient in enum.terms.items():
+        if j0 < k0:
+            continue
+        d = j0 - k0
+        i0 = enum.n - j0 - k0
+        pair = coefficient if d == 0 else 2 * coefficient
+        for v in range(0, min(limit, j0 + k0) + 1, 2):
+            kernel = sum((-1) ** i * comb(k0, i) * comb(d, v - 2 * i)
+                         for i in range(min(k0, v // 2) + 1))
+            if kernel:
+                key = (i0, v)
+                weights[key] = weights.get(key, 0) + pair * kernel * s_sq ** (v // 2)
+    return weights
 
 
 def _finalize(accumulator: dict, n: int, q: int, code_size: int) -> QREnumerator:
     denominator = 2 ** n * code_size
     terms = {}
-    for key, (a, b) in accumulator.items():
-        if b != 0:
-            raise ConsistencyError("irrational part %d survives at %s" % (b, key))
+    for key, a in accumulator.items():
         if a % denominator != 0:
             raise ConsistencyError("coefficient %d at %s not divisible by %d"
                                    % (a, key, denominator))
@@ -264,28 +191,30 @@ def qr_macwilliams_dual(enum: QREnumerator, q: int, code_size: int,
     limit = n if max_codim is None else max_codim
     if not 0 <= limit <= n:
         raise ValueError("max_codim must lie in 0..%d, got %d" % (n, limit))
-    ring = QuadRing(q)
-    pow1, pow2, pow3 = _doubled_power_tables(q, limit, ring)
-    pow1_cache, pow2_cache, pow3_cache = {}, {}, {}
+
+    def series(base: int, slope: int, power: int) -> list:
+        """U coefficients of (base + slope U)^power up to U^limit."""
+        return [comb(power, u) * base ** (power - u) * slope ** u
+                for u in range(min(power, limit) + 1)]
+
+    # sum w (2 + (q-1)U)^i0 (2 - U)^(n-i0-v) V^v, truncated at u + v <= limit
+    uv = {}
+    for (i0, v), weight in _pair_weights(enum, q, limit).items():
+        first = series(2, q - 1, i0)
+        second = series(2, -1, n - i0 - v)
+        for u in range(limit - v + 1):
+            value = sum(first[a] * second[u - a]
+                        for a in range(len(first)) if 0 <= u - a < len(second))
+            if value:
+                uv[(u, v)] = uv.get((u, v), 0) + weight * value
+    # U^u V^v = (Y + Z)^u (Y - Z)^v
     accumulator = {}
-    for (j0, k0), coefficient in enum.terms.items():
-        i0 = n - j0 - k0
-        if i0 not in pow1_cache:
-            pow1_cache[i0] = pow1(i0)
-        if j0 not in pow2_cache:
-            pow2_cache[j0] = pow2(j0)
-        if k0 not in pow3_cache:
-            pow3_cache[k0] = pow3(k0)
-        product = _dict_mul(ring, pow2_cache[j0], pow3_cache[k0], limit)
-        product = _dict_mul(ring, pow1_cache[i0], product, limit)
-        for key, (a, b) in product.items():
-            a *= coefficient
-            b *= coefficient
-            if key in accumulator:
-                oa, ob = accumulator[key]
-                accumulator[key] = (oa + a, ob + b)
-            else:
-                accumulator[key] = (a, b)
+    for (u, v), value in uv.items():
+        for a in range(u + 1):
+            for b in range(v + 1):
+                key = (a + b, u - a + v - b)
+                accumulator[key] = (accumulator.get(key, 0)
+                                    + (-1) ** b * comb(u, a) * comb(v, b) * value)
     return _finalize(accumulator, n, q, code_size)
 
 

@@ -9,7 +9,7 @@ DEFAULT_BUDGET = 10 ** 8
 
 class ConsistencyError(ArithmeticError):
     """An exact identity that must hold failed (non-integral trace,
-    nonzero irrational part, negative coefficient, ...).  Signals a bug
+    indivisible or negative dual coefficient, ...).  Signals a bug
     or a malformed input, never a rounding issue: all arithmetic is exact."""
 
 

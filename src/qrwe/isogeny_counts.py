@@ -4,15 +4,16 @@
 elliptic curves with trace of Frobenius t, each class weighted by
 1/|Aut(E)|.  `weighted_count_full_2tors(q, t)` restricts to classes
 whose rational 2-torsion is all of E[2].  Both are exact rationals built
-from Hurwitz-Kronecker class numbers, read off `hurwitz_row` for t != 0
-and counted one discriminant at a time for t = 0; the brute-force
-censuses in `curve_census` verify them case by case.
+from Hurwitz-Kronecker class numbers, all read off `hurwitz_row`; the
+brute-force censuses in `curve_census` verify them case by case.
 
 Branch layout notes:
  * the boundary cases t = 0, t^2 = q, t^2 = 3q, t^2 = 4q are tested
    before the generic coprime-trace branch, whose class number would be
    evaluated at discriminant 0 there;
- * for non-square q the t = 0 count uses the discriminant -4p (not -4q);
+ * for non-square q the t = 0 count uses the discriminant -4p (not -4q),
+   and its full-2-torsion part for q = 3 (mod 4) is H(p)/2, since -p is
+   then a fundamental discriminant and H(p) = h_w(-p);
  * p | t with t != 0 and no boundary case applies means no curve exists
    and the count is 0.
 """
@@ -22,12 +23,11 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import odd_prime_power_split
-from .quadratic_forms import (hurwitz_class_number, hurwitz_row, kronecker,
-                              weighted_class_number)
+from .quadratic_forms import hurwitz_row, kronecker
 
 
 def _half_hurwitz(m: int, t: int) -> Fraction:
-    """H(t^2 - m) / 2 for t != 0 with t^2 < m, read off the Hurwitz row."""
+    """H(t^2 - m) / 2 for t^2 < m, read off the Hurwitz row."""
     return Fraction(hurwitz_row(m)[abs(t)], 12)
 
 
@@ -38,7 +38,7 @@ def weighted_count(q: int, t: int) -> Fraction:
         return Fraction(0)
     if v % 2 == 1:
         if t == 0:
-            return hurwitz_class_number(-4 * p) / 2
+            return _half_hurwitz(4 * p, 0)
         if t * t == 3 * q and p == 3:
             return Fraction(1, 6)
         if t * t < 4 * q and t % p != 0:
@@ -65,7 +65,7 @@ def weighted_count_full_2tors(q: int, t: int) -> Fraction:
     if t == 0:
         if q % 4 == 1:
             return Fraction(0)
-        return weighted_class_number(-p) / 2
+        return _half_hurwitz(p, 0)
     if t * t in (q, 2 * q, 3 * q):
         return Fraction(0)
     if t % p != 0 and t % 4 == (q + 1) % 4:

@@ -9,7 +9,7 @@ Two enumerations compute the same numbers.  `class_number` and
 O(|d|) each; they are the scalar reference.  `hurwitz_row(m)` gives
 H(t^2 - m) for every t with t^2 < m from one sweep over the reduced
 forms (a, b, c) with 3a^2 <= m, O(m) in all: the Eichler-Selberg sums
-read whole rows.
+and the isogeny counts read whole rows.
 
 Conventions:
   * a discriminant d is a negative integer with d = 0 or 1 (mod 4);

@@ -2,10 +2,10 @@ from math import comb
 
 import pytest
 
-from qrwe.enumerators import (QREnumerator, QuadRing, hamming_macwilliams_dual,
-                              mds_weight_distribution, qr_dual_coefficients,
-                              qr_macwilliams_dual)
+from qrwe.enumerators import (QREnumerator, mds_weight_distribution,
+                              qr_dual_coefficients, qr_macwilliams_dual)
 from qrwe.errors import ConsistencyError
+from qrwe.qr_pipeline import quartic_code_enumerator
 
 
 def full_space_enumerator(n, q):
@@ -28,18 +28,6 @@ def test_enumerator_validation():
     assert enum.terms == {(0, 0): 1}
 
 
-def test_quad_ring_involution():
-    for q in (5, 7):
-        ring = QuadRing(q)
-        x = (3, 2)
-        y = (-1, 4)
-        assert ring.mul(x, y) == ring.mul(y, x)
-        conj_prod = ring.mul(ring.conj(x), ring.conj(y))
-        assert conj_prod == ring.conj(ring.mul(x, y))
-        a, b = ring.mul(x, ring.conj(x))
-        assert b == 0  # norms are rational
-
-
 def test_mds_distribution_values():
     dist = mds_weight_distribution(8, 5, 7)
     assert dist[0] == 1 and dist[1] == dist[2] == dist[3] == 0
@@ -58,24 +46,8 @@ def test_mds_rejects_bad_parameters():
         mds_weight_distribution(10, 5, 7)
 
 
-def test_hamming_macwilliams_zero_code():
-    n, q = 5, 7
-    zero_code = [1] + [0] * n
-    dual = hamming_macwilliams_dual(zero_code, q, 1)
-    assert dual == [comb(n, i) * (q - 1) ** i for i in range(n + 1)]
-
-
-def test_hamming_macwilliams_involution():
-    for q in (7, 9):
-        n = q + 1
-        primal = mds_weight_distribution(n, 5, q)
-        dual = hamming_macwilliams_dual(primal, q, q ** 5)
-        assert dual == mds_weight_distribution(n, n - 5, q)
-        assert hamming_macwilliams_dual(dual, q, q ** (n - 5)) == primal
-
-
 def test_qr_transform_of_zero_code():
-    for q, n in ((5, 4), (7, 6)):
+    for q, n in ((5, 4), (7, 6), (9, 8), (11, 10)):
         zero_code = QREnumerator(n, q, {(0, 0): 1})
         dual = qr_macwilliams_dual(zero_code, q, 1)
         assert dual == full_space_enumerator(n, q)
@@ -137,3 +109,45 @@ def test_total_scaling_through_transform():
     zero_code = QREnumerator(n, q, {(0, 0): 1})
     dual = qr_macwilliams_dual(zero_code, q, 1)
     assert dual.total() == q ** n
+
+
+def _evaluate(enum, x, y, z):
+    return sum(value * x ** (enum.n - j - k) * y ** j * z ** k
+               for (j, k), value in enum.terms.items())
+
+
+def _substituted_at_point(enum, q, x, y, z):
+    """W(2L1, 2L2, 2L3) at an integer point, summed term by term in Z[s]
+    (pairs (rational part, s part), s^2 = +-q) with no use of symmetry."""
+    s_sq = q if q % 4 == 1 else -q
+
+    def mul(f, g):
+        return (f[0] * g[0] + s_sq * f[1] * g[1], f[0] * g[1] + f[1] * g[0])
+
+    def power(base, e):
+        out = (1, 0)
+        for _ in range(e):
+            out = mul(out, base)
+        return out
+
+    form1 = (2 * x + (q - 1) * (y + z), 0)
+    form2 = (2 * x - y - z, y - z)
+    form3 = (2 * x - y - z, z - y)
+    total = (0, 0)
+    for (j, k), value in enum.terms.items():
+        term = mul(mul(power(form1, enum.n - j - k), power(form2, j)), power(form3, k))
+        total = (total[0] + value * term[0], total[1] + value * term[1])
+    return total
+
+
+def test_qr_transform_matches_substitution_at_points():
+    points = ((1, 1, 1), (2, -1, 3), (0, 1, 0), (3, 2, -5))
+    for q in (13, 19, 25, 27, 49):
+        n = q + 1
+        primal = quartic_code_enumerator(q)
+        dual = qr_macwilliams_dual(primal, q, q ** 5)
+        for x, y, z in points:
+            assert _substituted_at_point(primal, q, x, y, z) == (
+                2 ** n * q ** 5 * _evaluate(dual, x, y, z), 0), (q, x, y, z)
+        assert qr_macwilliams_dual(dual, q, q ** (n - 5)) == primal, q
+        assert dual.hamming_distribution() == mds_weight_distribution(n, n - 5, q), q

@@ -94,7 +94,7 @@ def test_dual_report_verified_by_brute_force():
 
 def test_truncated_transform_restricts_full_transform():
     from qrwe.enumerators import qr_dual_coefficients, qr_macwilliams_dual
-    for q in (7, 9, 11):
+    for q in (7, 9, 11, 13, 25, 27):
         n = q + 1
         enum = quartic_code_enumerator(q)
         full = qr_macwilliams_dual(enum, q, q ** 5)
