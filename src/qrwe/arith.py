@@ -1,5 +1,6 @@
 """Small shared integer helpers."""
 
+from functools import lru_cache
 from math import isqrt
 
 
@@ -14,8 +15,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=256)
 def prime_power_split(q: int) -> tuple:
-    """(p, v) with q = p^v, or ValueError if q is not a prime power."""
+    """(p, v) with q = p^v, or ValueError if q is not a prime power.
+    Callers split the same q many times; the cache holds a fixed number."""
     if q < 2:
         raise ValueError("not a prime power: %d" % q)
     p = q

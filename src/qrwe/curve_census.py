@@ -23,10 +23,10 @@ so each orbit of units is evaluated once and its counts are multiplied
 by the orbit size: 3 units instead of q^2 for quartics, 1 + gcd(4, q-1)
 instead of q for Weierstrass models.  Counts are merged additively, so
 results are deterministic for any thread count.  A plain-Python
-reference walk (`quartic_census(ctx, engine="scalar")`) visits every
-quartic and tests square-freeness by a gcd; the test suite checks it
-against the vector engine, and every unit against its representative,
-exhaustively at small q.
+reference walk (`_quartic_census_scalar(ctx)`) visits every quartic and
+tests square-freeness by a gcd; the test suite checks it against the
+vector engine, and every unit against its representative, exhaustively
+at small q.
 
 Smoothness in the vector engine uses the universal integer discriminant
 of the binary quartic, which vanishes exactly on forms with a repeated
@@ -182,20 +182,6 @@ def quartic_discriminant(ctx: FieldContext, coeffs) -> int:
 # The quartic census
 # ---------------------------------------------------------------------------
 
-def quartic_census(ctx: FieldContext, threads: int = None, engine: str = "vector") -> Census:
-    """Census of all smooth binary quartics over F_q, bucketed by trace
-    t = q + 1 - #points and by rational root count.  Refuses
-    (BudgetExceededError) when the q^5 forms exceed the budget."""
-    if ctx.q % 2 == 0:
-        raise ValueError("census requires odd q")
-    check_budget(ctx.q ** 5)
-    if engine == "scalar":
-        return _quartic_census_scalar(ctx)
-    if engine != "vector":
-        raise ValueError("engine must be 'vector' or 'scalar'")
-    return _quartic_census_vector(ctx, threads)
-
-
 def _quartic_census_scalar(ctx: FieldContext) -> Census:
     q = ctx.q
     buckets = {}
@@ -297,9 +283,13 @@ class _QuarticKernel:
         return total
 
 
-def _quartic_census_vector(ctx: FieldContext, threads: int = None) -> Census:
+def quartic_census(ctx: FieldContext, threads: int = None) -> Census:
+    """Census of all smooth binary quartics over F_q, bucketed by trace
+    t = q + 1 - #points and by rational root count.  Refuses
+    (BudgetExceededError) when the q^5 forms exceed the budget."""
     import numpy as np
 
+    check_budget(ctx.q ** 5)
     kernel = _QuarticKernel(ctx)
     q = ctx.q
     bound = isqrt(4 * q)

@@ -73,10 +73,6 @@ class QREnumerator:
             out[j + k] += value
         return out
 
-    def scaled(self, factor: int) -> "QREnumerator":
-        return QREnumerator(self.n, self.q,
-                            {key: factor * value for key, value in self.terms.items()})
-
     def __eq__(self, other):
         return (isinstance(other, QREnumerator) and self.n == other.n
                 and self.q == other.q and self.terms == other.terms)

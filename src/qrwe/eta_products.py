@@ -81,28 +81,13 @@ def _pentagonal_series(scale: int, precision: int) -> QSeries:
     return QSeries(out, precision)
 
 
-def _series_inverse(series: QSeries) -> QSeries:
-    if series.coefficients[0] not in (1, -1):
-        raise ValueError("series inversion needs unit constant term")
-    prec = series.precision
-    lead = series.coefficients[0]
-    out = [0] * prec
-    out[0] = lead
-    for n in range(1, prec):
-        acc = 0
-        for i in range(1, n + 1):
-            acc += series.coefficients[i] * out[n - i]
-        out[n] = -lead * acc
-    return QSeries(out, prec)
-
-
 def eta_product(factors, precision: int) -> QSeries:
     """q-expansion of prod eta(scale*z)^power for (scale, power) pairs.
 
-    The leading exponent sum(scale*power)/24 must be a nonnegative
-    integer; the result carries it as an explicit power of x so that
-    coefficient indices match the classical normalization (e.g. the
-    discriminant form starts at x^1).
+    Every power must be nonnegative, and the leading exponent
+    sum(scale*power)/24 must be an integer; the result carries it as an
+    explicit power of x so that coefficient indices match the classical
+    normalization (e.g. the discriminant form starts at x^1).
     """
     weight24 = sum(scale * power for scale, power in factors)
     if weight24 % 24 != 0:
@@ -114,10 +99,9 @@ def eta_product(factors, precision: int) -> QSeries:
     for scale, power in factors:
         if scale < 1:
             raise ValueError("eta argument scale must be positive")
-        base = _pentagonal_series(scale, precision)
         if power < 0:
-            base = _series_inverse(base)
-            power = -power
+            raise ValueError("eta power must be nonnegative, got %d" % power)
+        base = _pentagonal_series(scale, precision)
         # the sparse pentagonal factor goes outermost: __mul__ skips its
         # zero coefficients
         for _ in range(power):

@@ -131,11 +131,6 @@ class FieldContext:
 
     # -- representation ----------------------------------------------------
 
-    def coeffs(self, x: int) -> tuple:
-        """Coefficient vector (c_0, ..., c_{v-1}) of the element code x."""
-        self._check(x)
-        return tuple(_digits(x, self.p, self.v))
-
     def element(self, coeffs) -> int:
         code = 0
         for c in reversed(list(coeffs)):

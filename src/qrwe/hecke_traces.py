@@ -80,7 +80,8 @@ def _as_integer(value: Fraction, what: str) -> int:
 
 @lru_cache(maxsize=None)
 def _class_number_sum(k: int, q: int, flavor: str) -> Fraction:
-    """The moment kernel of `flavor` at weight k and odd prime power q.
+    """The moment kernel of `flavor` at weight k and odd prime power q,
+    or q = 1.
 
     The class numbers are read, as the integers 6H, off one Hurwitz
     row: H(t^2 - 4q) at |t| in `hurwitz_row(4q)`, and H((t^2 - 4q)/4)
@@ -176,33 +177,22 @@ def kernel_expansion_coeff(R: int, j: int) -> int:
     return comb(2 * R, j) - (comb(2 * R, j - 1) if j >= 1 else 0)
 
 
-def _kernel_at_one(k: int, flavor: str) -> Fraction:
-    # Degenerate "q = 1" values; the two Lucas kernels below have periods
-    # 4 and 6 in the weight, matching the powers of i and of a primitive
-    # cube root of unity.
-    if flavor == "all":
-        return (Fraction(gegenbauer_kernel(k, 0, 1), 4)
-                + Fraction(gegenbauer_kernel(k, -1, 1), 3))
-    if flavor == "two_torsion":
-        return Fraction(gegenbauer_kernel(k, 0, 1), 4)
-    return Fraction(0)
-
-
 def moment_kernel(q_arg, k: int, flavor: str = "all") -> Fraction:
     """Per-weight building block of the moment formulas.
 
     `q_arg` is an odd prime power, or one of the two sentinels that the
     recursion in `moment_formula` produces: 1 (two steps down from p^2)
-    and any value < 1 (two steps down from p, conventionally zero).
+    and 0 (two steps down from p), where the kernel vanishes, as it does
+    for any value below 1.  At q = 1 the kernel is the same class-number
+    sum, over t^2 < 4, where H(-4) = 1/2 and H(-3) = 1/3.
     """
     if flavor not in FLAVORS:
         raise ValueError("unknown flavor %r" % (flavor,))
     if q_arg < 1:
         return Fraction(0)
-    if q_arg == 1:
-        return _kernel_at_one(k, flavor)
     q = int(q_arg)
-    odd_prime_power_split(q)
+    if q_arg != 1:
+        odd_prime_power_split(q)
     return _class_number_sum(k, q, flavor)
 
 
@@ -213,12 +203,7 @@ def moment_formula(q: int, R: int, flavor: str = "all") -> Fraction:
     if R < 0:
         raise ValueError("moment order R must be >= 0")
     p, v = odd_prime_power_split(q)
-    if v >= 3:
-        sub = q // (p * p)
-    elif v == 2:
-        sub = 1
-    else:
-        sub = Fraction(1, p)  # below 1: the kernel vanishes there
+    sub = q // (p * p)  # 1 at v = 2, and 0, where the kernel vanishes, at v = 1
     total = Fraction(0)
     for j in range(R + 1):
         k = 2 * R - 2 * j + 2

@@ -71,18 +71,8 @@ def _check_discriminant(d: int) -> None:
 
 @lru_cache(maxsize=None)
 def class_number(d: int) -> int:
-    """h(d): number of reduced primitive forms of discriminant d < 0."""
-    return _count_reduced_forms(d, boundary_sign=+1)
-
-
-def _count_reduced_forms(d: int, boundary_sign: int) -> int:
-    """Enumerate reduced forms of discriminant d.
-
-    `boundary_sign` fixes which sign of b survives on the boundary
-    |b| = a or a = c: +1 keeps b >= 0 (the usual convention), -1 keeps
-    b <= 0.  Both conventions must count the same forms; the second one
-    serves as an independent recount in the tests.
-    """
+    """h(d): number of reduced primitive forms of discriminant d < 0,
+    keeping b >= 0 on the boundary |b| = a or a = c."""
     _check_discriminant(d)
     count = 0
     for a in range(1, isqrt(-d // 3) + 1):
@@ -95,7 +85,7 @@ def _count_reduced_forms(d: int, boundary_sign: int) -> int:
                 continue
             if gcd(gcd(a, abs(b)), c) != 1:
                 continue
-            if (abs(b) == a or a == c) and boundary_sign * b < 0:
+            if (abs(b) == a or a == c) and b < 0:
                 continue
             count += 1
     return count

@@ -5,13 +5,14 @@ The projective code of order h evaluates every binary form of degree h
 at the q+1 standard representatives (1, a) for a in field order, then
 (0, 1); the classical code drops the final coordinate.  Codewords are
 walked as F_q-linear combinations of the generator rows.  The scalar
-engine is a mixed-radix odometer whose single-row delta updates make
-each visit O(n) field additions; it visits every codeword and is the
-reference.  The vector engine splits the walk on the two highest
-message digits into blocks evaluated with numpy gathers, and uses that
-scaling a codeword by a nonzero square keeps its (squares, non-squares)
-counts while a non-square swaps them: it walks the q+1 tops whose first
-nonzero digit is 1 and the zero top, q+2 blocks instead of q^2.
+reference (`_tally_scalar`) is a mixed-radix odometer whose single-row
+delta updates make each visit O(n) field additions; it visits every
+codeword, and the tests compare it with the vector engine.  The vector
+engine splits the walk on the two highest message digits into blocks
+evaluated with numpy gathers, and uses that scaling a codeword by a
+nonzero square keeps its (squares, non-squares) counts while a
+non-square swaps them: it walks the q+1 tops whose first nonzero digit
+is 1 and the zero top, q+2 blocks instead of q^2.
 
 Brute-force enumeration refuses politely (BudgetExceededError) when
 q^dim exceeds the budget, which defaults to 10^8 and can be overridden
@@ -51,8 +52,9 @@ def reed_solomon_code(ctx: FieldContext, h: int, projective: bool = True) -> Ree
     """Order-h Reed-Solomon code over F_q (projective length q+1 or
     classical length q); generator rows evaluate the monomial basis
     x^a y^(h-a), a = 0..h."""
-    if not 0 <= h <= ctx.q:
-        raise ValueError("need 0 <= h <= q, got h=%d" % h)
+    top = ctx.q if projective else ctx.q - 1  # rank h + 1 needs h + 1 <= n
+    if not 0 <= h <= top:
+        raise ValueError("need 0 <= h <= %d, got h=%d" % (top, h))
     points = [(1, a) for a in ctx.elements()]
     if projective:
         points.append((0, 1))
@@ -96,17 +98,11 @@ def _rank(ctx: FieldContext, rows) -> int:
 # ---------------------------------------------------------------------------
 
 def brute_force_enumerator(code: ReedSolomonCode, budget: int = None,
-                           threads: int = None, engine: str = "vector") -> QREnumerator:
+                           threads: int = None) -> QREnumerator:
     """Exact enumerator of the code by visiting all q^dim codewords."""
     visits = code.size
     check_budget(visits, budget)
-    if engine == "scalar":
-        counts = _tally_scalar(code)
-    elif engine == "vector":
-        counts = _tally_vector(code, threads)
-    else:
-        raise ValueError("engine must be 'vector' or 'scalar'")
-    enum = QREnumerator(code.n, code.ctx.q, counts)
+    enum = QREnumerator(code.n, code.ctx.q, _tally_vector(code, threads))
     if enum.total() != visits:
         raise ConsistencyError("enumerated %d codewords, expected %d"
                                % (enum.total(), visits))

@@ -111,6 +111,10 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--threads", "0", "census", "--q", "5"])
     assert info.value.code == 2
+    # a classical code of order q has rank q, not q + 1
+    with pytest.raises(SystemExit) as info:
+        main(["brute", "--q", "7", "--h", "7", "--classical"])
+    assert info.value.code == 2
 
 
 def test_consistency_error_exits_1(capsys, monkeypatch):

@@ -4,11 +4,11 @@ from itertools import product
 
 import pytest
 
-from qrwe.curve_census import (_QuarticKernel, census_json, empirical_moment,
-                               is_squarefree_quartic, j_special_census,
-                               legendre_family_sum, quartic_census,
-                               quartic_discriminant, quartic_point_count,
-                               weierstrass_census)
+from qrwe.curve_census import (_quartic_census_scalar, _QuarticKernel, census_json,
+                               empirical_moment, is_squarefree_quartic,
+                               j_special_census, legendre_family_sum,
+                               quartic_census, quartic_discriminant,
+                               quartic_point_count, weierstrass_census)
 from qrwe.errors import BudgetExceededError
 from qrwe.finite_field import field
 from qrwe.hecke_traces import moment_formula
@@ -55,8 +55,8 @@ def test_gcd_and_discriminant_smoothness_agree(p, v):
 @pytest.mark.parametrize("p,v", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_scalar_and_vector_census_agree(p, v):
     ctx = field(p, v)
-    scalar = quartic_census(ctx, engine="scalar")
-    vector = quartic_census(ctx, engine="vector")
+    scalar = _quartic_census_scalar(ctx)
+    vector = quartic_census(ctx)
     assert set(scalar.buckets) == set(vector.buckets)
     for t in scalar.traces():
         assert scalar.buckets[t].total == vector.buckets[t].total

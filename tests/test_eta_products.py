@@ -60,7 +60,6 @@ def test_series_multiplication_telescopes():
     assert product.coefficients == [1, 0, 0, 0, 0, 0]
 
 
-def test_negative_eta_power_inverts():
-    # eta(z)^24 / eta(z)^24 = 1 up to the x offset bookkeeping
-    flat = eta_product([(1, 24), (1, -24)], 8)
-    assert flat.coefficients == [1, 0, 0, 0, 0, 0, 0, 0]
+def test_negative_eta_power_rejected():
+    with pytest.raises(ValueError, match="power"):
+        eta_product([(1, 24), (1, -24)], 8)

@@ -64,6 +64,15 @@ def test_moment_kernel_sentinels():
     assert moment_kernel(1, 2, "two_torsion") == Fraction(1, 4)
     assert moment_kernel(1, 4, "two_torsion") == Fraction(-1, 4)
     assert moment_kernel(1, 6, "full_two_torsion") == 0
+    # q = 1 sums over t^2 < 4 only: H(-4) = 1/2 at t = 0, H(-3) = 1/3 at t = 1
+    for k in range(2, 41, 2):
+        at_zero = Fraction(gegenbauer_kernel(k, 0, 1), 4)
+        assert moment_kernel(1, k, "all") == at_zero + Fraction(gegenbauer_kernel(k, 1, 1), 3)
+        assert moment_kernel(1, k, "two_torsion") == at_zero
+        assert moment_kernel(1, k, "full_two_torsion") == 0
+    for bad in (1.5, 6, 8):
+        with pytest.raises(ValueError):
+            moment_kernel(bad, 4)
 
 
 def test_moment_kernel_level1_prime():

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qrwe.arith import odd_prime_powers
-from qrwe.quadratic_forms import (_count_reduced_forms, class_number,
-                                  hurwitz_class_number, hurwitz_row, kronecker,
-                                  weighted_class_number)
+from qrwe.quadratic_forms import (class_number, hurwitz_class_number,
+                                  hurwitz_row, kronecker, weighted_class_number)
 
 KNOWN_CLASS_NUMBERS = {
     -3: 1, -4: 1, -7: 1, -8: 1, -11: 1, -12: 1, -15: 2, -16: 1,
@@ -51,13 +50,6 @@ def test_kronecker_multiplicative_in_n(delta, m, n):
 def test_class_numbers_known_values():
     for d, h in KNOWN_CLASS_NUMBERS.items():
         assert class_number(d) == h, d
-
-
-def test_class_number_boundary_convention_recount():
-    # counting with b <= 0 on the boundary forms must give the same totals
-    for d in range(-400, 0):
-        if d % 4 in (0, 1):
-            assert _count_reduced_forms(d, +1) == _count_reduced_forms(d, -1), d
 
 
 def test_class_number_domain_errors():
