@@ -31,6 +31,16 @@ at small q.
 Smoothness in the vector engine uses the universal integer discriminant
 of the binary quartic, which vanishes exactly on forms with a repeated
 projective root in every odd characteristic.
+
+Two scalar oracles use the same idea with one model as the unit.
+`j_special_census` evaluates one model y^2 = x^3 + c (x^3 + cx) per
+coset of the gcd(6, q-1)-th (gcd(4, q-1)-th) powers in F_q^*, since
+(x, y) -> (u^2 x, u^3 y) moves c by u^6 (u^4): at most 10 models
+instead of 2(q-1).  `legendre_family_sum` evaluates one pair (a, b) per
+orbit of x -> lx, which sends (a, b) to (a/l, b/l^2): p pairs
+instead of (p-1)^2.  Their full walks, `_j_special_census_scalar(ctx)`
+and `_legendre_family_sum_scalar(p, R)`, are the references the tests
+compare them with.
 """
 
 from dataclasses import dataclass
@@ -340,11 +350,9 @@ def weierstrass_census(ctx: FieldContext, threads: int = None) -> Census:
         return np.bincount(idx, minlength=(2 * bound + 1) * 4)
 
     # (a, b) -> (u^4 a, u^6 b) is an isomorphism that permutes the b of
-    # one a.  So a = 0 is one unit, and each of the d classes of
-    # F_q^* / (F_q^*)^4, the (q-1)/d powers g^(r + di) of the generator,
-    # is one unit of that weight.
-    d = gcd(4, q - 1)
-    units = [(0, 1)] + [(ctx.pow(ctx.generator, r), (q - 1) // d) for r in range(d)]
+    # one a.  So a = 0 is one unit, and each class of F_q^* / (F_q^*)^4
+    # is one unit of its size.
+    units = [(0, 1)] + _scaling_orbits(ctx, 4)
     parts = map_units(lambda unit: run_unit(unit[0]), units, threads)
     return Census(q=q, kind="weierstrass",
                   buckets=_weighted_buckets(units, parts, bound, 4),
@@ -361,6 +369,8 @@ def empirical_moment(census, R: int, flavor: str = "all") -> Fraction:
     for the full-2-torsion flavor)."""
     if flavor not in ("all", "two_torsion", "full_two_torsion"):
         raise ValueError("unknown flavor %r" % (flavor,))
+    if R < 0:
+        raise ValueError("moment order R must be >= 0")
     total = Fraction(0)
     for t in census.traces():
         if flavor == "two_torsion" and t % 2 != 0:
@@ -373,42 +383,91 @@ def empirical_moment(census, R: int, flavor: str = "all") -> Fraction:
     return total
 
 
+def _scaling_orbits(ctx: FieldContext, n: int) -> list:
+    """[(c, weight)]: one c per orbit of F_q^* under c -> c u^n, i.e. per
+    coset of the d-th powers, d = gcd(n, q-1), each of weight (q-1)/d.
+    Each c is the smallest code of its coset (cosets are told apart by
+    c^((q-1)/d)), so the list is in the order a walk over every c meets
+    the cosets."""
+    q = ctx.q
+    d = gcd(n, q - 1)
+    first = {}
+    for c in range(1, q):
+        first.setdefault(ctx.pow(c, (q - 1) // d), c)
+        if len(first) == d:
+            break
+    return [(c, (q - 1) // d) for c in first.values()]
+
+
+def _legendre_point_sum(chi: list, a: int, b: int) -> int:
+    """S(a, b) = sum over x in F_p of chi(x(x^2 + ax + b)), p = len(chi)."""
+    p = len(chi)
+    return sum(chi[x * (x * x + a * x + b) % p] for x in range(p))
+
+
+def _legendre_characters(p: int, R: int) -> list:
+    """chi as a list over F_p, after the checks of both family walks."""
+    if R < 0:
+        raise ValueError("moment order R must be >= 0")
+    check_budget(p ** 3)
+    ctx = field(p, 1)
+    return [ctx.quadratic_character(x) for x in range(p)]
+
+
 def legendre_family_sum(p: int, R: int) -> int:
     """sum over smooth y^2 = x(x^2 + ax + b) of (#E - (p + 1))^(2R).
 
     The sum runs over (a, b) in F_p^2 with b != 0 and a^2 - 4b != 0,
     i.e. exactly the pairs where the cubic has distinct roots.  This
     enumeration is itself the oracle for the closed-form expression in
-    terms of the weight-(2R+2) trace on Gamma_0(4).  Refuses
-    (BudgetExceededError) when the p^3 terms exceed the budget.
+    terms of the weight-(2R+2) trace on Gamma_0(4).
+
+    #E - (p + 1) = S(a, b), and x -> lx sends (a, b) to (a/l, b/l^2)
+    and S to chi(l) S, so S^(2R) is constant on each orbit.  One model
+    per orbit is summed, times the orbit size: (1, b) for each b != 0
+    with 1 - 4b != 0, of weight p - 1 (the orbits with a != 0), and
+    (0, 1) and (0, nu), nu a non-square, of weight (p-1)/2.  That is p^2
+    point evaluations; `_legendre_family_sum_scalar(p, R)` walks all
+    p^3.  Raises ValueError for R < 0, and refuses
+    (BudgetExceededError) when the p^3 terms of the full walk exceed
+    the budget.
     """
-    check_budget(p ** 3)
-    ctx = field(p, 1)
-    chi = [ctx.quadratic_character(x) for x in range(p)]
-    total = 0
-    for a in range(p):
-        for b in range(1, p):
-            if (a * a - 4 * b) % p == 0:
-                continue
-            s = 0
-            for x in range(p):
-                s += chi[x * (x * x + a * x + b) % p]
-            total += s ** (2 * R)
+    chi = _legendre_characters(p, R)
+    nonsquare = chi.index(-1)
+    total = (p - 1) * sum(_legendre_point_sum(chi, 1, b) ** (2 * R)
+                          for b in range(1, p) if (1 - 4 * b) % p)
+    total += (p - 1) // 2 * (_legendre_point_sum(chi, 0, 1) ** (2 * R)
+                             + _legendre_point_sum(chi, 0, nonsquare) ** (2 * R))
     return total
 
 
-def j_special_census(ctx: FieldContext) -> dict:
-    """Isomorphism-class data for the special j-invariants 0 and 1728.
+def _legendre_family_sum_scalar(p: int, R: int) -> int:
+    chi = _legendre_characters(p, R)
+    return sum(_legendre_point_sum(chi, a, b) ** (2 * R)
+               for a in range(p) for b in range(1, p) if (a * a - 4 * b) % p)
 
-    Walks the q-1 models y^2 = x^3 + b (j = 0) and y^2 = x^3 + ax
-    (j = 1728), bucketing by trace and by the rational root count of the
-    cubic (the 2-torsion shape: 0 roots = trivial, 1 = Z/2, 3 = full).
-    Class counts divide the model counts by (q-1)/|Aut|, where |Aut| is
-    6 or 2 for j = 0 (depending on whether -3 is a square) and 4 or 2
-    for j = 1728 (whether -4 is a square); every bucket must divide
-    exactly, which the census asserts.  Refuses (BudgetExceededError)
-    when its 2q^2 element evaluations exceed the budget.
-    """
+
+def _j_special_model(ctx: FieldContext, label: str, c: int) -> tuple:
+    """(trace, rational roots of the cubic) of y^2 = x^3 + c (j0) or
+    y^2 = x^3 + cx (j1728)."""
+    s = 0
+    roots = 0
+    for x in ctx.elements():
+        if label == "j0":
+            value = ctx.add(ctx.mul(ctx.mul(x, x), x), c)
+        else:
+            value = ctx.mul(x, ctx.add(ctx.mul(x, x), c))
+        chi = ctx.quadratic_character(value)
+        s += chi
+        if chi == 0:
+            roots += 1
+    return -s, roots
+
+
+def _j_special_tally(ctx: FieldContext, models) -> dict:
+    """The census from `models(label)`, a list of (c, weight) pairs whose
+    weights add up to q - 1 over the models y^2 = x^3 + c (j0) or
+    x^3 + cx (j1728) that each pair stands for."""
     if ctx.p < 5:
         raise ValueError("special j-invariant census needs p >= 5")
     q = ctx.q
@@ -422,22 +481,11 @@ def j_special_census(ctx: FieldContext) -> dict:
             raise ConsistencyError("|Aut| = %d does not divide q - 1 = %d"
                                    % (aut_order, q - 1))
         traces = {}
-        for c in range(1, q):
-            s = 0
-            roots = 0
-            for x in ctx.elements():
-                if label == "j0":
-                    value = ctx.add(ctx.mul(ctx.mul(x, x), x), c)
-                else:
-                    value = ctx.mul(x, ctx.add(ctx.mul(x, x), c))
-                chi = ctx.quadratic_character(value)
-                s += chi
-                if chi == 0:
-                    roots += 1
-            t = -s
+        for c, weight in models(label):
+            t, roots = _j_special_model(ctx, label, c)
             entry = traces.setdefault(t, {"models": 0, "roots": {}})
-            entry["models"] += 1
-            entry["roots"][roots] = entry["roots"].get(roots, 0) + 1
+            entry["models"] += weight
+            entry["roots"][roots] = entry["roots"].get(roots, 0) + weight
         classes = {}
         for t, entry in traces.items():
             n_classes, rem = divmod(entry["models"], models_per_class)
@@ -453,6 +501,33 @@ def j_special_census(ctx: FieldContext) -> dict:
             "class_total": sum(classes.values()),
         }
     return out
+
+
+def j_special_census(ctx: FieldContext) -> dict:
+    """Isomorphism-class data for the special j-invariants 0 and 1728.
+
+    Counts the q-1 models y^2 = x^3 + c (j = 0) and y^2 = x^3 + cx
+    (j = 1728), bucketing by trace and by the rational root count of the
+    cubic (the 2-torsion shape: 0 roots = trivial, 1 = Z/2, 3 = full).
+    Class counts divide the model counts by (q-1)/|Aut|, where |Aut| is
+    6 or 2 for j = 0 (depending on whether -3 is a square) and 4 or 2
+    for j = 1728 (whether -4 is a square); every bucket must divide
+    exactly, which the census asserts.
+
+    (x, y) -> (u^2 x, u^3 y) carries the model of c to that of c u^6
+    (j = 0) or c u^4 (j = 1728) and keeps the trace and the root count.
+    So one model per coset of the gcd(6, q-1)-th (gcd(4, q-1)-th) powers
+    is evaluated and counted (q-1)/d times: at most 10 models of q
+    points each.  `_j_special_census_scalar(ctx)` walks every model.
+    Refuses (BudgetExceededError) when the 2q^2 element evaluations of
+    the full walk exceed the budget.
+    """
+    return _j_special_tally(
+        ctx, lambda label: _scaling_orbits(ctx, 6 if label == "j0" else 4))
+
+
+def _j_special_census_scalar(ctx: FieldContext) -> dict:
+    return _j_special_tally(ctx, lambda label: [(c, 1) for c in range(1, ctx.q)])
 
 
 # ---------------------------------------------------------------------------

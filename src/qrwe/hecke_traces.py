@@ -184,14 +184,17 @@ def moment_kernel(q_arg, k: int, flavor: str = "all") -> Fraction:
     recursion in `moment_formula` produces: 1 (two steps down from p^2)
     and 0 (two steps down from p), where the kernel vanishes, as it does
     for any value below 1.  At q = 1 the kernel is the same class-number
-    sum, over t^2 < 4, where H(-4) = 1/2 and H(-3) = 1/3.
+    sum, over t^2 < 4, where H(-4) = 1/2 and H(-3) = 1/3.  A value of
+    at least 1 that is not an integer raises ValueError.
     """
     if flavor not in FLAVORS:
         raise ValueError("unknown flavor %r" % (flavor,))
     if q_arg < 1:
         return Fraction(0)
     q = int(q_arg)
-    if q_arg != 1:
+    if q != q_arg:
+        raise ValueError("q must be an integer, got %r" % (q_arg,))
+    if q != 1:
         odd_prime_power_split(q)
     return _class_number_sum(k, q, flavor)
 

@@ -28,14 +28,16 @@ from .rs_codes import brute_force_enumerator, puncture_enumerator, reed_solomon_
 
 CENSUS_QS = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37)
 ISOGENY_QS = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27)
-JSPECIAL_QS = (5, 7, 11, 13, 25)
+JSPECIAL_QS = (5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 37, 49, 121, 125, 169, 289, 343,
+               1009)
 C14_QS = (5, 7, 9, 11, 13, 17, 19, 23)
 DUAL_QS = (7, 9, 11)
 PUNCTURE_QS = (7, 9)
 EXAMPLE_PRIMES_1MOD4 = (13, 17, 29)
 EXAMPLE_PRIMES_3MOD4 = (7, 11, 19, 23)
 CLASSICAL_PRIMES = (13, 17, 7, 11, 19)
-FAMILY_PRIMES = (3, 5, 7, 11, 13, 17, 19)
+FAMILY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+                 67, 71, 73, 79, 83, 89, 97)
 
 _census_cache = {}
 

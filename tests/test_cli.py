@@ -106,6 +106,9 @@ def test_usage_errors_exit_2(capsys):
         main(["moments", "--q", "8", "--R", "1"])
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
+        main(["moments", "--q", "7", "--R", "-1", "--empirical"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
         main(["dual", "--q", "13", "--max-codim", "-1"])
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:

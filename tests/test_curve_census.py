@@ -1,10 +1,14 @@
 import json
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
-from qrwe.curve_census import (_quartic_census_scalar, _QuarticKernel, census_json,
+from qrwe.arith import is_prime
+from qrwe.curve_census import (_j_special_census_scalar, _j_special_model,
+                               _legendre_family_sum_scalar, _quartic_census_scalar,
+                               _QuarticKernel, _scaling_orbits, census_json,
                                empirical_moment, is_squarefree_quartic,
                                j_special_census, legendre_family_sum,
                                quartic_census, quartic_discriminant,
@@ -170,6 +174,8 @@ def test_empirical_moment_examples(quartic_census_for):
     assert empirical_moment(census5, 1, "all") == 24
     census7 = quartic_census_for(7)
     assert empirical_moment(census7, 0, "two_torsion") == Fraction(13, 3)
+    with pytest.raises(ValueError, match="R must be >= 0"):
+        empirical_moment(census7, -1)
 
 
 def test_empirical_matches_formula_small(quartic_census_for):
@@ -185,6 +191,43 @@ def test_legendre_family_sum_count_and_regression():
     for p in (3, 5, 7, 11):
         assert legendre_family_sum(p, 0) == (p - 1) ** 2
     assert legendre_family_sum(5, 1) == 72
+    with pytest.raises(ValueError, match="R must be >= 0"):
+        legendre_family_sum(5, -1)
+
+
+def test_reduced_legendre_sum_matches_full_walk():
+    for p in filter(is_prime, range(3, 60)):
+        for R in range(5):
+            assert legendre_family_sum(p, R) == _legendre_family_sum_scalar(p, R), (p, R)
+
+
+def test_reduced_j_special_census_matches_full_walk():
+    # every q = p^v <= 200 with p >= 5, 25, 49, 121, 125 and 169 included
+    for p in filter(is_prime, range(5, 201)):
+        for v in range(1, 4):
+            if p ** v <= 200:
+                reduced = j_special_census(field(p, v))
+                scalar = _j_special_census_scalar(field(p, v))
+                # equal as dicts, and built in the same order
+                assert reduced == scalar, (p, v)
+                assert repr(reduced) == repr(scalar), (p, v)
+
+
+@pytest.mark.parametrize("p,v", [(7, 1), (13, 1), (5, 2)])
+def test_every_j_special_model_matches_its_orbit_representative(p, v):
+    ctx = field(p, v)
+    q = ctx.q
+    for label, n in (("j0", 6), ("j1728", 4)):
+        orbits = _scaling_orbits(ctx, n)
+        d = len(orbits)
+        assert d == gcd(n, q - 1)
+        assert sum(weight for _, weight in orbits) == q - 1
+        representative = {ctx.pow(c, (q - 1) // d): c for c, _ in orbits}
+        assert len(representative) == d
+        for c in range(1, q):
+            rep = representative[ctx.pow(c, (q - 1) // d)]
+            assert (_j_special_model(ctx, label, c)
+                    == _j_special_model(ctx, label, rep)), (label, c, rep)
 
 
 def test_j_special_census_small():

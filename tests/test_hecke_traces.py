@@ -75,6 +75,13 @@ def test_moment_kernel_sentinels():
             moment_kernel(bad, 4)
 
 
+def test_moment_kernel_rejects_non_integral_q():
+    for bad in (3.5, 9.9, Fraction(7, 2), Fraction(27, 2)):
+        with pytest.raises(ValueError, match="integer"):
+            moment_kernel(bad, 4)
+    assert moment_kernel(9.0, 4) == moment_kernel(9, 4)
+
+
 def test_moment_kernel_level1_prime():
     # for prime q and weight 12 the kernel is -tau(q) - 1
     assert moment_kernel(5, 12) == -4830 - 1

@@ -17,7 +17,7 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("workload", ["oracles", "hecke", "duals"])
+@pytest.mark.parametrize("workload", ["oracles", "hecke", "duals", "extension"])
 def test_traced_repetition_matches_recorded_digests(workload):
     recorded = json.loads((PERFBENCH / "digests.json").read_text())["ops"]
     proc = subprocess.run(
