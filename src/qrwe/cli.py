@@ -65,22 +65,22 @@ def _cmd_c14(args) -> int:
 
 
 def _cmd_dual(args) -> int:
+    q = args.q
     if args.classical:
-        enum = classical_quartic_code_enumerator(args.q)
-        coeffs = qr_dual_coefficients(enum, args.q, args.q ** 5, args.max_codim)
-        payload = {
-            "q": args.q, "classical": True, "max_codim": args.max_codim,
-            "terms": [{"i": args.q - j - k, "j": j, "k": k, "A": str(value)}
-                      for (j, k), value in sorted(coeffs.items())],
-        }
+        enum = classical_quartic_code_enumerator(q)
+        coeffs = qr_dual_coefficients(enum, q, q ** 5, args.max_codim)
+        extra = {}
     else:
-        report = dual_code_report(args.q, args.max_codim)
-        payload = {
-            "q": args.q, "classical": False, "max_codim": args.max_codim,
-            "terms": [{"i": args.q + 1 - j - k, "j": j, "k": k, "A": str(value)}
-                      for (j, k), value in sorted(report["coefficients"].items())],
-            "comparisons": report["comparisons"],
-        }
+        report = dual_code_report(q, args.max_codim)
+        coeffs = report["coefficients"]
+        extra = {"comparisons": report["comparisons"]}
+    n = q if args.classical else q + 1
+    payload = {
+        "q": q, "classical": args.classical, "max_codim": args.max_codim,
+        "terms": [{"i": n - j - k, "j": j, "k": k, "A": str(value)}
+                  for (j, k), value in sorted(coeffs.items())],
+        **extra,
+    }
     print(json.dumps(payload))
     return 0
 

@@ -297,21 +297,17 @@ def quartic_census(ctx: FieldContext, threads: int = None) -> Census:
     """Census of all smooth binary quartics over F_q, bucketed by trace
     t = q + 1 - #points and by rational root count.  Refuses
     (BudgetExceededError) when the q^5 forms exceed the budget."""
-    import numpy as np
-
     check_budget(ctx.q ** 5)
     kernel = _QuarticKernel(ctx)
     q = ctx.q
     bound = isqrt(4 * q)
-    nonsquare = int(np.argmax(ctx.char_table == -1))
     # Each unit stands for its orbit of leading pairs (c4, c3): x -> x + sy
     # moves c3 by 4sc4, scaling the form by a square moves c4 within its
     # square class, and y -> uy moves c3 when c4 = 0.  All three keep the
     # trace, the root count and smoothness.  The (0, 0) unit is skipped:
     # y^2 divides all its forms, so none is smooth.
-    orbits = (((1, 0), (q - 1) * q // 2),
-              ((nonsquare, 0), (q - 1) * q // 2),
-              ((0, 1), q - 1))
+    orbits = [((c4, 0), weight * q) for c4, weight in _scaling_orbits(ctx, 2)]
+    orbits.append(((0, 1), q - 1))
     parts = map_units(lambda orbit: kernel.run_unit(*orbit[0]), orbits, threads)
     return _quartic_census_of(q, _weighted_buckets(orbits, parts, bound, 5))
 
@@ -433,11 +429,10 @@ def legendre_family_sum(p: int, R: int) -> int:
     the budget.
     """
     chi = _legendre_characters(p, R)
-    nonsquare = chi.index(-1)
     total = (p - 1) * sum(_legendre_point_sum(chi, 1, b) ** (2 * R)
                           for b in range(1, p) if (1 - 4 * b) % p)
-    total += (p - 1) // 2 * (_legendre_point_sum(chi, 0, 1) ** (2 * R)
-                             + _legendre_point_sum(chi, 0, nonsquare) ** (2 * R))
+    total += sum(weight * _legendre_point_sum(chi, 0, b) ** (2 * R)
+                 for b, weight in _scaling_orbits(field(p, 1), 2))
     return total
 
 

@@ -13,6 +13,8 @@ multiplication; coefficients are arbitrary-precision integers
 throughout.
 """
 
+from functools import lru_cache
+
 from .arith import prime_power_split
 
 
@@ -135,31 +137,26 @@ def hecke_eigenvalue_prime_power(series: QSeries, weight: int, p: int, e: int) -
 
 # The reference forms, built lazily at module-wide default precision.
 _DEFAULT_PRECISION = 210
-_cache = {}
+
+
+@lru_cache(maxsize=16)
+def _reference_form(factors: tuple, precision: int) -> QSeries:
+    return eta_product(factors, precision)
 
 
 def discriminant_form(precision: int = _DEFAULT_PRECISION) -> QSeries:
     """eta(z)^24: the normalized weight-12 level-1 eigenform."""
-    key = ("delta", precision)
-    if key not in _cache:
-        _cache[key] = eta_product([(1, 24)], precision)
-    return _cache[key]
+    return _reference_form(((1, 24),), precision)
 
 
 def weight6_level4_form(precision: int = _DEFAULT_PRECISION) -> QSeries:
     """eta(2z)^12: the normalized weight-6 eigenform with level 4."""
-    key = ("eta2_12", precision)
-    if key not in _cache:
-        _cache[key] = eta_product([(2, 12)], precision)
-    return _cache[key]
+    return _reference_form(((2, 12),), precision)
 
 
 def weight8_level2_form(precision: int = _DEFAULT_PRECISION) -> QSeries:
     """eta(z)^8 eta(2z)^8: the normalized weight-8 eigenform with level 2."""
-    key = ("eta1_8_2_8", precision)
-    if key not in _cache:
-        _cache[key] = eta_product([(1, 8), (2, 8)], precision)
-    return _cache[key]
+    return _reference_form(((1, 8), (2, 8)), precision)
 
 
 def ramanujan_tau(q: int, precision: int = _DEFAULT_PRECISION) -> int:

@@ -6,33 +6,36 @@ code over F_q from two pieces:
  * the contribution of quartics with a repeated root (seven explicit
    monomial families with polynomial coefficients in q), and
  * the contribution of smooth quartics, driven entirely by the weighted
-   isogeny-class counts: a smooth quartic with trace t and r rational
-   roots contributes X^r Y^((q+1-t-r)/2) Z^((q+1+t-r)/2), with the r
-   split (1 for odd trace; 0/2/4 by 2-torsion shape for even trace)
-   weighted 1/2, 1/2 on ordinary 2-torsion classes and 1/4, 3/4 on full
-   2-torsion classes, all scaled by (q-1)^2 q (q+1).
+   isogeny-class counts of `isogeny_profile`: a smooth quartic with
+   trace t and r rational roots contributes X^r Y^((q+1-t-r)/2)
+   Z^((q+1+t-r)/2), with the r split (1 for odd trace; 0/2/4 by
+   2-torsion shape for even trace) weighted 1/2, 1/2 on ordinary
+   2-torsion classes and 1/4, 3/4 on full 2-torsion classes, all scaled
+   by (q-1)^2 q (q+1).
 
 From there the MacWilliams machinery produces the dual (dimension q-4)
 coefficients.  For prime q the low-codimension dual coefficients have
 known closed forms: polynomials in q plus a multiple of the weight-6
 trace on Gamma_0(4); they are transcribed in `_DUAL_TABLE` /
 `_CLASSICAL_WEIGHT7` and used only in assertions, never as the
-computation path.
+computation path.  `_DUAL_TABLE`, read through
+`predicted_dual_coefficient`, is the only list of the monomials that
+have a closed form: `dual_code_report` compares exactly those.
 """
 
 from fractions import Fraction
-from math import isqrt
 
-from .arith import is_prime
+from .arith import is_prime, odd_prime_power_split
 from .enumerators import QREnumerator, qr_dual_coefficients
 from .errors import ConsistencyError
 from .hecke_traces import trace_level4
-from .isogeny_counts import weighted_count, weighted_count_full_2tors
+from .isogeny_counts import isogeny_profile
 from .rs_codes import puncture_enumerator
 
 
 def _check_q(q: int) -> None:
-    if q < 5 or q % 2 == 0:
+    odd_prime_power_split(q)
+    if q < 5:
         raise ValueError("need odd q >= 5, got %d" % q)
 
 
@@ -72,21 +75,15 @@ def smooth_quartic_part(q: int) -> QREnumerator:
         if weight:
             weights[(j, k)] = weights.get((j, k), Fraction(0)) + weight
 
-    bound = isqrt(4 * q)
-    for t in range(-bound, bound + 1):
-        n_all = weighted_count(q, t)
-        if n_all == 0:
-            continue
+    for t, (n_all, n_full) in isogeny_profile(q).table.items():
         if t % 2 != 0:
             bump((q - t) // 2, (q + t) // 2, n_all)
             continue
-        n_full = weighted_count_full_2tors(q, t)
         n_single = n_all - n_full
         bump((q - 1 - t) // 2, (q - 1 + t) // 2, n_single / 2)   # 2 roots
         bump((q + 1 - t) // 2, (q + 1 + t) // 2,
              n_single / 2 + 3 * n_full / 4)                       # 0 roots
-        if n_full:
-            bump((q - 3 - t) // 2, (q - 3 + t) // 2, n_full / 4)  # 4 roots
+        bump((q - 3 - t) // 2, (q - 3 + t) // 2, n_full / 4)      # 4 roots
     terms = {}
     for (j, k), weight in weights.items():
         scaled = weight * factor
@@ -150,6 +147,9 @@ _DUAL_TABLE = {
         "zero": ((6, 0), (4, 2)),
     },
 }
+# The largest j + k with a closed form; the dual report's walk stops there.
+_DUAL_MAX_CODIM = max(j + k for table in _DUAL_TABLE.values()
+                      for j, k in (*table["entries"], *table["zero"]))
 
 
 def _poly_at(coeffs, q: int) -> int:
@@ -180,7 +180,9 @@ def predicted_dual_coefficient(q: int, j: int, k: int):
 
 def dual_code_report(q: int, max_codim: int) -> dict:
     """Truncated dual coefficients plus, at prime q >= 7, a comparison
-    against every transcribed closed form with j + k <= max_codim.
+    at every (j, k) with j + k <= max_codim, in sorted order, for which
+    `predicted_dual_coefficient` has a value.  The closed-form table is
+    the only list of those monomials; no second list is kept here.
 
     Raises ConsistencyError naming the monomial on any mismatch.
     """
@@ -189,29 +191,23 @@ def dual_code_report(q: int, max_codim: int) -> dict:
     computed = qr_dual_coefficients(enum, q, q ** 5, max_codim)
     comparisons = []
     if is_prime(q) and q >= 7:
-        table = _DUAL_TABLE[q % 4]
-        monomials = [(0, 0)]
-        # below the minimum distance 6 every coefficient vanishes
-        monomials += [(j, w - j) for w in range(1, 6) for j in range(w + 1)]
-        for (j, k) in list(table["entries"]) + list(table["zero"]):
-            monomials.append((j, k))
-            if j != k:
-                monomials.append((k, j))
-        for (j, k) in sorted(set(monomials)):
-            if j + k > max_codim:
-                continue
-            predicted = predicted_dual_coefficient(q, j, k)
-            got = computed.get((j, k), 0)
-            comparisons.append({
-                "monomial": {"i": q + 1 - j - k, "j": j, "k": k},
-                "computed": str(got),
-                "predicted": str(predicted),
-                "match": got == predicted,
-            })
-            if got != predicted:
-                raise ConsistencyError(
-                    "dual coefficient X^%d Y^%d Z^%d: computed %d, closed form %d"
-                    % (q + 1 - j - k, j, k, got, predicted))
+        limit = min(max_codim, _DUAL_MAX_CODIM)
+        for j in range(limit + 1):
+            for k in range(limit + 1 - j):
+                predicted = predicted_dual_coefficient(q, j, k)
+                if predicted is None:
+                    continue
+                got = computed.get((j, k), 0)
+                comparisons.append({
+                    "monomial": {"i": q + 1 - j - k, "j": j, "k": k},
+                    "computed": str(got),
+                    "predicted": str(predicted),
+                    "match": got == predicted,
+                })
+                if got != predicted:
+                    raise ConsistencyError(
+                        "dual coefficient X^%d Y^%d Z^%d: computed %d, closed form %d"
+                        % (q + 1 - j - k, j, k, got, predicted))
     return {"q": q, "max_codim": max_codim,
             "coefficients": {key: value for key, value in sorted(computed.items())},
             "comparisons": comparisons}

@@ -9,6 +9,7 @@ enumerator equality, with zero tolerance.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from .arith import odd_prime_powers, odd_primes, prime_power_split
 from .curve_census import (empirical_moment, j_special_census,
@@ -17,7 +18,7 @@ from .enumerators import mds_weight_distribution, qr_macwilliams_dual
 from .eta_products import (hecke_eigenvalue_prime_power, ramanujan_tau,
                            weight6_level4_form, weight8_level2_form)
 from .finite_field import field
-from .hecke_traces import (moment_formula, trace_level1, trace_level2,
+from .hecke_traces import (moment_formula, trace, trace_level1, trace_level2,
                            trace_level4)
 from .isogeny_counts import weighted_count, weighted_count_full_2tors
 from .qr_pipeline import (classical_dual_weight7_check, dual_code_report,
@@ -44,8 +45,7 @@ _census_cache = {}
 
 def cached_quartic_census(q: int, threads: int = None):
     if q not in _census_cache:
-        p, v = prime_power_split(q)
-        _census_cache[q] = quartic_census(field(p, v), threads=threads)
+        _census_cache[q] = quartic_census(field(*prime_power_split(q)), threads=threads)
     return _census_cache[q]
 
 
@@ -79,22 +79,29 @@ def checks_classnumbers(qmax=None, threads=None):
 
 # -- criterion 2 and 3 -------------------------------------------------------
 
+# The eta references are expanded to precision 210, so the trace checks
+# stop at q = 200 however large qmax is.
+TRACE_QMAX = 200
+# level -> the weights whose cusp space is zero-dimensional
+ZERO_DIM_WEIGHTS = {1: (4, 6, 8, 10, 14), 2: (2, 4, 6), 4: (2, 4)}
+
+
+def _trace_limit(qmax):
+    return TRACE_QMAX if qmax is None else min(qmax, TRACE_QMAX)
+
+
 def checks_traces_dimension_zero(qmax=None, threads=None):
-    limit = qmax if qmax is not None else 200
+    limit = _trace_limit(qmax)
     qs = list(odd_prime_powers(limit))
-    for k in (4, 6, 8, 10, 14):
-        ok = all(trace_level1(k, q) == 0 for q in qs)
-        yield "level 1 weight %d trace vanishes (dim 0), q <= %d" % (k, limit), ok
-    for k in (2, 4, 6):
-        ok = all(trace_level2(k, q) == 0 for q in qs)
-        yield "level 2 weight %d trace vanishes (dim 0), q <= %d" % (k, limit), ok
-    for k in (2, 4):
-        ok = all(trace_level4(k, q) == 0 for q in qs)
-        yield "level 4 weight %d trace vanishes (dim 0), q <= %d" % (k, limit), ok
+    for level, weights in ZERO_DIM_WEIGHTS.items():
+        for k in weights:
+            ok = all(trace(level, k, q) == 0 for q in qs)
+            yield ("level %d weight %d trace vanishes (dim 0), q <= %d"
+                   % (level, k, limit), ok)
 
 
 def checks_traces_eta(qmax=None, threads=None):
-    limit = qmax if qmax is not None else 200
+    limit = _trace_limit(qmax)
     qs = list(odd_prime_powers(limit))
     primes = list(odd_primes(limit))
     ok = all(trace_level1(12, q) == ramanujan_tau(q) for q in qs)
@@ -183,7 +190,7 @@ def checks_isogeny_census(qmax=None, threads=None):
     for q in qs:
         census = cached_quartic_census(q, threads)
         traces = set(census.traces())
-        bound = int((4 * q) ** 0.5) + 2
+        bound = isqrt(4 * q) + 2
         traces.update(range(-bound, bound + 1))
         ok = all(census.weighted_count(t) == weighted_count(q, t)
                  and census.weighted_count_full_2tors(t)
@@ -238,9 +245,8 @@ def checks_c14(qmax=None, threads=None):
     qs = _cap(C14_QS, qmax)
     yield from _skipped(qs, qmax, "degree-4 enumerator matches brute force")
     for q in qs:
-        p, v = prime_power_split(q)
         enum = quartic_code_enumerator(q)
-        code = reed_solomon_code(field(p, v), 4, projective=True)
+        code = reed_solomon_code(field(*prime_power_split(q)), 4, projective=True)
         brute = brute_force_enumerator(code, threads=threads)
         ok = enum == brute
         ok = ok and enum.total() == q ** 5
@@ -255,11 +261,9 @@ def checks_duals(qmax=None, threads=None):
     yield from _skipped(qs, qmax, "MacWilliams dual matches brute force")
     yield from _skipped(qs, qmax, "double transform returns the enumerator")
     for q in qs:
-        p, v = prime_power_split(q)
-        ctx = field(p, v)
         primal = quartic_code_enumerator(q)
         dual = qr_macwilliams_dual(primal, q, q ** 5)
-        code = reed_solomon_code(ctx, q - 5, projective=True)
+        code = reed_solomon_code(field(*prime_power_split(q)), q - 5, projective=True)
         ok = dual == brute_force_enumerator(code, threads=threads)
         yield "MacWilliams dual matches brute force at q = %d" % q, ok
         again = qr_macwilliams_dual(dual, q, q ** (q - 4))
@@ -267,10 +271,8 @@ def checks_duals(qmax=None, threads=None):
     qs = _cap(PUNCTURE_QS, qmax)
     yield from _skipped(qs, qmax, "puncturing matches the classical brute force")
     for q in qs:
-        p, v = prime_power_split(q)
-        ctx = field(p, v)
         punctured = puncture_enumerator(quartic_code_enumerator(q), q)
-        code = reed_solomon_code(ctx, 4, projective=False)
+        code = reed_solomon_code(field(*prime_power_split(q)), 4, projective=False)
         ok = punctured == brute_force_enumerator(code, threads=threads)
         yield "puncturing matches the classical brute force at q = %d" % q, ok
 

@@ -136,6 +136,13 @@ def test_verify_suite_exit_code(capsys):
     assert out.count("PASS") == 8 and "FAIL" not in out
 
 
+def test_verify_qmax_caps_trace_checks_at_200(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "traces", "--qmax", "250")
+    rows = out.splitlines()
+    assert code == 0 and rows
+    assert all(row.startswith("PASS") and row.endswith("<= 200") for row in rows)
+
+
 def test_verify_refuses_small_qmax_and_skips_emptied_checks(capsys):
     # a q-cap below 3 leaves no odd prime power to check
     for bad in ("-5", "2"):

@@ -128,3 +128,20 @@ def test_rejects_small_or_even_q():
         quartic_code_enumerator(3)
     with pytest.raises(ValueError):
         singular_quartic_part(8)
+
+
+def test_rejects_odd_q_that_is_not_a_prime_power():
+    for q in (15, 21):
+        with pytest.raises(ValueError):
+            singular_quartic_part(q)
+
+
+def test_dual_report_compares_every_low_monomial_in_sorted_order():
+    # the closed-form table covers every j + k <= 7 in both residue classes
+    for q in (13, 11):
+        for max_codim in (0, 5, 6, 7, 9):
+            limit = min(max_codim, 7)
+            expected = [(j, k) for j in range(limit + 1) for k in range(limit + 1 - j)]
+            got = [(item["monomial"]["j"], item["monomial"]["k"])
+                   for item in dual_code_report(q, max_codim)["comparisons"]]
+            assert got == expected, (q, max_codim)
