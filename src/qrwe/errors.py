@@ -1,5 +1,6 @@
 """Exception types raised by the library, and the two bounds on every
-brute-force walk: the step budget and the worker-thread count."""
+brute-force walk: the step budget, which also bounds the class-number
+counts, and the worker-thread count."""
 
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -26,9 +27,9 @@ class BudgetExceededError(RuntimeError):
 
 
 def check_budget(required: int, explicit: int = None) -> None:
-    """Refuse (BudgetExceededError) a brute-force walk of `required`
-    steps above the budget: `explicit` if given, else the QRWE_BUDGET
-    environment variable, else DEFAULT_BUDGET."""
+    """Refuse (BudgetExceededError) a brute-force walk or class-number
+    count of `required` steps above the budget: `explicit` if given,
+    else the QRWE_BUDGET environment variable, else DEFAULT_BUDGET."""
     if explicit is not None:
         budget = explicit
     else:

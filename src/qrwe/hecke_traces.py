@@ -78,7 +78,7 @@ def _as_integer(value: Fraction, what: str) -> int:
     return value.numerator
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _class_number_sum(k: int, q: int, flavor: str) -> Fraction:
     """The moment kernel of `flavor` at weight k and odd prime power q,
     or q = 1.

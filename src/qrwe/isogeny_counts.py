@@ -58,8 +58,8 @@ def weighted_count(q: int, t: int) -> Fraction:
 def weighted_count_full_2tors(q: int, t: int) -> Fraction:
     """Classes with trace t and fully rational 2-torsion, weighted."""
     p, _ = odd_prime_power_split(q)
-    if t * t > 4 * q:
-        return Fraction(0)
+    if t % 2 or t * t > 4 * q:
+        return Fraction(0)  # an odd trace never has full 2-torsion
     if t * t == 4 * q:
         return weighted_count(q, t)
     if t == 0:

@@ -1,15 +1,19 @@
 """Class numbers of imaginary quadratic orders and Kronecker symbols.
 
-Everything here is computed by direct enumeration of reduced binary
-quadratic forms, never read from tables, so the module doubles as its
-own oracle.  Rational weights are exact `fractions.Fraction` values.
+Everything here is computed by enumerating reduced binary quadratic
+forms; no value is read from a stored table, so the module doubles as
+its own oracle.  Rational weights are exact `fractions.Fraction` values.
 
-Two enumerations compute the same numbers.  `class_number` and
+Three enumerations compute the same numbers.  `class_number` and
 `hurwitz_class_number` count the forms of one discriminant at a time,
 O(|d|) each; they are the scalar reference.  `hurwitz_row(m)` gives
-H(t^2 - m) for every t with t^2 < m from one sweep over the reduced
-forms (a, b, c) with 3a^2 <= m, O(m) in all: the Eichler-Selberg sums
-and the isogeny counts read whole rows.
+H(t^2 - m) for every t with t^2 < m, which the Eichler-Selberg sums and
+the isogeny counts read as whole rows, from one of two engines: a sweep
+over the reduced forms (a, b, c) with 3a^2 <= m, O(m) per row, or a
+lookup in one table of 6H(N) for every N <= X, sieved from the same
+forms in a single numpy pass once a process asks for more than two rows
+(the class-number table of Cohen, *A Course in Computational Algebraic
+Number Theory*, 5.3).  Each engine serves as the other's test.
 
 Conventions:
   * a discriminant d is a negative integer with d = 0 or 1 (mod 4);
@@ -25,6 +29,8 @@ Conventions:
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+
+from .errors import ConsistencyError, check_budget
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -69,11 +75,13 @@ def _check_discriminant(d: int) -> None:
         raise ValueError("discriminant must be 0 or 1 mod 4, got %d" % d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def class_number(d: int) -> int:
     """h(d): number of reduced primitive forms of discriminant d < 0,
-    keeping b >= 0 on the boundary |b| = a or a = c."""
+    keeping b >= 0 on the boundary |b| = a or a = c.  The count takes
+    O(|d|) steps, charged to the budget first."""
     _check_discriminant(d)
+    check_budget(-d)
     count = 0
     for a in range(1, isqrt(-d // 3) + 1):
         for b in range(-a, a + 1):
@@ -101,7 +109,7 @@ def weighted_class_number(d: int) -> Fraction:
     return Fraction(h)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def hurwitz_class_number(delta: int) -> Fraction:
     """Hurwitz-Kronecker class number H_w(delta) for delta < 0.
 
@@ -122,21 +130,92 @@ def hurwitz_class_number(delta: int) -> Fraction:
     return total
 
 
+# Rows with m <= _TABLE_CAP come from the shared table once two of them
+# have been swept; larger rows are always swept.  The sieve costs about
+# twice a sweep of the same size up to 2^18, but 2.6x at 2^19 and 12x
+# at 2^22, and the table at the cap takes 1 MB.  Threads may race on
+# these two globals at the cost of an extra sweep or build only: a
+# table is swapped in whole, and each call reads the one it holds.
+_TABLE_CAP = 1 << 18
+_SWEEPS_BEFORE_TABLE = 2
+_table = ()  # 6H(N) for 0 <= N < len(_table): an int32 array once built
+_sweeps = 0  # uncovered rows m <= _TABLE_CAP swept so far
+
+
 @lru_cache(maxsize=256)
 def hurwitz_row(m: int) -> tuple:
     """The integers 6 H(t^2 - m) for t = 0, 1, ... with t^2 < m.
 
     H(N) counts every reduced form of discriminant -N, primitive or
     not, with weight 1, except a(x^2 + y^2) (weight 1/2) and
-    a(x^2 + xy + y^2) (weight 1/3); six times it is an integer.  A
-    reduced form (a, b, c) has discriminant t^2 - m exactly when
+    a(x^2 + xy + y^2) (weight 1/3); six times it is an integer.
+
+    A row the table covers is read off it.  Otherwise the first two rows
+    with m <= _TABLE_CAP, and every larger row, are swept
+    (`_sweep_row`): one q asks for exactly two rows, 4q and q, so a
+    lone trace builds no table.  Any later row m <= _TABLE_CAP first
+    rebuilds the table up to min(_TABLE_CAP, max(m, 2X)), X its current
+    top, so a loop over q reads every later row off it.  Each cache
+    miss charges m to the budget, whichever engine serves it.  The
+    cache holds a fixed number of rows.
+    """
+    global _table, _sweeps
+    if m < 1:
+        raise ValueError("Hurwitz row needs m >= 1, got %d" % m)
+    check_budget(m)
+    table = _table
+    if len(table) <= m <= _TABLE_CAP:
+        if _sweeps < _SWEEPS_BEFORE_TABLE:
+            _sweeps += 1
+        else:
+            table = _table = _sieve_table(min(_TABLE_CAP, max(m, 2 * (len(table) - 1))))
+    return _table_row(table, m) if m < len(table) else _sweep_row(m)
+
+
+def _table_row(table, m: int) -> tuple:
+    """Row m read off a table that covers it, as Python ints."""
+    import numpy as np
+
+    t = np.arange(isqrt(m - 1) + 1)
+    return tuple(table[m - t * t].tolist())
+
+
+def _sieve_table(top: int):
+    """6H(N) for 0 <= N <= top as one int32 array.
+
+    A reduced form (a, b, c) has discriminant -N for N = 4ac - b^2, so
+    for fixed (a, b) with 0 <= b <= a the forms with c >= a fill the
+    progression N = 4a^2 - b^2 (mod 4a) from c = a on.  Each gets the
+    sweep's weight (12 for (a, b, c) and (a, -b, c), 6 at b = 0 or
+    b = a) and the same correction at c = a.  The sums are formed in
+    int64 and checked to fit int32.
+    """
+    import numpy as np
+
+    tab = np.zeros(top + 1, dtype=np.int64)
+    for a in range(1, isqrt(top // 3) + 1):
+        mod = 4 * a
+        for b in range(a + 1):
+            start = 4 * a * a - b * b  # c = a
+            if start > top:
+                continue
+            both = 12 if 0 < b < a else 6
+            tab[start::mod] += both
+            tab[start] -= both - (3 if b == 0 else 2 if b == a else 6)
+    if tab.max() > np.iinfo(np.int32).max:
+        raise ConsistencyError("6H(N) for N <= %d does not fit int32" % top)
+    return tab.astype(np.int32)
+
+
+def _sweep_row(m: int) -> tuple:
+    """Row m of `hurwitz_row` from one sweep over the reduced forms.
+
+    A reduced form (a, b, c) has discriminant t^2 - m exactly when
     t^2 = b^2 + m - 4ac, so for fixed (a, b) the traces t are the square
     roots of b^2 + m modulo 4a with t^2 <= m - 4a^2 + b^2 (that is,
     c >= a).  Forms with b and -b are counted together; on the boundary
-    a = c only b >= 0 is kept.  The cache holds a fixed number of rows.
+    a = c only b >= 0 is kept.
     """
-    if m < 1:
-        raise ValueError("Hurwitz row needs m >= 1, got %d" % m)
     row = [0] * (isqrt(m - 1) + 1)
     for a in range(1, isqrt(m // 3) + 1):
         mod = 4 * a

@@ -155,3 +155,15 @@ def test_verify_refuses_small_qmax_and_skips_emptied_checks(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "moments", "--qmax", "3")
     assert code == 0 and out.count("PASS") == 3 and "FAIL" not in out
     assert "SKIP  special j-invariant classes match: none of its q is <= 3\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("classnum", "--disc", "-4000000000000"),
+    ("hurwitz", "--disc", "-400000000000"),
+    ("trace", "--level", "1", "--weight", "12", "--q", "1000000000039"),
+    ("moments", "--q", "1000000000039", "--R", "1"),
+], ids=lambda argv: argv[0])
+def test_class_number_sweeps_beyond_the_budget_are_refused(capsys, argv):
+    # each sweep would take O(10^11) steps or more: refused before it starts
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("refused: ") and "budget" in err

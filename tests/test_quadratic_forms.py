@@ -1,12 +1,21 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qrwe import quadratic_forms
 from qrwe.arith import odd_prime_powers
-from qrwe.quadratic_forms import (class_number, hurwitz_class_number,
+from qrwe.errors import BudgetExceededError
+from qrwe.quadratic_forms import (_sieve_table, _sweep_row, _table_row,
+                                  class_number, hurwitz_class_number,
                                   hurwitz_row, kronecker, weighted_class_number)
+
+SRC = Path(quadratic_forms.__file__).resolve().parent.parent
 
 KNOWN_CLASS_NUMBERS = {
     -3: 1, -4: 1, -7: 1, -8: 1, -11: 1, -12: 1, -15: 2, -16: 1,
@@ -103,12 +112,13 @@ def test_conductor_scaling_identity():
 
 def test_hurwitz_row_matches_one_discriminant_at_a_time():
     # every m < 3000 meets forms of weight 1/2 (t^2 - m = -4a^2) and
-    # of weight 1/3 (t^2 - m = -3a^2)
+    # of weight 1/3 (t^2 - m = -3a^2); the sweep is called directly,
+    # since after two rows `hurwitz_row` reads the shared table
     for m in range(1, 3000):
-        row = hurwitz_row(m)
-        assert len(row) == isqrt(m - 1) + 1, m
-        for t, value in enumerate(row):
-            assert value == 6 * hurwitz_class_number(t * t - m), (m, t)
+        for row in (hurwitz_row(m), _sweep_row(m)):
+            assert len(row) == isqrt(m - 1) + 1, m
+            for t, value in enumerate(row):
+                assert value == 6 * hurwitz_class_number(t * t - m), (m, t)
 
 
 def test_hurwitz_row_at_trace_formula_arguments():
@@ -123,3 +133,64 @@ def test_hurwitz_row_at_trace_formula_arguments():
 def test_hurwitz_row_rejects_nonpositive():
     with pytest.raises(ValueError):
         hurwitz_row(0)
+
+
+def test_sieve_table_matches_one_discriminant_at_a_time_and_the_sweep():
+    top = 3000
+    table = _sieve_table(top)
+    assert len(table) == top + 1 and table[0] == 0
+    for n in range(1, top + 1):
+        assert table[n] == 6 * hurwitz_class_number(-n), n
+    for m in range(1, top + 1):
+        assert _table_row(table, m) == _sweep_row(m), m
+
+
+def test_hurwitz_row_entries_are_python_ints():
+    for m in (5, 4 * 997, 4 * 10007):
+        for row in (hurwitz_row(m), _table_row(_sieve_table(m), m)):
+            assert all(type(value) is int for value in row), m
+
+
+def test_table_is_built_only_for_a_loop_over_q():
+    # a fresh interpreter, so no row is cached and no table built yet
+    code = """
+import qrwe.quadratic_forms as qf
+from qrwe import trace_level1, trace_level4
+from qrwe.arith import odd_prime_powers
+
+trace_level1(12, 10007)
+assert len(qf._table) == 0, "a lone q built a table"
+for q in odd_prime_powers(200):
+    trace_level1(12, q)
+    trace_level4(6, q)
+assert 4 * 197 < len(qf._table) <= qf._TABLE_CAP + 1, len(qf._table)
+top = qf._TABLE_CAP
+qf.hurwitz_row(top)
+assert len(qf._table) == top + 1, len(qf._table)
+swept = qf.hurwitz_row(top + 1)
+assert len(qf._table) == top + 1, len(qf._table)
+assert all(value == qf._table[top + 1 - t * t] for t, value in enumerate(swept) if t)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_every_class_number_sweep_is_charged_to_the_budget(monkeypatch):
+    # the uncached bodies, so each call is a cache miss, on either engine
+    for table, sweeps in ((_sieve_table(60), 2), ((), 0)):
+        monkeypatch.setattr(quadratic_forms, "_table", table)
+        monkeypatch.setattr(quadratic_forms, "_sweeps", sweeps)
+        for m in (7, 4 * 13):
+            monkeypatch.setenv("QRWE_BUDGET", str(m - 1))
+            with pytest.raises(BudgetExceededError):
+                hurwitz_row.__wrapped__(m)
+            monkeypatch.setenv("QRWE_BUDGET", str(m))
+            assert hurwitz_row.__wrapped__(m) == _sweep_row(m)
+        assert quadratic_forms._table is table
+    monkeypatch.setenv("QRWE_BUDGET", "22")
+    with pytest.raises(BudgetExceededError):
+        class_number.__wrapped__(-23)
+    monkeypatch.setenv("QRWE_BUDGET", "23")
+    assert class_number.__wrapped__(-23) == 3
