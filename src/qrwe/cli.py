@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     brute.add_argument("--q", type=int, required=True)
     brute.add_argument("--h", type=int, required=True)
     brute.add_argument("--classical", action="store_true")
-    brute.add_argument("--budget", type=int, default=None)
+    brute.add_argument("--budget", type=_int_at_least(0), default=None)
     brute.set_defaults(func=_cmd_brute)
 
     tr = sub.add_parser("trace", help="Hecke operator trace")
@@ -203,9 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     hw.set_defaults(func=_cmd_hurwitz)
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("--suite", required=True,
-                     choices=("classnumbers", "traces", "moments", "c14",
-                              "duals", "examples", "all"))
+    ver.add_argument("--suite", required=True, choices=tuple(verify_suites.SUITES))
     ver.add_argument("--qmax", type=_int_at_least(3), default=None,
                      help="cap every q-list at this q (3, the smallest odd "
                           "prime power, or more)")

@@ -175,19 +175,6 @@ def is_squarefree_quartic(ctx: FieldContext, coeffs) -> bool:
     return poly_degree(gcd) == 0
 
 
-def quartic_discriminant(ctx: FieldContext, coeffs) -> int:
-    """The universal binary-quartic discriminant, evaluated in F_q."""
-    c4, c3, c2, c1, c0 = coeffs
-    total = 0
-    for coefficient, (ea, eb, ec, ed, ee) in _DISC_TERMS:
-        term = ctx.int_embed(coefficient)
-        for base, e in ((c4, ea), (c3, eb), (c2, ec), (c1, ed), (c0, ee)):
-            if e:
-                term = ctx.mul(term, ctx.pow(base, e))
-        total = ctx.add(total, term)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # The quartic census
 # ---------------------------------------------------------------------------

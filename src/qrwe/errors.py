@@ -29,12 +29,19 @@ class BudgetExceededError(RuntimeError):
 def check_budget(required: int, explicit: int = None) -> None:
     """Refuse (BudgetExceededError) a brute-force walk or class-number
     count of `required` steps above the budget: `explicit` if given,
-    else the QRWE_BUDGET environment variable, else DEFAULT_BUDGET."""
+    else the QRWE_BUDGET environment variable if set and not empty,
+    else DEFAULT_BUDGET.  A QRWE_BUDGET that is not a nonnegative
+    integer raises ValueError."""
     if explicit is not None:
         budget = explicit
     else:
         env = os.environ.get("QRWE_BUDGET")
-        budget = int(env) if env else DEFAULT_BUDGET
+        try:
+            budget = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            budget = -1
+        if budget < 0:
+            raise ValueError("QRWE_BUDGET must be a nonnegative integer, got %r" % env)
     if required > budget:
         raise BudgetExceededError(required=required, budget=budget)
 

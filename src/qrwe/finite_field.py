@@ -14,62 +14,18 @@ explicitly; weight enumerators and censuses do not depend on the choice.
 Every field, prime or not, uses one representation: the exp/log tables
 of the generator of smallest code and its Zech logarithms
 log(1 + g^k) (Lidl and Niederreiter, *Finite Fields*), built once at
-construction in O(q) polynomial products.  Each scalar operation is a
-few list lookups.  The q x q int16 numpy tables of the census kernels
-(q < 2^15) are vectorized from the same tables on first use.
+construction in O(q) products.  In a prime field (modulus x) a product
+is an integer product mod p, with no polynomial arithmetic.  An
+extension field finds its modulus and forms its products in F_p[x]
+through the F_q polynomial helpers at the end of this module, run over
+F_p; there is no second polynomial arithmetic.  Each scalar operation
+is a few list lookups.  The q x q int16 numpy tables of the census
+kernels (q < 2^15) are vectorized from the same tables on first use.
 """
 
 from functools import lru_cache
 
 from .arith import is_prime
-
-
-# ---------------------------------------------------------------------------
-# Polynomials over Z/p (dense coefficient lists, index = degree)
-# ---------------------------------------------------------------------------
-
-def _fp_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _fp_mul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return _fp_trim(out)
-
-
-def _fp_mod(f, g, p):
-    """Remainder of f by g (g monic-normalizable, nonzero)."""
-    f = list(f)
-    _fp_trim(f)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
-    while len(f) - 1 >= dg and f:
-        shift = len(f) - 1 - dg
-        factor = (f[-1] * inv_lead) % p
-        for i, c in enumerate(g):
-            f[shift + i] = (f[shift + i] - factor * c) % p
-        _fp_trim(f)
-    return f
-
-
-def _fp_is_irreducible(f, p):
-    """Trial factorization against all monic polynomials of degree <= deg(f)/2."""
-    degree = len(f) - 1
-    if degree < 1:
-        return False
-    for d in range(1, degree // 2 + 1):
-        for code in range(p ** d):
-            trial = _digits(code, p, d) + [1]
-            if not _fp_mod(f, trial, p):
-                return False
-    return True
 
 
 def _digits(code: int, p: int, length: int) -> list:
@@ -80,10 +36,17 @@ def _digits(code: int, p: int, length: int) -> list:
     return out
 
 
+def _is_irreducible(f, p: int) -> bool:
+    """Trial division of f over F_p by every monic polynomial of degree
+    1 to deg(f)/2; a degree-1 f needs no division (and no F_p)."""
+    return all(poly_mod(field(p, 1), f, _digits(code, p, d) + [1])
+               for d in range(1, (len(f) - 1) // 2 + 1) for code in range(p ** d))
+
+
 def _smallest_irreducible(p: int, v: int) -> tuple:
     for code in range(p ** v):
         candidate = _digits(code, p, v) + [1]
-        if _fp_is_irreducible(candidate, p):
+        if _is_irreducible(candidate, p):
             return tuple(candidate)
     raise AssertionError("no irreducible polynomial of degree %d over F_%d" % (v, p))
 
@@ -121,7 +84,7 @@ class FieldContext:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != v + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree v")
-            if not _fp_is_irreducible(list(modulus), p):
+            if not _is_irreducible(modulus, p):
                 raise ValueError("modulus is reducible over F_%d" % p)
         self.modulus = modulus
 
@@ -148,11 +111,14 @@ class FieldContext:
     # -- log/antilog tables ---------------------------------------------------
 
     def _mul_slow(self, a: int, b: int) -> int:
-        p = self.p
-        fa = _digits(a, p, self.v)
-        fb = _digits(b, p, self.v)
-        prod = _fp_mod(_fp_mul(fa, fb, p), list(self.modulus), p)
-        return self.element(prod + [0] * (self.v - len(prod)))
+        """a * b from the definition: an integer product in a prime
+        field, else a product in F_p[x] reduced by the modulus."""
+        p, v = self.p, self.v
+        if v == 1:
+            return a * b % p
+        fp = field(p, 1)
+        prod = poly_mod(fp, poly_mul(fp, _digits(a, p, v), _digits(b, p, v)), self.modulus)
+        return self.element(prod)
 
     def _build_mul_table(self):
         """Exp, log and Zech tables of the generator, in O(q) products.
@@ -162,7 +128,12 @@ class FieldContext:
         of x != 0; zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0.
         """
         q, p = self.q, self.p
+        # A power of a candidate of order < q - 1 has order < q - 1 too,
+        # so the walk skips every element of a subgroup already seen.
+        seen = bytearray(q)
         for g in range(1, q):
+            if seen[g]:
+                continue
             exp = [1]
             x = g
             while x != 1:
@@ -170,6 +141,8 @@ class FieldContext:
                 x = self._mul_slow(x, g)
             if len(exp) == q - 1:
                 break
+            for x in exp:
+                seen[x] = 1
         self.generator = g
         self._exp = exp + exp
         log = [0] * q
@@ -216,10 +189,6 @@ class FieldContext:
         if a == 0:
             raise ZeroDivisionError("0 is not invertible")
         return self._exp[self.q - 1 - self._log[a]]
-
-    def scale_int(self, n: int, a: int) -> int:
-        """The element n*a for an integer n (reduction through Z/p)."""
-        return self.mul(n % self.p, a)
 
     def int_embed(self, n: int) -> int:
         """The image of the integer n in the prime subfield."""
@@ -306,7 +275,17 @@ def poly_degree(f) -> int:
 
 
 def poly_derivative(ctx: FieldContext, f) -> list:
-    return [ctx.scale_int(i, f[i]) for i in range(1, len(f))]
+    return [ctx.mul(ctx.int_embed(i), f[i]) for i in range(1, len(f))]
+
+
+def poly_mul(ctx: FieldContext, f, g) -> list:
+    """Product of f and g over F_q."""
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
+    return out
 
 
 def poly_mod(ctx: FieldContext, f, g) -> list:
@@ -316,14 +295,14 @@ def poly_mod(ctx: FieldContext, f, g) -> list:
     if dg < 0:
         raise ZeroDivisionError("polynomial division by zero")
     inv_lead = ctx.inv(g[dg])
-    df = poly_degree(f)
-    while df >= dg:
-        factor = ctx.mul(f[df], inv_lead)
-        shift = df - dg
-        for i in range(dg + 1):
-            f[shift + i] = ctx.sub(f[shift + i], ctx.mul(factor, g[i]))
-        df = poly_degree(f)
-    return f[:max(df + 1, 0)]
+    # Clear f's coefficients from the top down to degree dg.
+    for df in range(len(f) - 1, dg - 1, -1):
+        factor = ctx.neg(ctx.mul(f[df], inv_lead))
+        if factor:
+            shift = df - dg
+            for i in range(dg + 1):
+                f[shift + i] = ctx.add(f[shift + i], ctx.mul(factor, g[i]))
+    return f[:poly_degree(f[:dg]) + 1]
 
 
 def poly_gcd(ctx: FieldContext, f, g) -> list:

@@ -130,16 +130,19 @@ def hurwitz_class_number(delta: int) -> Fraction:
     return total
 
 
-# Rows with m <= _TABLE_CAP come from the shared table once two of them
-# have been swept; larger rows are always swept.  The sieve costs about
-# twice a sweep of the same size up to 2^18, but 2.6x at 2^19 and 12x
-# at 2^22, and the table at the cap takes 1 MB.  Threads may race on
+# Rows with _SWEEP_BELOW <= m <= _TABLE_CAP come from the shared table
+# once two of them have been swept; other rows are swept unless a table
+# already covers them.  A row below _SWEEP_BELOW sweeps in microseconds,
+# less than the table's first numpy call.  The sieve costs about twice
+# a sweep of the same size up to 2^18, but 2.6x at 2^19 and 12x at 2^22,
+# and the table at the cap takes 1 MB.  Threads may race on
 # these two globals at the cost of an extra sweep or build only: a
 # table is swapped in whole, and each call reads the one it holds.
+_SWEEP_BELOW = 1 << 7
 _TABLE_CAP = 1 << 18
 _SWEEPS_BEFORE_TABLE = 2
 _table = ()  # 6H(N) for 0 <= N < len(_table): an int32 array once built
-_sweeps = 0  # uncovered rows m <= _TABLE_CAP swept so far
+_sweeps = 0  # uncovered rows _SWEEP_BELOW <= m <= _TABLE_CAP swept so far
 
 
 @lru_cache(maxsize=256)
@@ -150,12 +153,13 @@ def hurwitz_row(m: int) -> tuple:
     not, with weight 1, except a(x^2 + y^2) (weight 1/2) and
     a(x^2 + xy + y^2) (weight 1/3); six times it is an integer.
 
-    A row the table covers is read off it.  Otherwise the first two rows
-    with m <= _TABLE_CAP, and every larger row, are swept
-    (`_sweep_row`): one q asks for exactly two rows, 4q and q, so a
-    lone trace builds no table.  Any later row m <= _TABLE_CAP first
-    rebuilds the table up to min(_TABLE_CAP, max(m, 2X)), X its current
-    top, so a loop over q reads every later row off it.  Each cache
+    A row the table covers is read off it.  Otherwise every row
+    m < _SWEEP_BELOW, the first two rows with _SWEEP_BELOW <= m <=
+    _TABLE_CAP, and every larger row, are swept (`_sweep_row`): one q
+    asks for exactly two rows, 4q and q, so a lone trace builds no
+    table.  Any later row _SWEEP_BELOW <= m <= _TABLE_CAP first rebuilds
+    the table up to min(_TABLE_CAP, max(m, 2X)), X its current top, so a
+    loop over q reads every later row off it.  Each cache
     miss charges m to the budget, whichever engine serves it.  The
     cache holds a fixed number of rows.
     """
@@ -164,7 +168,7 @@ def hurwitz_row(m: int) -> tuple:
         raise ValueError("Hurwitz row needs m >= 1, got %d" % m)
     check_budget(m)
     table = _table
-    if len(table) <= m <= _TABLE_CAP:
+    if max(len(table), _SWEEP_BELOW) <= m <= _TABLE_CAP:
         if _sweeps < _SWEEPS_BEFORE_TABLE:
             _sweeps += 1
         else:

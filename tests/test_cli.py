@@ -120,6 +120,31 @@ def test_usage_errors_exit_2(capsys):
     assert info.value.code == 2
 
 
+def test_bad_budget_is_a_usage_error(capsys, monkeypatch):
+    for bad in ("-3", "abc"):
+        with pytest.raises(SystemExit) as info:
+            main(["brute", "--q", "5", "--h", "1", "--budget", bad])
+        assert info.value.code == 2
+    for bad in ("-5", "abc", "1.5"):
+        monkeypatch.setenv("QRWE_BUDGET", bad)
+        with pytest.raises(SystemExit) as info:
+            main(["brute", "--q", "5", "--h", "1"])
+        assert info.value.code == 2
+        assert "QRWE_BUDGET" in capsys.readouterr().err, bad
+    monkeypatch.setenv("QRWE_BUDGET", "0")
+    code, out, err = run_cli(capsys, "brute", "--q", "5", "--h", "1")
+    assert code == 1 and out == "" and err.startswith("refused: ")
+
+
+def test_verify_suite_choices_are_the_suites(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "{classnumbers,traces,moments,c14,duals,examples,all}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "nonsense"])
+    assert info.value.code == 2
+
+
 def test_consistency_error_exits_1(capsys, monkeypatch):
     def broken(q, max_codim):
         raise ConsistencyError("dual coefficient X^1 Y^6 Z^0: computed 1, closed form 2")

@@ -11,8 +11,8 @@ from qrwe.curve_census import (_j_special_census_scalar, _j_special_model,
                                _QuarticKernel, _scaling_orbits, census_json,
                                empirical_moment, is_squarefree_quartic,
                                j_special_census, legendre_family_sum,
-                               quartic_census, quartic_discriminant,
-                               quartic_point_count, weierstrass_census)
+                               quartic_census, quartic_point_count,
+                               weierstrass_census)
 from qrwe.errors import BudgetExceededError
 from qrwe.finite_field import field
 from qrwe.hecke_traces import moment_formula
@@ -48,12 +48,15 @@ def test_point_count_works_on_singular_quartics():
 
 @pytest.mark.parametrize("p,v", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_gcd_and_discriminant_smoothness_agree(p, v):
+    # the engine's discriminant grid on every (c4, c3) unit, not only the
+    # three it evaluates, against the gcd test on every form
     ctx = field(p, v)
-    for coeffs in product(range(ctx.q), repeat=5):
-        if not any(coeffs):
-            continue
-        assert (is_squarefree_quartic(ctx, coeffs)
-                == (quartic_discriminant(ctx, coeffs) != 0)), coeffs
+    kernel = _QuarticKernel(ctx)
+    for c4, c3 in product(range(ctx.q), repeat=2):
+        disc = kernel._discriminant_grid(c4, c3).tolist()
+        for c2, c1, c0 in product(range(ctx.q), repeat=3):
+            coeffs = (c4, c3, c2, c1, c0)
+            assert is_squarefree_quartic(ctx, coeffs) == (disc[c2][c1][c0] != 0), coeffs
 
 
 @pytest.mark.parametrize("p,v", [(3, 1), (5, 1), (7, 1), (3, 2)])

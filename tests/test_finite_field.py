@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qrwe import finite_field
 from qrwe.finite_field import FieldContext, field, poly_degree, poly_gcd
 
 
@@ -23,6 +24,39 @@ def test_default_moduli_are_smallest_irreducible():
     assert field(3, 3).modulus == (1, 2, 0, 1)     # x^3 + 2x + 1
     with pytest.raises(ValueError, match="reducible"):
         FieldContext(3, 2, modulus=(0, 0, 1))      # x^2
+
+
+@pytest.mark.parametrize("p,v,modulus,generator", [
+    pytest.param(p, v, modulus, generator, id="q=%d" % p ** v)
+    for p, v, modulus, generator in [
+        (3, 2, (1, 0, 1), 4),
+        (3, 3, (1, 2, 0, 1), 3),
+        (13, 2, (2, 0, 1), 15),
+        (3, 5, (1, 2, 0, 0, 0, 1), 3),
+        (251, 1, (0, 1), 6),
+        (7, 3, (2, 0, 0, 1), 22),
+        (9973, 1, (0, 1), 11),
+        (32771, 1, (0, 1), 2),
+    ]])
+def test_default_modulus_and_generator_are_pinned(p, v, modulus, generator):
+    # every element code, and so every output, depends on both choices
+    ctx = field(p, v)
+    assert (ctx.modulus, ctx.generator) == (modulus, generator)
+
+
+def test_prime_field_needs_no_polynomial_arithmetic(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("polynomial arithmetic while building F_p")
+
+    for name in ("poly_mul", "poly_mod", "field"):
+        monkeypatch.setattr(finite_field, name, forbidden)
+    for p in (3, 251, 9973):
+        ctx = FieldContext(p, 1)
+        rng = random.Random(p)
+        for _ in range(500):
+            a, b = rng.randrange(p), rng.randrange(p)
+            assert ctx._mul_slow(a, b) == ctx.mul(a, b) == a * b % p
+    assert FieldContext(7, 1, modulus=(3, 1)).modulus == (3, 1)
 
 
 def test_element_enumeration():

@@ -177,6 +177,24 @@ assert all(value == qf._table[top + 1 - t * t] for t, value in enumerate(swept) 
     assert result.returncode == 0, result.stderr
 
 
+def test_tiny_rows_are_swept_and_build_no_table():
+    # rows m < 2^7 (68 and 17 at q = 17, 100 and 4 at q = 25) neither
+    # build the table nor count toward the two sweeps before it
+    code = """
+import qrwe.quadratic_forms as qf
+from qrwe import moment_formula, quartic_code_enumerator, trace_level1
+
+trace_level1(12, 10007)
+quartic_code_enumerator(17)
+moment_formula(25, 2)
+assert len(qf._table) == 0, len(qf._table)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 def test_every_class_number_sweep_is_charged_to_the_budget(monkeypatch):
     # the uncached bodies, so each call is a cache miss, on either engine
     for table, sweeps in ((_sieve_table(60), 2), ((), 0)):
