@@ -3,7 +3,6 @@ brute-force walk: the step budget, which also bounds the class-number
 counts, and the worker-thread count."""
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -30,9 +29,11 @@ def check_budget(required: int, explicit: int = None) -> None:
     """Refuse (BudgetExceededError) a brute-force walk or class-number
     count of `required` steps above the budget: `explicit` if given,
     else the QRWE_BUDGET environment variable if set and not empty,
-    else DEFAULT_BUDGET.  A QRWE_BUDGET that is not a nonnegative
-    integer raises ValueError."""
+    else DEFAULT_BUDGET.  A negative `explicit`, or a QRWE_BUDGET that
+    is not a nonnegative integer, raises ValueError."""
     if explicit is not None:
+        if explicit < 0:
+            raise ValueError("budget must be a nonnegative integer, got %r" % (explicit,))
         budget = explicit
     else:
         env = os.environ.get("QRWE_BUDGET")
@@ -58,5 +59,7 @@ def map_units(fn, units, threads: int = None) -> list:
     workers = clamp_threads(threads, len(units))
     if workers == 1:
         return [fn(unit) for unit in units]
+    # imported here: the pool machinery would add to every `import qrwe`
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, units))

@@ -8,14 +8,18 @@ one-dimensional cusp spaces are
     eta(z)^8 eta(2z)^8                  (weight 8, level 2)
 
 Each Euler factor prod_n (1 - x^(s n)) is expanded with the pentagonal
-number theorem and the factors are combined by exact schoolbook series
-multiplication; coefficients are arbitrary-precision integers
-throughout.
+number theorem and raised to its power by J.C.P. Miller's recurrence
+for powers of a power series (Knuth, TAOCP vol. 2, 4.7), which runs
+over the factor's O(sqrt(N)) nonzero coefficients only; the powered
+factors are then multiplied together.  Coefficients are
+arbitrary-precision integers throughout.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .arith import prime_power_split
+from .errors import ConsistencyError
 
 
 class QSeries:
@@ -83,6 +87,29 @@ def _pentagonal_series(scale: int, precision: int) -> QSeries:
     return QSeries(out, precision)
 
 
+def _series_power(base: QSeries, power: int) -> QSeries:
+    """base^power for a base with constant term 1, by Miller's
+    recurrence: the coefficients a_n of the power satisfy a_0 = 1 and
+    n a_n = sum_{i >= 1} ((power + 1) i - n) g_i a_(n-i), summed over
+    the nonzero g_i of the base.  For an integer base every division
+    by n is exact; a remainder raises ConsistencyError."""
+    if base.coeff(0) != 1:
+        raise ValueError("series power needs a constant term of 1, got %s" % base.coeff(0))
+    terms = [(i, g) for i, g in enumerate(base.coefficients) if i and g]
+    out = [1] + [0] * (base.precision - 1)
+    for n in range(1, base.precision):
+        total = 0
+        for i, g in terms:
+            if i > n:
+                break
+            total += ((power + 1) * i - n) * g * out[n - i]
+        out[n], remainder = divmod(total, n)
+        if remainder:
+            raise ConsistencyError("series power: coefficient %d is %s, not an integer"
+                                   % (n, Fraction(total, n)))
+    return QSeries(out, base.precision)
+
+
 def eta_product(factors, precision: int) -> QSeries:
     """q-expansion of prod eta(scale*z)^power for (scale, power) pairs.
 
@@ -103,11 +130,9 @@ def eta_product(factors, precision: int) -> QSeries:
             raise ValueError("eta argument scale must be positive")
         if power < 0:
             raise ValueError("eta power must be nonnegative, got %d" % power)
-        base = _pentagonal_series(scale, precision)
-        # the sparse pentagonal factor goes outermost: __mul__ skips its
-        # zero coefficients
-        for _ in range(power):
-            series = base * series
+        # the running series goes on the left: it starts as [1], and
+        # __mul__ skips zero coefficients of its left operand
+        series = series * _series_power(_pentagonal_series(scale, precision), power)
     shifted = [0] * lead + series.coefficients[:precision - lead]
     return QSeries(shifted, precision)
 

@@ -7,8 +7,15 @@ from three class-number sums over the traces t with t^2 < 4q:
     K_two(k, q)  = 1/2 sum over even t of P_k(t, q) H(t^2 - 4q),
     K_full(k, q) = 1/2 sum over t = q + 1 (mod 4) of P_k(t, q) H((t^2 - 4q)/4),
 
-with P_k the Gegenbauer kernel and H the Hurwitz class number.  They
-are the moment kernels of the flavors below.  The trace of the Hecke
+with H the Hurwitz class number and P_k the Gegenbauer kernel, a
+polynomial in u = t^2:
+
+    P_k(t, q) = sum_{0 <= j < k/2} (-1)^j C(k-2-j, j) q^j u^(k/2-1-j).
+
+Its coefficient list is the inverse of the ballot numbers of
+`kernel_expansion_coeff`, which write t^(2R) in the P_k; each sum
+builds the list once and evaluates every t by Horner's rule in u.  The
+K are the moment kernels of the flavors below.  The trace of the Hecke
 operator T_q on S_k(Gamma_0(N)) for N in {1, 2, 4} is an affine
 function of them:
 
@@ -26,9 +33,10 @@ trivial.  Level 2's sum over odd conductors of even-t orders is
 H(D) - H(D/4) for D = t^2 - 4q, and H(D/4) = 0 for even t off the
 class t = q + 1 (mod 4), which gives its class part.
 
-Every evaluation is carried out in exact rational arithmetic and must
-come out an integer; a fractional trace raises ConsistencyError since
-it would mean the class-number bookkeeping is broken.
+The sums are kept as the integers 12 K, and a trace is assembled as
+the integer 12 tr_N.  It must be divisible by 12; a remainder raises
+ConsistencyError, since it would mean the class-number bookkeeping is
+broken.
 
 The moment kernels build the closed-form weighted moment sums of the
 trace of Frobenius over elliptic curves / F_q:
@@ -54,16 +62,23 @@ from .quadratic_forms import hurwitz_row
 FLAVORS = ("all", "two_torsion", "full_two_torsion")
 
 
+def _kernel_coefficients(k: int, q: int) -> list:
+    """P_k(t, q) as a polynomial in u = t^2, highest power first: the
+    coefficient of u^(k/2-1-j) is (-1)^j C(k-2-j, j) q^j."""
+    return [(-1) ** j * comb(k - 2 - j, j) * q ** j for j in range(k // 2)]
+
+
 def gegenbauer_kernel(k: int, t: int, q: int) -> int:
     """P_k(t, q) = (alpha^(k-1) - beta^(k-1)) / (alpha - beta) where
-    alpha, beta are the roots of X^2 - tX + q; integer Lucas-type
-    recurrence u_1 = 1, u_2 = t, u_m = t u_{m-1} - q u_{m-2}."""
+    alpha, beta are the roots of X^2 - tX + q, by Horner's rule in
+    u = t^2 over `_kernel_coefficients`."""
     if k < 2 or k % 2 != 0:
         raise ValueError("weight must be even and >= 2, got %d" % k)
-    prev, cur = 0, 1
-    for _ in range(k - 2):
-        prev, cur = cur, t * cur - q * prev
-    return cur
+    u = t * t
+    value = 0
+    for c in _kernel_coefficients(k, q):
+        value = value * u + c
+    return value
 
 
 def min_power_sum(q: int, k: int) -> int:
@@ -72,29 +87,28 @@ def min_power_sum(q: int, k: int) -> int:
     return sum(min(p ** i, p ** (v - i)) ** (k - 1) for i in range(v + 1))
 
 
-def _as_integer(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ConsistencyError("%s evaluated to non-integer %s" % (what, value))
-    return value.numerator
-
-
 @lru_cache(maxsize=1 << 12)
-def _class_number_sum(k: int, q: int, flavor: str) -> Fraction:
-    """The moment kernel of `flavor` at weight k and odd prime power q,
-    or q = 1.
+def _class_number_sum(k: int, q: int, flavor: str) -> int:
+    """12 times the moment kernel of `flavor` at weight k and odd prime
+    power q, or q = 1.
 
     The class numbers are read, as the integers 6H, off one Hurwitz
     row: H(t^2 - 4q) at |t| in `hurwitz_row(4q)`, and H((t^2 - 4q)/4)
-    = H(u^2 - q) at u = |t|/2 in `hurwitz_row(q)`.  The integer sum of
-    P_k(t, q) 6H is divided by 12 once."""
+    = H(u^2 - q) at u = |t|/2 in `hurwitz_row(q)`.  Each t evaluates
+    P_k(t, q) by Horner's rule in t^2 over one coefficient list."""
     full = flavor == "full_two_torsion"
     row = hurwitz_row(q if full else 4 * q)
     start, step = ((q + 1) % 4, 4) if full else (0, 1 if flavor == "all" else 2)
+    coefficients = _kernel_coefficients(k, q)
     total = 0
     for t in range(start, isqrt(4 * q - 1) + 1, step):
+        u = t * t
+        value = 0
+        for c in coefficients:
+            value = value * u + c
         # P_k(-t, q) = P_k(t, q) for even k, so t > 0 stands for t and -t
-        total += (2 if t else 1) * gegenbauer_kernel(k, t, q) * row[t // 2 if full else t]
-    return Fraction(total, 12)
+        total += (2 if t else 1) * value * row[t // 2 if full else t]
+    return total
 
 
 # level N -> (index psi(N) of Gamma_0(N), cusp count, multiple of each
@@ -107,13 +121,18 @@ _LEVELS = {1: (1, 1, {"all": 1}),
 def _compute_trace(level: int, k: int, q: int) -> int:
     psi, cusps, multiples = _LEVELS[level]
     _, v = odd_prime_power_split(q)
+    # total is 12 tr: every term is an integer once multiplied by 12
     total = -sum(m * _class_number_sum(k, q, flavor) for flavor, m in multiples.items())
     if v % 2 == 0:
-        total += Fraction(psi * (k - 1), 12) * q ** (k // 2 - 1)
-    total -= Fraction(cusps * min_power_sum(q, k), 2)
+        total += psi * (k - 1) * q ** (k // 2 - 1)
+    total -= 6 * cusps * min_power_sum(q, k)
     if k == 2:
-        total += sigma1(q)
-    return _as_integer(total, "trace (level %d, k=%d, q=%d)" % (level, k, q))
+        total += 12 * sigma1(q)
+    value, remainder = divmod(total, 12)
+    if remainder:
+        raise ConsistencyError("trace (level %d, k=%d, q=%d) evaluated to non-integer %s"
+                               % (level, k, q, Fraction(total, 12)))
+    return value
 
 
 class TraceTable:
@@ -196,7 +215,7 @@ def moment_kernel(q_arg, k: int, flavor: str = "all") -> Fraction:
         raise ValueError("q must be an integer, got %r" % (q_arg,))
     if q != 1:
         odd_prime_power_split(q)
-    return _class_number_sum(k, q, flavor)
+    return Fraction(_class_number_sum(k, q, flavor), 12)
 
 
 def moment_formula(q: int, R: int, flavor: str = "all") -> Fraction:

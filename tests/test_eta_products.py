@@ -1,10 +1,35 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
-from qrwe.eta_products import (QSeries, discriminant_form, eta_product,
-                               hecke_eigenvalue_prime_power, ramanujan_tau,
-                               weight6_level4_form, weight8_level2_form)
+from qrwe import eta_products
+from qrwe.errors import ConsistencyError
+from qrwe.eta_products import (QSeries, _series_power, discriminant_form,
+                               eta_product, hecke_eigenvalue_prime_power,
+                               ramanujan_tau, weight6_level4_form,
+                               weight8_level2_form)
+
+
+def euler_factor(scale, precision):
+    """prod_{n >= 1} (1 - x^(scale n)), one binomial at a time."""
+    out = [1] + [0] * (precision - 1)
+    for e in range(scale, precision, scale):
+        for i in range(precision - 1, e - 1, -1):
+            out[i] -= out[i - e]
+    return QSeries(out, precision)
+
+
+def reference_eta_product(factors, precision):
+    """The product by repeated schoolbook QSeries multiplication."""
+    series = QSeries([1], precision)
+    for scale, power in factors:
+        base = euler_factor(scale, precision)
+        for _ in range(power):
+            series = base * series
+    lead = sum(scale * power for scale, power in factors) // 24
+    return QSeries([0] * lead + series.coefficients[:precision - lead], precision)
 
 
 def test_discriminant_form_leading_coefficients():
@@ -63,3 +88,40 @@ def test_series_multiplication_telescopes():
 def test_negative_eta_power_rejected():
     with pytest.raises(ValueError, match="power"):
         eta_product([(1, 24), (1, -24)], 8)
+
+
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=30),
+       st.integers(min_value=5, max_value=150))
+def test_eta_product_matches_repeated_multiplication(scale, power, precision):
+    # a second factor eta(z)^r, 0 <= r < 24, makes the leading exponent integral
+    factors = [(scale, power), (1, -scale * power % 24)]
+    assert eta_product(factors, precision) == reference_eta_product(factors, precision)
+
+
+@pytest.mark.parametrize("factors", [((1, 24),), ((2, 12),), ((1, 8), (2, 8))])
+def test_reference_forms_match_repeated_multiplication(factors):
+    assert eta_product(factors, 300) == reference_eta_product(factors, 300)
+
+
+def test_series_power_needs_constant_term_one():
+    for g0 in (0, 2, -1):
+        with pytest.raises(ValueError, match="constant term"):
+            _series_power(QSeries([g0, 1, 1], 6), 3)
+    assert _series_power(QSeries([1, -1], 6), 3).coefficients == [1, -3, 3, -1, 0, 0]
+    assert _series_power(QSeries([1, 5, 7], 6), 0).coefficients == [1, 0, 0, 0, 0, 0]
+
+
+def test_series_power_refuses_an_inexact_division(monkeypatch):
+    # with g_0 = 1 and integer g every division is exact; a base
+    # coefficient patched to 1/2 makes one inexact, which must raise
+    # rather than be floored into an integer coefficient
+    true_factor = eta_products._pentagonal_series
+
+    def patched(scale, precision):
+        series = true_factor(scale, precision)
+        series.coefficients[3] = Fraction(1, 2)
+        return series
+
+    monkeypatch.setattr(eta_products, "_pentagonal_series", patched)
+    with pytest.raises(ConsistencyError, match="not an integer"):
+        eta_product([(1, 24)], 20)

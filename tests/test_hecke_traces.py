@@ -1,16 +1,28 @@
 import io
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qrwe import hecke_traces
 from qrwe.arith import odd_prime_powers, odd_primes
+from qrwe.errors import ConsistencyError
 from qrwe.eta_products import weight8_level2_form
-from qrwe.hecke_traces import (TraceTable, gegenbauer_kernel,
+from qrwe.hecke_traces import (FLAVORS, TraceTable, gegenbauer_kernel,
                                kernel_expansion_coeff, min_power_sum,
-                               moment_formula, moment_kernel, trace_level1,
-                               trace_level2, trace_level4)
-from qrwe.quadratic_forms import hurwitz_class_number, weighted_class_number
+                               moment_formula, moment_kernel, trace,
+                               trace_level1, trace_level2, trace_level4)
+from qrwe.quadratic_forms import (hurwitz_class_number, hurwitz_row,
+                                  weighted_class_number)
+
+
+def lucas_kernel(k, t, q):
+    """Reference P_k(t, q): u_1 = 1, u_2 = t, u_m = t u_(m-1) - q u_(m-2)."""
+    prev, cur = 0, 1
+    for _ in range(k - 2):
+        prev, cur = cur, t * cur - q * prev
+    return cur
 
 
 def test_kernel_low_weights():
@@ -18,6 +30,31 @@ def test_kernel_low_weights():
         for q in (3, 5, 7, 9):
             assert gegenbauer_kernel(2, t, q) == 1
             assert gegenbauer_kernel(4, t, q) == t * t - q
+
+
+@given(st.integers(min_value=1, max_value=20), st.integers(min_value=-500, max_value=500),
+       st.integers(min_value=1, max_value=10 ** 5))
+def test_kernel_matches_lucas_recurrence(half, t, q):
+    assert gegenbauer_kernel(2 * half, t, q) == lucas_kernel(2 * half, t, q)
+
+
+@given(st.integers(min_value=1, max_value=8), st.sampled_from(FLAVORS),
+       st.sampled_from([1] + list(odd_prime_powers(2000))))
+def test_moment_kernel_matches_a_walk_over_the_hurwitz_row(half, flavor, q):
+    # 12 K = sum over all t with t^2 < 4q of the flavor of P_k(t, q) 6H,
+    # with 6H read off hurwitz_row at |t| (or |t|/2 for full 2-torsion)
+    k = 2 * half
+    full = flavor == "full_two_torsion"
+    row = hurwitz_row(q if full else 4 * q)
+    total = 0
+    bound = isqrt(4 * q - 1)
+    for t in range(-bound, bound + 1):
+        if full:
+            if t % 4 == (q + 1) % 4:
+                total += lucas_kernel(k, t, q) * row[abs(t) // 2]
+        elif flavor == "all" or t % 2 == 0:
+            total += lucas_kernel(k, t, q) * row[abs(t)]
+    assert moment_kernel(q, k, flavor) == Fraction(total, 12)
 
 
 def test_kernel_rejects_odd_weight():
@@ -50,6 +87,17 @@ def test_trace_reference_values():
     assert trace_level2(8, 9) == 12 ** 2 - 3 ** 7
     assert trace_level4(6, 25) == 54 ** 2 - 5 ** 5
     assert trace_level1(12, 9) == 252 ** 2 - 3 ** 11
+
+
+def test_fractional_trace_is_a_consistency_error(monkeypatch):
+    true_sum = hecke_traces._class_number_sum
+    expected = Fraction(12 * trace(1, 12, 101) - 1, 12)
+    monkeypatch.setattr(hecke_traces.DEFAULT_TABLE, "entries", {})
+    monkeypatch.setattr(hecke_traces, "_class_number_sum",
+                        lambda k, q, flavor: true_sum(k, q, flavor) + 1)
+    with pytest.raises(ConsistencyError, match="non-integer") as info:
+        trace(1, 12, 101)
+    assert str(expected) in str(info.value)
 
 
 def test_oldform_doubling():

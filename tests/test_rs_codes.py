@@ -1,12 +1,18 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qrwe.enumerators import QREnumerator, mds_weight_distribution, qr_macwilliams_dual
-from qrwe.errors import BudgetExceededError, ConsistencyError, clamp_threads
+from qrwe.errors import (BudgetExceededError, ConsistencyError, check_budget,
+                         clamp_threads, map_units)
 from qrwe.finite_field import FieldContext, field
 from qrwe.rs_codes import (_tally_scalar, brute_force_enumerator,
                            puncture_enumerator, reed_solomon_code)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_code_dimensions():
@@ -66,6 +72,20 @@ def test_clamp_threads(monkeypatch):
     assert clamp_threads(10 ** 6, 10) == 1
 
 
+def test_import_leaves_out_the_thread_pool_and_map_units_keeps_order():
+    code = """
+import sys
+import qrwe
+from qrwe.errors import map_units
+assert "concurrent.futures" not in sys.modules
+assert map_units(lambda u: u * u, list(range(20)), threads=2) == [u * u for u in range(20)]
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 def test_enumerator_independent_of_modulus():
     default = field(3, 2)
     other = FieldContext(3, 2, modulus=(2, 1, 1))  # x^2 + x + 2
@@ -80,6 +100,16 @@ def test_budget_refusal_names_requirement():
         brute_force_enumerator(code, budget=10 ** 6)
     assert info.value.required == 11 ** 7
     assert info.value.budget == 10 ** 6
+
+
+def test_negative_explicit_budget_is_a_usage_error():
+    with pytest.raises(ValueError, match="budget"):
+        check_budget(1, -1)
+    code = reed_solomon_code(field(5, 1), 1)
+    with pytest.raises(ValueError, match="budget"):
+        brute_force_enumerator(code, budget=-3)
+    with pytest.raises(BudgetExceededError):
+        brute_force_enumerator(code, budget=0)
 
 
 def test_budget_env_override(monkeypatch):
