@@ -215,6 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact results can pass the int-to-str digit limit (Python 3.10.7+); argv is parsed under it
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:
@@ -225,6 +229,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return 1
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

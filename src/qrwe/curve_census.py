@@ -28,9 +28,12 @@ tests square-freeness by a gcd; the test suite checks it against the
 vector engine, and every unit against its representative, exhaustively
 at small q.
 
-Smoothness in the vector engine uses the universal integer discriminant
-of the binary quartic, which vanishes exactly on forms with a repeated
-projective root in every odd characteristic.
+The quartic census is the degree-4 codeword walk plus a smoothness
+mask: `rs_codes._form_counts` counts the zeros z and nonzero squares s
+of each form's codeword, so points = z + 2s and roots = z.  Smoothness
+uses the universal integer discriminant of the binary quartic, which
+vanishes exactly on forms with a repeated projective root in every odd
+characteristic.
 
 Two scalar oracles use the same idea with one model as the unit.
 `j_special_census` evaluates one model y^2 = x^3 + c (x^3 + cx) per
@@ -50,6 +53,7 @@ from math import gcd, isqrt
 from .errors import ConsistencyError, check_budget, map_units
 from .finite_field import (FieldContext, field, poly_degree, poly_derivative,
                            poly_gcd)
+from .rs_codes import _form_counts, _monomial_rows
 
 # Universal discriminant of a x^4 + b x^3 y + c x^2 y^2 + d x y^3 + e y^4
 # as (integer coefficient, exponents of (a, b, c, d, e)).
@@ -200,84 +204,44 @@ def _quartic_census_scalar(ctx: FieldContext) -> Census:
     return _quartic_census_of(q, buckets)
 
 
-class _QuarticKernel:
-    """Shared numpy state for the vectorized census of one field."""
+def _discriminant_grid(ctx: FieldContext, c4: int, c3: int):
+    """The (q, q, q) grid, indexed [c2][c1][c0], of the discriminant of
+    the quartics with leading coefficients (c4, c3)."""
+    import numpy as np
 
-    def __init__(self, ctx: FieldContext):
-        import numpy as np
+    q = ctx.q
+    mul, add = ctx.mul_table, ctx.add_table
+    powers = [np.array([ctx.pow(c, e) for c in range(q)], np.int16) for e in range(5)]
+    total = np.zeros((q, q, q), np.int16)
+    for coefficient, (ea, eb, ec, ed, ee) in _DISC_TERMS:
+        scalar = ctx.mul(ctx.int_embed(coefficient),
+                         ctx.mul(ctx.pow(c4, ea), ctx.pow(c3, eb)))
+        if scalar == 0:
+            continue
+        term = mul[scalar][powers[ec]][:, None, None]
+        term = mul[term, powers[ed][None, :, None]]
+        term = mul[term, powers[ee][None, None, :]]
+        total = add[total, term]
+    return total
 
-        self.np = np
-        self.ctx = ctx
-        q = ctx.q
-        self.q = q
-        add = ctx.add_table
-        mul = ctx.mul_table
-        chi = ctx.char_table
-        self.add = add
-        self.mul = mul
-        # contribution of one representative to the point count, as a
-        # function of (anything + value) through the addition table
-        contrib = np.where(np.arange(q) == 0, 1,
-                           np.where(chi == 1, 2, 0)).astype(np.int8)
-        self.contrib_add = contrib[add]          # (q, q)
-        self.root_add = (add == 0).astype(np.int8)
-        codes = np.arange(q, dtype=np.int16)
-        self.codes = codes
-        # powers of the element codes as 1D vectors
-        pow_vec = [np.zeros(q, np.int16), codes.copy()]
-        for _ in range(2, 5):
-            pow_vec.append(mul[pow_vec[-1], codes])
-        pow_vec[0][:] = 1
-        self.pow_vec = pow_vec
-        # per-representative 3D value of c2 a^2 + c1 a^3 + c0 a^4 on the
-        # (c2, c1, c0) grid; the representative (0, 1) contributes c0
-        self.tail_values = []
-        for a in range(q):
-            a2 = ctx.mul(a, a)
-            a3 = ctx.mul(a2, a)
-            a4 = ctx.mul(a3, a)
-            part = add[mul[a2][codes][:, None, None], mul[a3][codes][None, :, None]]
-            part = add[part, mul[a4][codes][None, None, :]]
-            self.tail_values.append(part)
-        contrib01 = contrib[codes][None, None, :]
-        self.base_points = np.broadcast_to(contrib01, (q, q, q))
-        self.base_roots = np.broadcast_to(
-            (codes == 0).astype(np.int8)[None, None, :], (q, q, q))
 
-    def run_unit(self, c4: int, c3: int):
-        """Counts for the q^3 quartics with leading coefficients (c4, c3)."""
-        np = self.np
-        ctx, q = self.ctx, self.q
-        points = self.base_points.astype(np.int16)
-        roots = self.base_roots.astype(np.int16)
-        for a in range(q):
-            base = ctx.add(c4, ctx.mul(c3, a))
-            tail = self.tail_values[a]
-            points += self.contrib_add[base][tail]
-            roots += self.root_add[base][tail]
-        disc = self._discriminant_grid(c4, c3)
-        mask = disc != 0
-        bound = isqrt(4 * q)
-        t = (q + 1 - points[mask]) + bound
-        idx = t * 5 + roots[mask]
-        return np.bincount(idx, minlength=(2 * bound + 1) * 5)
+def _quartic_unit_counts(ctx: FieldContext, units, threads: int = None) -> list:
+    """Per unit (c4, c3), the counts of its q^3 smooth quartics indexed
+    (t + bound) * 5 + roots, bound = isqrt(4q): the walk of their
+    codewords c4 x^4 + c3 x^3 y + (c2, c1, c0 grid) masked by smoothness."""
+    import numpy as np
 
-    def _discriminant_grid(self, c4: int, c3: int):
-        np = self.np
-        ctx, q = self.ctx, self.q
-        mul, add = self.mul, self.add
-        total = np.zeros((q, q, q), np.int16)
-        for coefficient, (ea, eb, ec, ed, ee) in _DISC_TERMS:
-            scalar = ctx.int_embed(coefficient)
-            scalar = ctx.mul(scalar, ctx.pow(c4, ea)) if ea else scalar
-            scalar = ctx.mul(scalar, ctx.pow(c3, eb)) if eb else scalar
-            if scalar == 0:
-                continue
-            term = mul[scalar][self.pow_vec[ec]][:, None, None]
-            term = mul[term, self.pow_vec[ed][None, :, None]]
-            term = mul[term, self.pow_vec[ee][None, None, :]]
-            total = add[total, term]
-        return total
+    q, bound = ctx.q, isqrt(4 * ctx.q)
+    add, mul = ctx.add_table, ctx.mul_table
+    rows = np.array(_monomial_rows(ctx, 4)[1], dtype=np.int16)  # rows[m]: x^m y^(4-m)
+    bases = np.array([add[mul[c4][rows[4]], mul[c3][rows[3]]] for c4, c3 in units])
+    zeros, squares = _form_counts(ctx, bases, rows[2::-1], threads)  # grid (c2, c1, c0)
+    out = []
+    for (c4, c3), z, s in zip(units, zeros, squares):
+        smooth = _discriminant_grid(ctx, c4, c3).ravel() != 0
+        t = q + 1 - z[smooth] - 2 * s[smooth]
+        out.append(np.bincount((t + bound) * 5 + z[smooth], minlength=(2 * bound + 1) * 5))
+    return out
 
 
 def quartic_census(ctx: FieldContext, threads: int = None) -> Census:
@@ -285,9 +249,7 @@ def quartic_census(ctx: FieldContext, threads: int = None) -> Census:
     t = q + 1 - #points and by rational root count.  Refuses
     (BudgetExceededError) when the q^5 forms exceed the budget."""
     check_budget(ctx.q ** 5)
-    kernel = _QuarticKernel(ctx)
     q = ctx.q
-    bound = isqrt(4 * q)
     # Each unit stands for its orbit of leading pairs (c4, c3): x -> x + sy
     # moves c3 by 4sc4, scaling the form by a square moves c4 within its
     # square class, and y -> uy moves c3 when c4 = 0.  All three keep the
@@ -295,8 +257,8 @@ def quartic_census(ctx: FieldContext, threads: int = None) -> Census:
     # y^2 divides all its forms, so none is smooth.
     orbits = [((c4, 0), weight * q) for c4, weight in _scaling_orbits(ctx, 2)]
     orbits.append(((0, 1), q - 1))
-    parts = map_units(lambda orbit: kernel.run_unit(*orbit[0]), orbits, threads)
-    return _quartic_census_of(q, _weighted_buckets(orbits, parts, bound, 5))
+    parts = _quartic_unit_counts(ctx, [unit for unit, _ in orbits], threads)
+    return _quartic_census_of(q, _weighted_buckets(orbits, parts, isqrt(4 * q), 5))
 
 
 # ---------------------------------------------------------------------------

@@ -7,23 +7,25 @@ at the q+1 standard representatives (1, a) for a in field order, then
 walked as F_q-linear combinations of the generator rows.  The scalar
 reference (`_tally_scalar`) is a mixed-radix odometer whose single-row
 delta updates make each visit O(n) field additions; it visits every
-codeword, and the tests compare it with the vector engine.  The vector
-engine splits the walk on the two highest message digits into blocks
-evaluated with numpy gathers, and uses that scaling a codeword by a
-nonzero square keeps its (squares, non-squares) counts while a
-non-square swaps them: it walks the q+1 tops whose first nonzero digit
-is 1 and the zero top, q+2 blocks instead of q^2.
+codeword, and the tests compare it with the vector walk.  The vector
+walk uses that scaling a codeword by a nonzero square keeps its
+(squares, non-squares) counts while a non-square swaps them: it takes
+the q+1 tops (two highest message digits) whose first nonzero digit is
+1 and the zero top, q+2 instead of q^2, into one tally.  Their counts
+come from `_form_counts`, the one numpy engine that evaluates binary
+forms on P^1, which the quartic census in `curve_census` runs too.
 
 Brute-force enumeration refuses politely (BudgetExceededError) when
 q^dim exceeds the budget, which defaults to 10^8 and can be overridden
 per call or with the QRWE_BUDGET environment variable.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 
 from .enumerators import QREnumerator
 from .errors import DEFAULT_BUDGET  # noqa: F401  (still read as rs_codes.DEFAULT_BUDGET)
-from .errors import ConsistencyError, check_budget, map_units
+from .errors import ConsistencyError, check_budget, clamp_threads, map_units
 from .finite_field import FieldContext
 
 
@@ -55,18 +57,23 @@ def reed_solomon_code(ctx: FieldContext, h: int, projective: bool = True) -> Ree
     top = ctx.q if projective else ctx.q - 1  # rank h + 1 needs h + 1 <= n
     if not 0 <= h <= top:
         raise ValueError("need 0 <= h <= %d, got h=%d" % (top, h))
-    points = [(1, a) for a in ctx.elements()]
-    if projective:
-        points.append((0, 1))
-    rows = []
-    for a in range(h + 1):
-        row = [ctx.mul(ctx.pow(x, a), ctx.pow(y, h - a)) for (x, y) in points]
-        rows.append(row)
+    points, rows = _monomial_rows(ctx, h, projective)
     code = ReedSolomonCode(ctx=ctx, h=h, projective=projective,
                            points=points, rows=rows)
     if _rank(ctx, rows) != h + 1:
         raise ConsistencyError("generator matrix rank below %d" % (h + 1))
     return code
+
+
+def _monomial_rows(ctx: FieldContext, h: int, projective: bool = True) -> tuple:
+    """(points, rows): the points (1, a), then (0, 1) if projective, and the
+    rows of x^a y^(h-a), a = 0..h, at them; any h >= 0 (independent for h < n)."""
+    points = [(1, a) for a in ctx.elements()]
+    if projective:
+        points.append((0, 1))
+    rows = [[ctx.mul(ctx.pow(x, a), ctx.pow(y, h - a)) for (x, y) in points]
+            for a in range(h + 1)]
+    return points, rows
 
 
 def _rank(ctx: FieldContext, rows) -> int:
@@ -153,52 +160,75 @@ def _tally_scalar(code: ReedSolomonCode) -> dict:
 def _tally_vector(code: ReedSolomonCode, threads: int = None) -> dict:
     import numpy as np
 
-    ctx = code.ctx
-    q, n, dim = ctx.q, code.n, code.dim
-    add, chi = ctx.add_table, ctx.char_table
-    letter = np.where(np.arange(q) == 0, 0,
-                      np.where(chi == 1, 1, 2)).astype(np.int8)
-    multiples = []
-    for row in code.rows:
-        row_arr = np.array(row, dtype=np.int16)
-        mult = np.empty((q, n), dtype=np.int16)
-        for s in range(q):
-            mult[s] = ctx.mul_table[s][row_arr]
-        multiples.append(mult)
-    low = np.zeros((1, n), dtype=np.int16)
-    for r in range(max(dim - 2, 0)):
-        low = add[low[:, None, :], multiples[r][None, :, :]].reshape(-1, n)
-
+    ctx, q, n = code.ctx, code.ctx.q, code.n
+    rows = np.array(code.rows, dtype=np.int16)
     # Scaling a codeword by a nonzero square keeps (j, k) and scaling by
     # a non-square swaps them.  Every nonzero top is a unit multiple of
     # exactly one top whose first nonzero digit is 1, and the low
     # combinations are closed under scaling, so those tops (tally P) and
-    # the zero top (tally Z) give (q-1)/2 (P + P^T) + Z.
-    if dim == 1:
-        tops = [(1, None), (0, None)]
-    else:
-        tops = [(1, s2) for s2 in range(q)] + [(0, 1), (0, 0)]
+    # the zero top (tally Z) give (q-1)/2 (P + P^T) + Z.  The tops are
+    # (1, s) for every s, (0, 1) and (0, 0); at dim 1, (1,) and (0,).
+    ones = [ctx.add_table[rows[-2], _grid(ctx, rows[-1:])]] if code.dim > 1 else []
+    tops = np.concatenate(ones + [rows[-1:], np.zeros((1, n), dtype=np.int16)])
+    zeros, squares = _form_counts(ctx, tops, rows[:-2], threads)
+    # (zeros, squares) of each codeword as one key, in place where int16 holds it
+    keys = zeros.astype(np.int16 if (n + 1) ** 2 <= 2 ** 15 else np.int32, copy=False)
+    keys *= n + 1
+    keys += squares
 
-    def run_unit(top):
-        s1, s2 = top
-        if s2 is None:
-            base = multiples[0][s1]
-        else:
-            base = add[multiples[dim - 2][s1], multiples[dim - 1][s2]]
-        block = add[base[None, :], low]
-        classes = letter[block]
-        j = (classes == 1).sum(axis=1)
-        k = (classes == 2).sum(axis=1)
-        return np.bincount(j * (n + 1) + k, minlength=(n + 1) * (n + 1))
+    def histogram(block):  # {(j, k): codewords} over a block of keys
+        values, counts = np.unique(block, return_counts=True)
+        return {(s, n - z - s): c for (z, s), c in
+                zip((divmod(v, n + 1) for v in values.tolist()), counts.tolist())}
 
-    parts = map_units(run_unit, tops, threads)
-    tally = sum(parts[:-1]).reshape(n + 1, n + 1)
-    counts = ((q - 1) // 2 * (tally + tally.T)).ravel() + parts[-1]
-    out = {}
-    for flat, value in enumerate(counts):
-        if value:
-            out[(flat // (n + 1), flat % (n + 1))] = int(value)
-    return out
+    tally = Counter(histogram(keys[-1]))
+    for (j, k), c in histogram(keys[:-1]).items():
+        tally[j, k] += (q - 1) // 2 * c
+        tally[k, j] += (q - 1) // 2 * c
+    return dict(sorted(tally.items()))
+
+
+def _grid(ctx: FieldContext, rows):
+    """(q^m, n) element codes of every F_q-combination of the m rows of
+    `rows` (an (m, n) int16 array), the first row's coefficient slowest."""
+    import numpy as np
+
+    grid = np.zeros((1, rows.shape[1]), dtype=np.int16)
+    for row in rows:  # the tables are read only when there is a row
+        multiples = ctx.mul_table[:, row]
+        grid = ctx.add_table[grid[:, None, :], multiples[None, :, :]].reshape(-1, rows.shape[1])
+    return grid
+
+
+def _form_counts(ctx: FieldContext, bases, grid_rows, threads: int = None) -> tuple:
+    """(zeros, squares): two (T, C) int16 arrays counting, for each of
+    the T bases (a (T, n) array of element codes) and each g of the
+    C = q^m combinations of the (m, n) `grid_rows` in `_grid` order, the
+    points where base + g vanishes and where it is a nonzero square.
+    Counts accumulate point by point, one gather of the characters of
+    T x C sums per point, in parts of the bases run on `threads` workers."""
+    import numpy as np
+
+    q, (count, n) = ctx.q, bases.shape
+    chi = ctx.char_table[ctx.add_table].ravel()  # the character of each of the q^2 sums
+    zeros = np.zeros((count, q ** len(grid_rows)), dtype=np.int16)
+    squares = np.zeros_like(zeros)
+    # parts of at most 2^14 cells (unless one base has more) bound the gathers
+    parts = min(count, max(clamp_threads(threads, count), zeros.size >> 14))
+    parts = [slice(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
+    # the grid's values at a block of points (about 2^16 cells) are built once for all parts
+    step = max(1, (1 << 16) // zeros.shape[1])
+    for start in range(0, n, step):
+        columns = _grid(ctx, grid_rows[:, start:start + step]).T
+
+        def run(part):
+            for i, column in enumerate(columns, start):  # base + g at point i, flat in (q, q)
+                values = np.take(chi, bases[part, i, None].astype(np.intp) * q + column)
+                zeros[part] += values == 0
+                squares[part] += values == 1
+
+        map_units(run, parts, threads)
+    return zeros, squares
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,12 @@ def test_trace_subcommand(capsys):
     assert code == 0 and out.strip() == "-12"
 
 
+def test_results_past_the_int_digit_limit_are_printed(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "trace", lambda level, weight, q: 7 * 10 ** 4999)
+    code, out, _ = run_cli(capsys, "trace", "--level", "1", "--weight", "12", "--q", "3")
+    assert code == 0 and out.strip() == "7" + "0" * 4999
+
+
 def test_moments_subcommand(capsys):
     code, out, _ = run_cli(capsys, "moments", "--q", "5", "--R", "0", "--flavor", "all")
     assert code == 0 and out.strip() == "5"

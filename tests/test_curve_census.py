@@ -6,9 +6,10 @@ from math import gcd
 import pytest
 
 from qrwe.arith import is_prime
-from qrwe.curve_census import (_j_special_census_scalar, _j_special_model,
-                               _legendre_family_sum_scalar, _quartic_census_scalar,
-                               _QuarticKernel, _scaling_orbits, census_json,
+from qrwe.curve_census import (_discriminant_grid, _j_special_census_scalar,
+                               _j_special_model, _legendre_family_sum_scalar,
+                               _quartic_census_scalar, _quartic_unit_counts,
+                               _scaling_orbits, census_json,
                                empirical_moment, is_squarefree_quartic,
                                j_special_census, legendre_family_sum,
                                quartic_census, quartic_point_count,
@@ -51,9 +52,8 @@ def test_gcd_and_discriminant_smoothness_agree(p, v):
     # the engine's discriminant grid on every (c4, c3) unit, not only the
     # three it evaluates, against the gcd test on every form
     ctx = field(p, v)
-    kernel = _QuarticKernel(ctx)
     for c4, c3 in product(range(ctx.q), repeat=2):
-        disc = kernel._discriminant_grid(c4, c3).tolist()
+        disc = _discriminant_grid(ctx, c4, c3).tolist()
         for c2, c1, c0 in product(range(ctx.q), repeat=3):
             coeffs = (c4, c3, c2, c1, c0)
             assert is_squarefree_quartic(ctx, coeffs) == (disc[c2][c1][c0] != 0), coeffs
@@ -74,20 +74,18 @@ def test_scalar_and_vector_census_agree(p, v):
 def test_every_quartic_unit_matches_its_orbit_representative(p, v):
     # the vector engine evaluates only (1, 0), (nu, 0) and (0, 1)
     ctx = field(p, v)
-    kernel = _QuarticKernel(ctx)
+    units = list(product(range(ctx.q), repeat=2))
+    counts = dict(zip(units, _quartic_unit_counts(ctx, units)))
     nonsquare = min(x for x in ctx.elements() if ctx.quadratic_character(x) == -1)
-    representatives = {}
-    for c4, c3 in product(range(ctx.q), repeat=2):
+    for c4, c3 in units:
         if c4:
             rep = (1, 0) if ctx.quadratic_character(c4) == 1 else (nonsquare, 0)
         elif c3:
             rep = (0, 1)
         else:
-            assert not kernel.run_unit(0, 0).any()  # y^2 divides every form
+            assert not counts[0, 0].any()  # y^2 divides every form
             continue
-        if rep not in representatives:
-            representatives[rep] = kernel.run_unit(*rep)
-        assert (kernel.run_unit(c4, c3) == representatives[rep]).all(), (c4, c3)
+        assert (counts[c4, c3] == counts[rep]).all(), (c4, c3)
 
 
 def test_census_threads_deterministic(quartic_census_for):

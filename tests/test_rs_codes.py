@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -41,16 +42,37 @@ def test_dual_orthogonality():
 
 
 def test_brute_force_total_and_engines():
-    # dim 1 and 2, an extension field and a classical code among them
+    # dim 1 and 2, an extension field and a classical code among them;
+    # grids narrower than the points (25 < 26, 1 < 13) and wider ones
     for p, v, h, projective in ((5, 1, 4, True), (7, 1, 2, True), (3, 2, 2, True),
                                 (7, 1, 0, True), (11, 1, 1, True), (3, 2, 3, True),
-                                (5, 1, 2, False)):
+                                (5, 1, 2, False), (5, 2, 2, True), (13, 1, 0, False)):
         ctx = field(p, v)
         code = reed_solomon_code(ctx, h, projective=projective)
         fast = brute_force_enumerator(code)
         slow = QREnumerator(code.n, ctx.q, _tally_scalar(code))
         assert fast == slow
         assert fast.total() == ctx.q ** (h + 1)
+
+
+@pytest.mark.parametrize("p,v", [(3, 1), (3, 2), (5, 3), (1009, 1)])
+def test_order_one_walk_matches_its_closed_form(p, v):
+    # The q - 1 forms cx take the value c at the q points (1, a) and vanish
+    # at (0, 1).  A form ax + by with b != 0 takes every value once on the
+    # points (1, a), and b at (0, 1): one more square than non-squares if
+    # b is a square, one fewer if not, for q(q - 1)/2 forms each.
+    q = p ** v
+    half = (q - 1) // 2
+    code = reed_solomon_code(field(p, v), 1)
+    tracemalloc.start()
+    try:
+        enum = brute_force_enumerator(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enum.terms == {(0, 0): 1, (q, 0): half, (0, q): half,
+                          (half + 1, half): q * half, (half, half + 1): q * half}
+    assert peak < 64 * 2 ** 20  # one tally over the q + 2 tops, not (n + 1)^2 cells per top
 
 
 def test_brute_force_threads_deterministic():
