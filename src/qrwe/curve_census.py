@@ -13,27 +13,25 @@ weighted class counts and moment formulas:
    y^2 = x^3 + ax + b (p >= 5 only), bucketing by trace, plus the count
    of models whose cubic splits (fully rational 2-torsion).
 
-Both vector engines walk orbit representatives, not every form.  A
-work unit fixes the two leading quartic coefficients (c4, c3), or the
-Weierstrass coefficient a, and is evaluated exactly, for all q^3 (or q)
-remaining coefficients at once, with numpy gathers through the field's
-lookup tables.  Changes of variable and scalings that keep the trace,
-the root count and smoothness carry one unit onto another bijectively,
-so each orbit of units is evaluated once and its counts are multiplied
-by the orbit size: 3 units instead of q^2 for quartics, 1 + gcd(4, q-1)
-instead of q for Weierstrass models.  Counts are merged additively, so
-results are deterministic for any thread count.  A plain-Python
-reference walk (`_quartic_census_scalar(ctx)`) visits every quartic and
-tests square-freeness by a gcd; the test suite checks it against the
-vector engine, and every unit against its representative, exhaustively
-at small q.
-
-The quartic census is the degree-4 codeword walk plus a smoothness
-mask: `rs_codes._form_counts` counts the zeros z and nonzero squares s
-of each form's codeword, so points = z + 2s and roots = z.  Smoothness
-uses the universal integer discriminant of the binary quartic, which
-vanishes exactly on forms with a repeated projective root in every odd
-characteristic.
+Both censuses are the degree-4 codeword walk plus a smoothness mask, on
+`rs_codes._form_counts`, the one numpy engine for binary forms on P^1.
+A work unit fixes the leading coefficients, (c4, c3) for quartics and
+(0, 1, 0, a) for y^2 = x^3 + ax + b as w^2 = y (x^3 + a x y^2 + b y^3),
+and the engine counts the zeros z and nonzero squares s of the codeword
+of each of the q^3 (or q) forms at once: points = z + 2s, roots = z.
+The Weierstrass quartic's values are the cubic's times fourth powers,
+plus a zero at (1 : 0), and its discriminant is the cubic's; the
+universal integer discriminant of the binary quartic vanishes exactly
+on forms with a repeated projective root in every odd characteristic.
+Changes of variable and scalings that keep the trace, the root count
+and smoothness carry one unit onto another bijectively, so each orbit
+of units is evaluated once, its counts multiplied by the orbit size: 3
+units instead of q^2 for quartics, 1 + gcd(4, q-1) instead of q for
+Weierstrass models.  Counts are merged additively, so results are
+deterministic for any thread count.  The tests check a plain-Python
+walk of every quartic (`_quartic_census_scalar(ctx)`, square-freeness
+by a gcd) and of every (a, b) model against the censuses, and every
+unit against its representative, exhaustively at small q.
 
 Two scalar oracles use the same idea with one model as the unit.
 `j_special_census` evaluates one model y^2 = x^3 + c (x^3 + cx) per
@@ -50,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import ConsistencyError, check_budget, map_units
+from .errors import ConsistencyError, check_budget
 from .finite_field import (FieldContext, field, poly_degree, poly_derivative,
                            poly_gcd)
 from .rs_codes import _form_counts, _monomial_rows
@@ -116,14 +114,14 @@ def _quartic_census_of(q: int, buckets: dict) -> Census:
                   denominator=(q - 1) ** 2 * q * (q + 1), full_multiplier=4)
 
 
-def _weighted_buckets(units, parts, bound: int, slots: int) -> dict:
-    """Buckets from per-unit count vectors indexed (t + bound) * slots +
-    roots, each unit's counts multiplied by its orbit weight."""
+def _weighted_buckets(units, parts) -> dict:
+    """Buckets from per-unit (2 bound + 1, slots) counts indexed
+    [t + bound, roots], each unit's counts multiplied by its orbit weight."""
     counts = sum(weight * part for (_, weight), part in zip(units, parts))
     buckets = {}
-    for t_index, row in enumerate(counts.reshape(2 * bound + 1, slots)):
+    for t_index, row in enumerate(counts):
         if row.any():
-            buckets[t_index - bound] = TraceBucket(by_roots=[int(x) for x in row])
+            buckets[t_index - len(counts) // 2] = TraceBucket(by_roots=[int(x) for x in row])
     return buckets
 
 
@@ -204,43 +202,48 @@ def _quartic_census_scalar(ctx: FieldContext) -> Census:
     return _quartic_census_of(q, buckets)
 
 
-def _discriminant_grid(ctx: FieldContext, c4: int, c3: int):
-    """The (q, q, q) grid, indexed [c2][c1][c0], of the discriminant of
-    the quartics with leading coefficients (c4, c3)."""
+def _discriminant_grid(ctx: FieldContext, lead, rows):
+    """The discriminant of the quartics whose leading coefficients
+    (c4, c3, ...) are `lead`, flat in `_grid` order over the free ones.
+    `rows[e]` holds x^(4-e) y^e at the points, so c^e at (1, c)."""
     import numpy as np
 
-    q = ctx.q
+    q, free = ctx.q, 5 - len(lead)
     mul, add = ctx.mul_table, ctx.add_table
-    powers = [np.array([ctx.pow(c, e) for c in range(q)], np.int16) for e in range(5)]
-    total = np.zeros((q, q, q), np.int16)
-    for coefficient, (ea, eb, ec, ed, ee) in _DISC_TERMS:
-        scalar = ctx.mul(ctx.int_embed(coefficient),
-                         ctx.mul(ctx.pow(c4, ea), ctx.pow(c3, eb)))
-        if scalar == 0:
+    total = np.zeros((q,) * free, dtype=np.int16)
+    for coefficient, exponents in _DISC_TERMS:
+        term = ctx.int_embed(coefficient)
+        for c, e in zip(lead, exponents):
+            term = ctx.mul(term, ctx.pow(c, e))
+        if term == 0:
             continue
-        term = mul[scalar][powers[ec]][:, None, None]
-        term = mul[term, powers[ed][None, :, None]]
-        term = mul[term, powers[ee][None, None, :]]
+        for axis, e in enumerate(exponents[len(lead):]):
+            term = mul[term, rows[e, :q].reshape((q,) + (1,) * (free - 1 - axis))]
         total = add[total, term]
-    return total
+    return total.ravel()
 
 
-def _quartic_unit_counts(ctx: FieldContext, units, threads: int = None) -> list:
-    """Per unit (c4, c3), the counts of its q^3 smooth quartics indexed
-    (t + bound) * 5 + roots, bound = isqrt(4q): the walk of their
-    codewords c4 x^4 + c3 x^3 y + (c2, c1, c0 grid) masked by smoothness."""
+def _quartic_unit_counts(ctx: FieldContext, leads, threads: int = None) -> list:
+    """Per lead, a tuple of leading coefficients (c4, c3, ...), all leads
+    of one length, the counts of its smooth quartics as a (2 bound + 1, 5)
+    array indexed [t + bound, roots], bound = isqrt(4q): the walk of
+    their codewords, the lead's terms as the base and the free
+    coefficients' monomials as the grid, masked by smoothness."""
     import numpy as np
 
-    q, bound = ctx.q, isqrt(4 * ctx.q)
+    q, bound, width = ctx.q, isqrt(4 * ctx.q), len(leads[0])
     add, mul = ctx.add_table, ctx.mul_table
-    rows = np.array(_monomial_rows(ctx, 4)[1], dtype=np.int16)  # rows[m]: x^m y^(4-m)
-    bases = np.array([add[mul[c4][rows[4]], mul[c3][rows[3]]] for c4, c3 in units])
-    zeros, squares = _form_counts(ctx, bases, rows[2::-1], threads)  # grid (c2, c1, c0)
+    rows = np.array(_monomial_rows(ctx, 4)[1][::-1], dtype=np.int16)  # rows[e]: x^(4-e) y^e
+    bases = 0
+    for c, row in zip(np.array(leads).T, rows):
+        bases = add[bases, mul[c[:, None], row]]
+    zeros, squares = _form_counts(ctx, bases, rows[width:], threads)
     out = []
-    for (c4, c3), z, s in zip(units, zeros, squares):
-        smooth = _discriminant_grid(ctx, c4, c3).ravel() != 0
+    for lead, z, s in zip(leads, zeros, squares):
+        smooth = _discriminant_grid(ctx, lead, rows) != 0
         t = q + 1 - z[smooth] - 2 * s[smooth]
-        out.append(np.bincount((t + bound) * 5 + z[smooth], minlength=(2 * bound + 1) * 5))
+        out.append(np.bincount((t + bound) * 5 + z[smooth],
+                               minlength=(2 * bound + 1) * 5).reshape(-1, 5))
     return out
 
 
@@ -258,7 +261,7 @@ def quartic_census(ctx: FieldContext, threads: int = None) -> Census:
     orbits = [((c4, 0), weight * q) for c4, weight in _scaling_orbits(ctx, 2)]
     orbits.append(((0, 1), q - 1))
     parts = _quartic_unit_counts(ctx, [unit for unit, _ in orbits], threads)
-    return _quartic_census_of(q, _weighted_buckets(orbits, parts, isqrt(4 * q), 5))
+    return _quartic_census_of(q, _weighted_buckets(orbits, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -268,39 +271,20 @@ def quartic_census(ctx: FieldContext, threads: int = None) -> Census:
 def weierstrass_census(ctx: FieldContext, threads: int = None) -> Census:
     """Census of the q^2 short Weierstrass models y^2 = x^3 + ax + b.
     Refuses (BudgetExceededError) when the q^2 models exceed the budget."""
-    import numpy as np
-
     if ctx.p < 5:
         raise ValueError("short Weierstrass census needs p >= 5 "
                          "(the quartic census covers p = 3)")
     q = ctx.q
     check_budget(q ** 2)
-    add, mul, chi = ctx.add_table, ctx.mul_table, ctx.char_table
-    codes = np.arange(q, dtype=np.int16)
-    x3 = mul[mul[codes, codes], codes]
-    b2 = mul[codes, codes]
-    c27 = ctx.int_embed(27)
-    c4 = ctx.int_embed(4)
-    s27b2 = mul[c27][b2]                      # 27 b^2 per b
-    bound = isqrt(4 * q)
-
-    def run_unit(a):
-        cubic = add[x3, mul[a][codes]]        # x^3 + ax per x
-        values = add[cubic[:, None], codes[None, :]]   # (x, b)
-        traces = -chi[values].sum(axis=0, dtype=np.int64)
-        roots = (values == 0).sum(axis=0, dtype=np.int64)
-        a3 = ctx.mul(ctx.mul(a, a), a)
-        disc = add[ctx.mul(c4, a3)][s27b2]    # 4a^3 + 27 b^2 per b
-        idx = ((traces + bound) * 4 + roots)[disc != 0]
-        return np.bincount(idx, minlength=(2 * bound + 1) * 4)
-
+    # The model is the quartic y (x^3 + a x y^2 + b y^3) of lead (0, 1, 0, a),
+    # whose roots are the cubic's plus (1 : 0): its slot 0 is empty.
     # (a, b) -> (u^4 a, u^6 b) is an isomorphism that permutes the b of
     # one a.  So a = 0 is one unit, and each class of F_q^* / (F_q^*)^4
     # is one unit of its size.
     units = [(0, 1)] + _scaling_orbits(ctx, 4)
-    parts = map_units(lambda unit: run_unit(unit[0]), units, threads)
+    parts = _quartic_unit_counts(ctx, [(0, 1, 0, a) for a, _ in units], threads)
     return Census(q=q, kind="weierstrass",
-                  buckets=_weighted_buckets(units, parts, bound, 4),
+                  buckets=_weighted_buckets(units, [part[:, 1:] for part in parts]),
                   denominator=q - 1, full_multiplier=1)
 
 

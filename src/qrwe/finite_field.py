@@ -219,17 +219,18 @@ class FieldContext:
             elif q >= 1 << 15:
                 raise ValueError("the int16 %s table needs q < 2^15, got q=%d" % (name, q))
             elif name == "add":
-                # Digit-wise addition in base p; uint16 holds 2(p-1) and q.
+                # Digit-wise addition in base p, summed into the first digit's
+                # grid (no second q^2 array); uint16 holds 2(p-1) and q.
                 codes = np.arange(q, dtype=np.uint16)
-                arr = np.zeros((q, q), dtype=np.uint16)
-                place = 1
-                for _ in range(self.v):
-                    digit = codes // place % p
+                for i in range(self.v):
+                    digit = codes // p ** i % p
                     grid = digit[:, None] + digit[None, :]
                     grid %= p
-                    grid *= place
-                    arr += grid
-                    place *= p
+                    if i:
+                        grid *= p ** i
+                        arr += grid
+                    else:
+                        arr = grid
                 arr = arr.view(np.int16)
             else:
                 # exp[log a + log b]; uint16 holds 2(q-2).

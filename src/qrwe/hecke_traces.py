@@ -64,8 +64,14 @@ FLAVORS = ("all", "two_torsion", "full_two_torsion")
 
 def _kernel_coefficients(k: int, q: int) -> list:
     """P_k(t, q) as a polynomial in u = t^2, highest power first: the
-    coefficient of u^(k/2-1-j) is (-1)^j C(k-2-j, j) q^j."""
-    return [(-1) ** j * comb(k - 2 - j, j) * q ** j for j in range(k // 2)]
+    coefficient of u^(k/2-1-j) is (-1)^j C(k-2-j, j) q^j.  Each binomial
+    is the last one times (k-2j)(k-1-2j) / (j(k-1-j)), an exact division."""
+    coefficients, binomial = [], 1
+    for j in range(k // 2):
+        if j:
+            binomial = binomial * (k - 2 * j) * (k - 1 - 2 * j) // (j * (k - 1 - j))
+        coefficients.append(binomial * (-q) ** j)
+    return coefficients
 
 
 def gegenbauer_kernel(k: int, t: int, q: int) -> int:

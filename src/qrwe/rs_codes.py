@@ -13,7 +13,7 @@ walk uses that scaling a codeword by a nonzero square keeps its
 the q+1 tops (two highest message digits) whose first nonzero digit is
 1 and the zero top, q+2 instead of q^2, into one tally.  Their counts
 come from `_form_counts`, the one numpy engine that evaluates binary
-forms on P^1, which the quartic census in `curve_census` runs too.
+forms on P^1, which both censuses in `curve_census` run too.
 
 Brute-force enumeration refuses politely (BudgetExceededError) when
 q^dim exceeds the budget, which defaults to 10^8 and can be overridden
@@ -71,8 +71,11 @@ def _monomial_rows(ctx: FieldContext, h: int, projective: bool = True) -> tuple:
     points = [(1, a) for a in ctx.elements()]
     if projective:
         points.append((0, 1))
-    rows = [[ctx.mul(ctx.pow(x, a), ctx.pow(y, h - a)) for (x, y) in points]
-            for a in range(h + 1)]
+    # x^a y^(h-a) is s^(h-a) at (1, s) and [a = 0] at (0, 1)
+    powers = [[1] * ctx.q]
+    for _ in range(h):
+        powers.append(list(map(ctx.mul, powers[-1], ctx.elements())))
+    rows = [powers[h - a] + ([int(a == 0)] if projective else []) for a in range(h + 1)]
     return points, rows
 
 
@@ -205,8 +208,8 @@ def _form_counts(ctx: FieldContext, bases, grid_rows, threads: int = None) -> tu
     the T bases (a (T, n) array of element codes) and each g of the
     C = q^m combinations of the (m, n) `grid_rows` in `_grid` order, the
     points where base + g vanishes and where it is a nonzero square.
-    Counts accumulate point by point, one gather of the characters of
-    T x C sums per point, in parts of the bases run on `threads` workers."""
+    Counts accumulate over blocks of points, one gather of characters per
+    block and part of the bases, the parts run on `threads` workers."""
     import numpy as np
 
     q, (count, n) = ctx.q, bases.shape
@@ -216,16 +219,21 @@ def _form_counts(ctx: FieldContext, bases, grid_rows, threads: int = None) -> tu
     # parts of at most 2^14 cells (unless one base has more) bound the gathers
     parts = min(count, max(clamp_threads(threads, count), zeros.size >> 14))
     parts = [slice(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
-    # the grid's values at a block of points (about 2^16 cells) are built once for all parts
+    # the grid's values at a block of points (about 2^16 cells) are built once for all
+    # parts, and each gather reads one part at as many points as fit in about 2^14 cells
     step = max(1, (1 << 16) // zeros.shape[1])
+    block = max(1, (1 << 14) // (-(-count // len(parts)) * zeros.shape[1]))
     for start in range(0, n, step):
-        columns = _grid(ctx, grid_rows[:, start:start + step]).T
+        columns = _grid(ctx, grid_rows[:, start:start + step]).T  # (points, C)
 
-        def run(part):
-            for i, column in enumerate(columns, start):  # base + g at point i, flat in (q, q)
-                values = np.take(chi, bases[part, i, None].astype(np.intp) * q + column)
-                zeros[part] += values == 0
-                squares[part] += values == 1
+        def run(part):  # base + g at the block's points, flat in (q, q)
+            part_bases = bases[part, start:start + step]
+            for i in range(0, len(columns), block):
+                sums = part_bases[:, i:i + block, None].astype(np.intp) * q + columns[i:i + block]
+                values = np.take(chi, sums)
+                for counts, value in ((zeros, 0), (squares, 1)):
+                    hits = values == value  # a sum over one point costs more than the add
+                    counts[part] += hits.sum(axis=1, dtype=np.int16) if block > 1 else hits[:, 0]
 
         map_units(run, parts, threads)
     return zeros, squares

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 
 from qrwe.arith import is_prime
@@ -18,6 +19,7 @@ from qrwe.errors import BudgetExceededError
 from qrwe.finite_field import field
 from qrwe.hecke_traces import moment_formula
 from qrwe.isogeny_counts import weighted_count, weighted_count_full_2tors
+from qrwe.rs_codes import _monomial_rows
 
 
 def test_point_count_fourth_power_example():
@@ -49,14 +51,21 @@ def test_point_count_works_on_singular_quartics():
 
 @pytest.mark.parametrize("p,v", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_gcd_and_discriminant_smoothness_agree(p, v):
-    # the engine's discriminant grid on every (c4, c3) unit, not only the
-    # three it evaluates, against the gcd test on every form
+    # the engine's discriminant on every (c4, c3) unit and every (c4, c3, c2)
+    # slab, not only those it evaluates, and on every Weierstrass unit
+    # (0, 1, 0, a), against the gcd test on every form
     ctx = field(p, v)
-    for c4, c3 in product(range(ctx.q), repeat=2):
-        disc = _discriminant_grid(ctx, c4, c3).tolist()
-        for c2, c1, c0 in product(range(ctx.q), repeat=3):
-            coeffs = (c4, c3, c2, c1, c0)
-            assert is_squarefree_quartic(ctx, coeffs) == (disc[c2][c1][c0] != 0), coeffs
+    rows = np.array(_monomial_rows(ctx, 4)[1][::-1], dtype=np.int16)
+    forms = list(product(range(ctx.q), repeat=5))
+    squarefree = dict(zip(forms, (is_squarefree_quartic(ctx, f) for f in forms)))
+    leads = (list(product(range(ctx.q), repeat=2)) + list(product(range(ctx.q), repeat=3))
+             + [(0, 1, 0, a) for a in ctx.elements()])
+    for lead in leads:
+        disc = _discriminant_grid(ctx, lead, rows).tolist()
+        free = product(range(ctx.q), repeat=5 - len(lead))
+        for value, rest in zip(disc, free, strict=True):
+            coeffs = lead + rest
+            assert squarefree[coeffs] == (value != 0), coeffs
 
 
 @pytest.mark.parametrize("p,v", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -88,12 +97,29 @@ def test_every_quartic_unit_matches_its_orbit_representative(p, v):
         assert (counts[c4, c3] == counts[rep]).all(), (c4, c3)
 
 
+@pytest.mark.parametrize("p,v", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (29, 1)])
+def test_every_weierstrass_unit_matches_its_orbit_representative(p, v):
+    # the census evaluates a = 0 and one a per class of F_q^* / (F_q^*)^4;
+    # (a, b) -> (u^4 a, u^6 b) permutes the b of one a
+    ctx = field(p, v)
+    q = ctx.q
+    counts = _quartic_unit_counts(ctx, [(0, 1, 0, a) for a in ctx.elements()])
+    orbits = _scaling_orbits(ctx, 4)
+    d = len(orbits)
+    representative = {ctx.pow(a, (q - 1) // d): a for a, _ in orbits}
+    for a in range(1, q):
+        rep = representative[ctx.pow(a, (q - 1) // d)]
+        assert (counts[a] == counts[rep]).all(), (a, rep)
+    assert not counts[0][:, 0].any()  # every model vanishes at (1 : 0)
+
+
 def test_census_threads_deterministic(quartic_census_for):
     ctx = field(7, 1)
-    serial = quartic_census(ctx)
-    threaded = quartic_census(ctx, threads=3)
-    assert {t: (b.total, b.by_roots) for t, b in serial.buckets.items()} \
-        == {t: (b.total, b.by_roots) for t, b in threaded.buckets.items()}
+    for census in (quartic_census, weierstrass_census):
+        serial = census(ctx)
+        threaded = census(ctx, threads=3)
+        assert {t: (b.total, b.by_roots) for t, b in serial.buckets.items()} \
+            == {t: (b.total, b.by_roots) for t, b in threaded.buckets.items()}
 
 
 def test_census_bucket_weights_match_closed_form(quartic_census_for):

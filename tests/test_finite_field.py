@@ -168,7 +168,7 @@ def test_encoding_matches_polynomial_reference(p, v):
 
 
 def test_numpy_tables_agree_with_ops():
-    for p, v in [(3, 2), (17, 1), (13, 2)]:
+    for p, v in [(3, 1), (17, 1), (3, 2), (13, 2), (5, 3), (3, 5)]:
         ctx = field(p, v)
         add, mul, char = ctx.add_table, ctx.mul_table, ctx.char_table
         for a in ctx.elements():

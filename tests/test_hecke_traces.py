@@ -1,6 +1,6 @@
 import io
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +23,13 @@ def lucas_kernel(k, t, q):
     for _ in range(k - 2):
         prev, cur = cur, t * cur - q * prev
     return cur
+
+
+def test_kernel_coefficients_match_the_binomial_formula():
+    for q in (3, 5, 9, 16411):
+        for k in range(2, 201, 2):
+            assert hecke_traces._kernel_coefficients(k, q) == [
+                (-1) ** j * comb(k - 2 - j, j) * q ** j for j in range(k // 2)], (k, q)
 
 
 def test_kernel_low_weights():
