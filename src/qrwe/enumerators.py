@@ -21,13 +21,20 @@ In U = Y + Z, V = Y - Z and P = 2X - U the doubled forms are
 2X + (q-1)U and P +- sV.  For symmetric input the terms (j0, k0) and
 (k0, j0) substitute together to (P^2 - s^2 V^2)^k0 ((P + sV)^d +
 (P - sV)^d) with d = j0 - k0, in which only even powers of sV survive,
-so s^2 = +-q enters as an integer and the arithmetic stays in Z.  Per X
-degree i0 and V degree v the input collapses to one integer weight; it
-multiplies the U series of (2 + (q-1)U)^i0 (2 - U)^(n - i0 - v) (at
-X = 1), and U^u V^v is expanded back into Y, Z.  The halves are cleared
-by a single 2^n denominator divided out exactly at the end.  The (U, V)
-degree is the (Y, Z) degree, so asked only for the monomials of degree
-j + k <= max_codim, every series stops at that degree.
+so s^2 = +-q enters as an integer and the arithmetic stays in Z.  The
+coefficient of (sV)^v P^(j0+k0-v) is the binary Krawtchouk polynomial
+K_v(k0; j0 + k0), the coefficient of x^v in (1 - x)^k0 (1 + x)^j0,
+read off a three-term recurrence in v (MacWilliams and Sloane, *The
+Theory of Error-Correcting Codes*, ch. 5).  Per X degree i0 and even V
+degree v the input collapses to one integer weight w, and at X = 1 the
+V^v part is the U series S_v = sum over i0 of w a^i0 b^(n - i0 - v)
+with a = 2 + (q-1)U and b = 2 - U, built by Horner steps
+acc <- acc b^gap + w a^i0 over the i0 that occur, in increasing order.
+Each total degree m = u + v goes back to Y, Z by Horner steps
+G <- G (Y - Z)^2 + c (Y + Z)^(m - v) over the even v.  The halves are
+cleared by a single 2^n denominator divided out exactly at the end.
+The (U, V) degree is the (Y, Z) degree, so asked only for the monomials
+of degree j + k <= max_codim, every series stops at that degree.
 
 Every output coefficient must come out integral and nonnegative;
 anything else raises ConsistencyError, which in practice means the input
@@ -35,6 +42,7 @@ was not the enumerator of a linear code of the stated size.
 """
 
 from math import comb
+from operator import mul
 
 from .errors import ConsistencyError
 
@@ -131,31 +139,68 @@ def mds_weight_distribution(n: int, dim: int, q: int) -> list:
 # Quadratic-residue MacWilliams transform
 # ---------------------------------------------------------------------------
 
+def _krawtchouk(k0: int, j0: int, top: int) -> list:
+    """[K_0, ..., K_top] with K_v the coefficient of x^v in
+    (1 - x)^k0 (1 + x)^j0: the binary Krawtchouk polynomial K_v(k0; N),
+    N = j0 + k0.  From (1 - x^2) f' = (j0 - k0 - N x) f,
+
+        (v + 1) K_(v+1) = (j0 - k0) K_v - (N - v + 1) K_(v-1),
+
+    and the division is exact.
+    """
+    d, total = j0 - k0, j0 + k0
+    kernels = [1, d][:top + 1]
+    for v in range(1, top):
+        kernels.append((d * kernels[v] - (total - v + 1) * kernels[v - 1]) // (v + 1))
+    return kernels
+
+
 def _pair_weights(enum: QREnumerator, q: int, limit: int) -> dict:
-    """{(i0, v): w} with the doubled substitution of the input equal to
+    """{v: {i0: w}} with the doubled substitution of the input equal to
     sum w (2X + (q-1)U)^i0 P^(n - i0 - v) V^v, for V degrees v <= limit.
 
-    The pair (j0, k0), (k0, j0) with d = j0 - k0 > 0 contributes
-    A (P^2 - s^2 V^2)^k0 ((P + sV)^d + (P - sV)^d), a term with j0 = k0
-    only A (P^2 - s^2 V^2)^k0.  Either way v is even and the V^v
-    coefficient is s^v sum_i (-1)^i C(k0, i) C(d, v - 2i), doubled for
-    a pair.
+    The pair (j0, k0), (k0, j0) with j0 > k0 contributes
+    A (P^2 - s^2 V^2)^k0 ((P + sV)^(j0-k0) + (P - sV)^(j0-k0)), a term
+    with j0 = k0 only A (P^2 - s^2 V^2)^k0.  Either way v is even and the
+    V^v coefficient is s^v K_v(k0; j0 + k0), doubled for a pair.
     """
     s_sq = q if q % 4 == 1 else -q
-    weights = {}
+    sums = {}  # j0 + k0 -> [sum of pair * K_v over its terms, per v]
     for (j0, k0), coefficient in enum.terms.items():
         if j0 < k0:
             continue
-        d = j0 - k0
-        i0 = enum.n - j0 - k0
-        pair = coefficient if d == 0 else 2 * coefficient
-        for v in range(0, min(limit, j0 + k0) + 1, 2):
-            kernel = sum((-1) ** i * comb(k0, i) * comb(d, v - 2 * i)
-                         for i in range(min(k0, v // 2) + 1))
-            if kernel:
-                key = (i0, v)
-                weights[key] = weights.get(key, 0) + pair * kernel * s_sq ** (v // 2)
+        pair = coefficient if j0 == k0 else 2 * coefficient
+        kernels = _krawtchouk(k0, j0, min(limit, j0 + k0))
+        row = sums.setdefault(j0 + k0, [0] * len(kernels))
+        for v in range(0, len(kernels), 2):
+            row[v] += pair * kernels[v]
+    weights = {}
+    for total, row in sums.items():
+        for v in range(0, len(row), 2):
+            if row[v]:
+                weights.setdefault(v, {})[enum.n - total] = row[v] * s_sq ** (v // 2)
     return weights
+
+
+def _power_series(slope: int, power: int, length: int) -> list:
+    """U coefficients of (2 + slope U)^power below U^length, zero-padded,
+    each binomial stepped from the last by an exact division."""
+    out, binomial, lift = [], 1, 1
+    for u in range(min(power + 1, length)):
+        out.append(binomial * lift << (power - u))
+        binomial = binomial * (power - u) // (u + 1)
+        lift *= slope
+    return out + [0] * (length - len(out))
+
+
+def _times_b_power(acc: list, gap: int) -> list:
+    """acc (2 - U)^gap, truncated to len(acc) coefficients."""
+    if gap == 0:
+        return acc
+    if gap == 1:  # c_u <- 2 c_u - c_(u-1)
+        return [2 * c - previous for c, previous in zip(acc, [0] + acc)]
+    factor, backwards = _power_series(-1, gap, len(acc)), acc[::-1]
+    return [sum(map(mul, factor[:u + 1], backwards[-1 - u:])) for u in range(len(acc))]
 
 
 def _finalize(accumulator: dict, n: int, q: int, code_size: int) -> QREnumerator:
@@ -180,37 +225,51 @@ def qr_macwilliams_dual(enum: QREnumerator, q: int, code_size: int,
 
     With max_codim set, only the monomials with Y, Z degree
     j + k <= max_codim are computed and returned; None means all of them.
+    q must be the enumerator's field size and code_size its total.
     """
+    if q != enum.q:
+        raise ValueError("enumerator is over F_%d, not F_%d" % (enum.q, q))
     if not enum.is_yz_symmetric():
         raise ValueError("transform valid only for Y/Z-symmetric enumerators")
     n = enum.n
     limit = n if max_codim is None else max_codim
     if not 0 <= limit <= n:
         raise ValueError("max_codim must lie in 0..%d, got %d" % (n, limit))
+    if code_size < 1 or code_size != enum.total():
+        raise ConsistencyError("code size %d is not the enumerator's total %d"
+                               % (code_size, enum.total()))
 
-    def series(base: int, slope: int, power: int) -> list:
-        """U coefficients of (base + slope U)^power up to U^limit."""
-        return [comb(power, u) * base ** (power - u) * slope ** u
-                for u in range(min(power, limit) + 1)]
-
-    # sum w (2 + (q-1)U)^i0 (2 - U)^(n-i0-v) V^v, truncated at u + v <= limit
-    uv = {}
-    for (i0, v), weight in _pair_weights(enum, q, limit).items():
-        first = series(2, q - 1, i0)
-        second = series(2, -1, n - i0 - v)
-        for u in range(limit - v + 1):
-            value = sum(first[a] * second[u - a]
-                        for a in range(len(first)) if 0 <= u - a < len(second))
-            if value:
-                uv[(u, v)] = uv.get((u, v), 0) + weight * value
-    # U^u V^v = (Y + Z)^u (Y - Z)^v
+    # S_v(U) = sum over i0 of w a^i0 b^(n-v-i0), a = 2 + (q-1)U, b = 2 - U,
+    # truncated at U^(limit-v): Horner steps acc <- acc b^gap + w a^i0
+    # over the i0 that occur, in increasing order
+    by_degree = [[0] * (m + 1) for m in range(limit + 1)]  # [u + v][v]
+    for v, row in _pair_weights(enum, q, limit).items():
+        acc, reached = [0] * (limit - v + 1), min(row)
+        for i0 in sorted(row):
+            acc, reached = _times_b_power(acc, i0 - reached), i0
+            weight = row[i0]
+            acc = [c + weight * a for c, a in zip(acc, _power_series(q - 1, i0, len(acc)))]
+        acc = _times_b_power(acc, n - v - reached)
+        for u, value in enumerate(acc):
+            by_degree[u + v][v] = value
+    # sum_v c_(m-v, v) (Y + Z)^(m-v) (Y - Z)^v per total degree m, v even,
+    # by Horner steps G <- G (Y - Z)^2 + c (Y + Z)^(m-v); G[a] is the
+    # coefficient of Y^a Z^(deg G - a) and (Y + Z)^e is Pascal's row e
+    pascal = [[1]]
+    for _ in range(limit):
+        pascal.append([x + y for x, y in zip([0] + pascal[-1], pascal[-1] + [0])])
     accumulator = {}
-    for (u, v), value in uv.items():
-        for a in range(u + 1):
-            for b in range(v + 1):
-                key = (a + b, u - a + v - b)
-                accumulator[key] = (accumulator.get(key, 0)
-                                    + (-1) ** b * comb(u, a) * comb(v, b) * value)
+    for m, coefficients in enumerate(by_degree):
+        top = max((v for v, c in enumerate(coefficients) if c), default=None)
+        if top is None:
+            continue
+        g = [coefficients[top] * x for x in pascal[m - top]]
+        for v in range(top - 2, -1, -2):
+            c = coefficients[v]
+            g = [x - 2 * y + z + c * p
+                 for x, y, z, p in zip([0, 0] + g, [0] + g + [0], g + [0, 0], pascal[m - v])]
+        for a, value in enumerate(g):
+            accumulator[(a, m - a)] = value
     return _finalize(accumulator, n, q, code_size)
 
 

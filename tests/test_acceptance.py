@@ -26,12 +26,12 @@ def test_criterion_01_class_numbers():
 
 
 def test_criterion_02_trace_formula_dimensions():
-    _run(2, "traces vanish on zero-dimensional spaces (q <= 200)",
+    _run(2, "traces vanish on zero-dimensional spaces (q <= 2000)",
          verify.checks_traces_dimension_zero)
 
 
 def test_criterion_03_trace_formula_eta_oracle():
-    _run(3, "traces match eta-product eigenvalues (q <= 200)",
+    _run(3, "traces match eta-product eigenvalues (q <= 2000)",
          verify.checks_traces_eta)
 
 

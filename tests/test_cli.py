@@ -167,11 +167,11 @@ def test_verify_suite_exit_code(capsys):
     assert out.count("PASS") == 8 and "FAIL" not in out
 
 
-def test_verify_qmax_caps_trace_checks_at_200(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "traces", "--qmax", "250")
+def test_verify_qmax_caps_trace_checks_at_2000(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "traces", "--qmax", "2500")
     rows = out.splitlines()
     assert code == 0 and rows
-    assert all(row.startswith("PASS") and row.endswith("<= 200") for row in rows)
+    assert all(row.startswith("PASS") and row.endswith("<= 2000") for row in rows)
 
 
 def test_verify_refuses_small_qmax_and_skips_emptied_checks(capsys):

@@ -2,10 +2,12 @@ from math import comb
 
 import pytest
 
-from qrwe.enumerators import (QREnumerator, mds_weight_distribution,
-                              qr_dual_coefficients, qr_macwilliams_dual)
+from qrwe.arith import odd_prime_powers
+from qrwe.enumerators import (QREnumerator, _finalize, _krawtchouk,
+                              mds_weight_distribution, qr_dual_coefficients,
+                              qr_macwilliams_dual)
 from qrwe.errors import ConsistencyError
-from qrwe.qr_pipeline import quartic_code_enumerator
+from qrwe.qr_pipeline import classical_quartic_code_enumerator, quartic_code_enumerator
 
 
 def full_space_enumerator(n, q):
@@ -74,6 +76,28 @@ def test_qr_transform_flags_malformed_size():
     zero_code = QREnumerator(4, 5, {(0, 0): 1})
     with pytest.raises(ConsistencyError):
         qr_macwilliams_dual(zero_code, 5, 3)
+
+
+def test_qr_transform_checks_code_size_against_the_total():
+    primal = quartic_code_enumerator(13)
+    assert qr_macwilliams_dual(primal, 13, 13 ** 5).total() == 13 ** 9
+    # a 13x larger size would pass every divisibility and sign gate
+    for size in (13 ** 4, 0, -13 ** 5):
+        with pytest.raises(ConsistencyError, match="code size"):
+            qr_macwilliams_dual(primal, 13, size)
+        with pytest.raises(ConsistencyError, match="code size"):
+            qr_dual_coefficients(primal, 13, size, 7)
+    with pytest.raises(ConsistencyError, match="code size"):
+        qr_macwilliams_dual(QREnumerator(4, 5, {}), 5, 0)
+
+
+def test_qr_transform_rejects_another_field():
+    primal = quartic_code_enumerator(13)
+    for q in (11, 17):
+        with pytest.raises(ValueError, match="F_13"):
+            qr_macwilliams_dual(primal, q, 13 ** 5)
+        with pytest.raises(ValueError, match="F_13"):
+            qr_dual_coefficients(primal, q, 13 ** 5, 7)
 
 
 def test_truncated_matches_full_on_full_space():
@@ -151,3 +175,85 @@ def test_qr_transform_matches_substitution_at_points():
                 2 ** n * q ** 5 * _evaluate(dual, x, y, z), 0), (q, x, y, z)
         assert qr_macwilliams_dual(dual, q, q ** (n - 5)) == primal, q
         assert dual.hamming_distribution() == mds_weight_distribution(n, n - 5, q), q
+
+
+def test_krawtchouk_recurrence_matches_the_binomial_sum():
+    for j0 in range(31):
+        for k0 in range(j0 + 1):
+            top = j0 + k0
+            expected = [sum((-1) ** i * comb(k0, i) * comb(j0 - k0, v - 2 * i)
+                            for i in range(min(k0, v // 2) + 1))
+                        for v in range(top + 1)]
+            assert _krawtchouk(k0, j0, top) == expected, (j0, k0)
+            for shorter in range(min(top, 2)):
+                assert _krawtchouk(k0, j0, shorter) == expected[:shorter + 1]
+
+
+# The convolution form of the transform: a comb sum for each kernel, one
+# U-series convolution per (i0, v) and a double comb loop back to Y, Z.
+# It is the bit-identity reference for qr_macwilliams_dual.
+
+def _reference_pair_weights(enum, q, limit):
+    s_sq = q if q % 4 == 1 else -q
+    weights = {}
+    for (j0, k0), coefficient in enum.terms.items():
+        if j0 < k0:
+            continue
+        d = j0 - k0
+        i0 = enum.n - j0 - k0
+        pair = coefficient if d == 0 else 2 * coefficient
+        for v in range(0, min(limit, j0 + k0) + 1, 2):
+            kernel = sum((-1) ** i * comb(k0, i) * comb(d, v - 2 * i)
+                         for i in range(min(k0, v // 2) + 1))
+            if kernel:
+                key = (i0, v)
+                weights[key] = weights.get(key, 0) + pair * kernel * s_sq ** (v // 2)
+    return weights
+
+
+def _reference_transform(enum, q, code_size, max_codim=None):
+    n = enum.n
+    limit = n if max_codim is None else max_codim
+
+    def series(base, slope, power):
+        return [comb(power, u) * base ** (power - u) * slope ** u
+                for u in range(min(power, limit) + 1)]
+
+    uv = {}
+    for (i0, v), weight in _reference_pair_weights(enum, q, limit).items():
+        first = series(2, q - 1, i0)
+        second = series(2, -1, n - i0 - v)
+        for u in range(limit - v + 1):
+            value = sum(first[a] * second[u - a]
+                        for a in range(len(first)) if 0 <= u - a < len(second))
+            if value:
+                uv[(u, v)] = uv.get((u, v), 0) + weight * value
+    accumulator = {}
+    for (u, v), value in uv.items():
+        for a in range(u + 1):
+            for b in range(v + 1):
+                key = (a + b, u - a + v - b)
+                accumulator[key] = (accumulator.get(key, 0)
+                                    + (-1) ** b * comb(u, a) * comb(v, b) * value)
+    return _finalize(accumulator, n, q, code_size)
+
+
+def test_qr_transform_is_bit_identical_to_the_convolution_reference():
+    for q in odd_prime_powers(27):
+        if q < 5:
+            continue
+        n = q + 1
+        primal = quartic_code_enumerator(q)
+        dual = qr_macwilliams_dual(primal, q, q ** 5)
+        assert dual == _reference_transform(primal, q, q ** 5), q
+        assert qr_macwilliams_dual(dual, q, q ** (n - 5)) == _reference_transform(
+            dual, q, q ** (n - 5)), q
+        codims = range(n + 1) if q <= 13 else (0, 1, 6, 7, n)
+        for max_codim in codims:
+            for enum, size in ((primal, q ** 5), (dual, q ** (n - 5))):
+                assert qr_macwilliams_dual(enum, q, size, max_codim) == _reference_transform(
+                    enum, q, size, max_codim), (q, max_codim)
+    for q in (131, 1009):
+        for enum in (quartic_code_enumerator(q), classical_quartic_code_enumerator(q)):
+            assert qr_dual_coefficients(enum, q, q ** 5, 7) == _reference_transform(
+                enum, q, q ** 5, 7).terms, (q, enum.n)
