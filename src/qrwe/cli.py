@@ -17,7 +17,6 @@ printed as decimal strings inside JSON.
 
 import argparse
 import json
-import os
 import sys
 
 from . import verify as verify_suites
@@ -88,7 +87,7 @@ def _cmd_dual(args) -> int:
 def _cmd_brute(args) -> int:
     ctx = _field_for(args.q)
     code = reed_solomon_code(ctx, args.h, projective=not args.classical)
-    enum = brute_force_enumerator(code, budget=args.budget, threads=args.threads)
+    enum = brute_force_enumerator(code, budget=args.budget)
     _emit_enumerator(enum, "json")
     return 0
 
@@ -104,9 +103,9 @@ def _cmd_trace(args) -> int:
 def _cmd_census(args) -> int:
     ctx = _field_for(args.q)
     if args.kind == "weierstrass":
-        census = weierstrass_census(ctx, threads=args.threads)
+        census = weierstrass_census(ctx)
     else:
-        census = quartic_census(ctx, threads=args.threads)
+        census = quartic_census(ctx)
     print(json.dumps(census_json(census)))
     return 0
 
@@ -116,9 +115,9 @@ def _cmd_moments(args) -> int:
     if args.empirical:
         ctx = _field_for(args.q)
         if ctx.p >= 5:
-            census = weierstrass_census(ctx, threads=args.threads)
+            census = weierstrass_census(ctx)
         else:
-            census = quartic_census(ctx, threads=args.threads)
+            census = quartic_census(ctx)
         print(empirical_moment(census, args.R, flavor))
     else:
         print(moment_formula(args.q, args.R, flavor))
@@ -136,8 +135,7 @@ def _cmd_hurwitz(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ok = verify_suites.run_suite(args.suite, qmax=args.qmax,
-                                 threads=args.threads, stream=sys.stdout)
+    ok = verify_suites.run_suite(args.suite, qmax=args.qmax, stream=sys.stdout)
     return 0 if ok else 1
 
 
@@ -147,10 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quadratic-residue weight enumerators of Reed-Solomon "
                     "codes, exactly.")
     parser.add_argument("--threads", type=_int_at_least(1),
-                        default=os.cpu_count(),
-                        help="parallelism for censuses and brute force, "
-                             "at most the CPU count (results are "
-                             "independent of this)")
+                        help="accepted (N >= 1) and ignored: every "
+                             "command runs on one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     c14 = sub.add_parser("c14", help="enumerator of the degree-4 code (formula path)")

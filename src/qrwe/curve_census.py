@@ -27,11 +27,10 @@ Changes of variable and scalings that keep the trace, the root count
 and smoothness carry one unit onto another bijectively, so each orbit
 of units is evaluated once, its counts multiplied by the orbit size: 3
 units instead of q^2 for quartics, 1 + gcd(4, q-1) instead of q for
-Weierstrass models.  Counts are merged additively, so results are
-deterministic for any thread count.  The tests check a plain-Python
-walk of every quartic (`_quartic_census_scalar(ctx)`, square-freeness
-by a gcd) and of every (a, b) model against the censuses, and every
-unit against its representative, exhaustively at small q.
+Weierstrass models.  The tests check a plain-Python walk of every
+quartic (`_quartic_census_scalar(ctx)`, square-freeness by a gcd) and
+of every (a, b) model against the censuses, and every unit against its
+representative, exhaustively at small q.
 
 Two scalar oracles use the same idea with one model as the unit.
 `j_special_census` evaluates one model y^2 = x^3 + c (x^3 + cx) per
@@ -223,7 +222,7 @@ def _discriminant_grid(ctx: FieldContext, lead, rows):
     return total.ravel()
 
 
-def _quartic_unit_counts(ctx: FieldContext, leads, threads: int = None) -> list:
+def _quartic_unit_counts(ctx: FieldContext, leads) -> list:
     """Per lead, a tuple of leading coefficients (c4, c3, ...), all leads
     of one length, the counts of its smooth quartics as a (2 bound + 1, 5)
     array indexed [t + bound, roots], bound = isqrt(4q): the walk of
@@ -237,7 +236,7 @@ def _quartic_unit_counts(ctx: FieldContext, leads, threads: int = None) -> list:
     bases = 0
     for c, row in zip(np.array(leads).T, rows):
         bases = add[bases, mul[c[:, None], row]]
-    zeros, squares = _form_counts(ctx, bases, rows[width:], threads)
+    zeros, squares = _form_counts(ctx, bases, rows[width:])
     out = []
     for lead, z, s in zip(leads, zeros, squares):
         smooth = _discriminant_grid(ctx, lead, rows) != 0
@@ -250,7 +249,9 @@ def _quartic_unit_counts(ctx: FieldContext, leads, threads: int = None) -> list:
 def quartic_census(ctx: FieldContext, threads: int = None) -> Census:
     """Census of all smooth binary quartics over F_q, bucketed by trace
     t = q + 1 - #points and by rational root count.  Refuses
-    (BudgetExceededError) when the q^5 forms exceed the budget."""
+    (BudgetExceededError) when the q^5 forms exceed the budget.
+    `threads` is accepted and ignored until the benchmark harness stops
+    passing it (ROADMAP item 5, step 2)."""
     check_budget(ctx.q ** 5)
     q = ctx.q
     # Each unit stands for its orbit of leading pairs (c4, c3): x -> x + sy
@@ -260,7 +261,7 @@ def quartic_census(ctx: FieldContext, threads: int = None) -> Census:
     # y^2 divides all its forms, so none is smooth.
     orbits = [((c4, 0), weight * q) for c4, weight in _scaling_orbits(ctx, 2)]
     orbits.append(((0, 1), q - 1))
-    parts = _quartic_unit_counts(ctx, [unit for unit, _ in orbits], threads)
+    parts = _quartic_unit_counts(ctx, [unit for unit, _ in orbits])
     return _quartic_census_of(q, _weighted_buckets(orbits, parts))
 
 
@@ -270,7 +271,9 @@ def quartic_census(ctx: FieldContext, threads: int = None) -> Census:
 
 def weierstrass_census(ctx: FieldContext, threads: int = None) -> Census:
     """Census of the q^2 short Weierstrass models y^2 = x^3 + ax + b.
-    Refuses (BudgetExceededError) when the q^2 models exceed the budget."""
+    Refuses (BudgetExceededError) when the q^2 models exceed the budget.
+    `threads` is accepted and ignored until the benchmark harness stops
+    passing it (ROADMAP item 5, step 2)."""
     if ctx.p < 5:
         raise ValueError("short Weierstrass census needs p >= 5 "
                          "(the quartic census covers p = 3)")
@@ -282,7 +285,7 @@ def weierstrass_census(ctx: FieldContext, threads: int = None) -> Census:
     # one a.  So a = 0 is one unit, and each class of F_q^* / (F_q^*)^4
     # is one unit of its size.
     units = [(0, 1)] + _scaling_orbits(ctx, 4)
-    parts = _quartic_unit_counts(ctx, [(0, 1, 0, a) for a, _ in units], threads)
+    parts = _quartic_unit_counts(ctx, [(0, 1, 0, a) for a, _ in units])
     return Census(q=q, kind="weierstrass",
                   buckets=_weighted_buckets(units, [part[:, 1:] for part in parts]),
                   denominator=q - 1, full_multiplier=1)

@@ -1,6 +1,5 @@
-"""Exception types raised by the library, and the two bounds on every
-brute-force walk: the step budget, which also bounds the class-number
-counts, and the worker-thread count."""
+"""Exception types raised by the library, and the step budget that
+bounds every brute-force walk and the class-number counts."""
 
 import os
 
@@ -46,20 +45,3 @@ def check_budget(required: int, explicit: int = None) -> None:
     if required > budget:
         raise BudgetExceededError(required=required, budget=budget)
 
-
-def clamp_threads(threads: int, units: int) -> int:
-    """Worker count for a pool over `units` work units: `threads` (None
-    meaning 1), kept between 1 and min(os.cpu_count(), units)."""
-    return max(1, min(threads or 1, os.cpu_count() or 1, units))
-
-
-def map_units(fn, units, threads: int = None) -> list:
-    """[fn(u) for u in units], on a pool of `clamp_threads(threads,
-    len(units))` threads when that is more than one."""
-    workers = clamp_threads(threads, len(units))
-    if workers == 1:
-        return [fn(unit) for unit in units]
-    # imported here: the pool machinery would add to every `import qrwe`
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, units))

@@ -233,9 +233,14 @@ class FieldContext:
                         arr = grid
                 arr = arr.view(np.int16)
             else:
-                # exp[log a + log b]; uint16 holds 2(q-2).
+                # exp[log a + log b] in row blocks of about 2^16 cells, so no
+                # second q^2 array of indices; uint16 holds 2(q-2).
                 log = np.array(self._log, dtype=np.uint16)
-                arr = np.array(self._exp, dtype=np.int16)[log[:, None] + log[None, :]]
+                exp = np.array(self._exp, dtype=np.int16)
+                arr = np.empty((q, q), dtype=np.int16)
+                rows = max(1, (1 << 16) // q)
+                for i in range(0, q, rows):
+                    arr[i:i + rows] = exp[log[i:i + rows, None] + log[None, :]]
                 arr[0, :] = 0
                 arr[:, 0] = 0
             self._np_tables[name] = arr

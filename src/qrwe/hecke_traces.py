@@ -142,11 +142,7 @@ def _compute_trace(level: int, k: int, q: int) -> int:
 
 
 class TraceTable:
-    """Cache of traces keyed by (level, weight, q), dumpable as CSV.
-
-    Writes are idempotent (traces are pure), so concurrent readers and
-    writers are safe under the interpreter's atomic dict operations.
-    """
+    """Cache of traces keyed by (level, weight, q), dumpable as CSV."""
 
     def __init__(self):
         self.entries = {}

@@ -135,9 +135,7 @@ def hurwitz_class_number(delta: int) -> Fraction:
 # already covers them.  A row below _SWEEP_BELOW sweeps in microseconds,
 # less than the table's first numpy call.  The sieve costs about twice
 # a sweep of the same size up to 2^18, but 2.6x at 2^19 and 12x at 2^22,
-# and the table at the cap takes 1 MB.  Threads may race on
-# these two globals at the cost of an extra sweep or build only: a
-# table is swapped in whole, and each call reads the one it holds.
+# and the table at the cap takes 1 MB.
 _SWEEP_BELOW = 1 << 7
 _TABLE_CAP = 1 << 18
 _SWEEPS_BEFORE_TABLE = 2

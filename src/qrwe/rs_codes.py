@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .enumerators import QREnumerator
 from .errors import DEFAULT_BUDGET  # noqa: F401  (still read as rs_codes.DEFAULT_BUDGET)
-from .errors import ConsistencyError, check_budget, clamp_threads, map_units
+from .errors import ConsistencyError, check_budget
 from .finite_field import FieldContext
 
 
@@ -109,10 +109,12 @@ def _rank(ctx: FieldContext, rows) -> int:
 
 def brute_force_enumerator(code: ReedSolomonCode, budget: int = None,
                            threads: int = None) -> QREnumerator:
-    """Exact enumerator of the code by visiting all q^dim codewords."""
+    """Exact enumerator of the code by visiting all q^dim codewords.
+    `threads` is accepted and ignored until the benchmark harness stops
+    passing it (ROADMAP item 5, step 2)."""
     visits = code.size
     check_budget(visits, budget)
-    enum = QREnumerator(code.n, code.ctx.q, _tally_vector(code, threads))
+    enum = QREnumerator(code.n, code.ctx.q, _tally_vector(code))
     if enum.total() != visits:
         raise ConsistencyError("enumerated %d codewords, expected %d"
                                % (enum.total(), visits))
@@ -160,7 +162,7 @@ def _tally_scalar(code: ReedSolomonCode) -> dict:
     return counts
 
 
-def _tally_vector(code: ReedSolomonCode, threads: int = None) -> dict:
+def _tally_vector(code: ReedSolomonCode) -> dict:
     import numpy as np
 
     ctx, q, n = code.ctx, code.ctx.q, code.n
@@ -173,7 +175,7 @@ def _tally_vector(code: ReedSolomonCode, threads: int = None) -> dict:
     # (1, s) for every s, (0, 1) and (0, 0); at dim 1, (1,) and (0,).
     ones = [ctx.add_table[rows[-2], _grid(ctx, rows[-1:])]] if code.dim > 1 else []
     tops = np.concatenate(ones + [rows[-1:], np.zeros((1, n), dtype=np.int16)])
-    zeros, squares = _form_counts(ctx, tops, rows[:-2], threads)
+    zeros, squares = _form_counts(ctx, tops, rows[:-2])
     # (zeros, squares) of each codeword as one key, in place where int16 holds it
     keys = zeros.astype(np.int16 if (n + 1) ** 2 <= 2 ** 15 else np.int32, copy=False)
     keys *= n + 1
@@ -203,13 +205,13 @@ def _grid(ctx: FieldContext, rows):
     return grid
 
 
-def _form_counts(ctx: FieldContext, bases, grid_rows, threads: int = None) -> tuple:
+def _form_counts(ctx: FieldContext, bases, grid_rows) -> tuple:
     """(zeros, squares): two (T, C) int16 arrays counting, for each of
     the T bases (a (T, n) array of element codes) and each g of the
     C = q^m combinations of the (m, n) `grid_rows` in `_grid` order, the
     points where base + g vanishes and where it is a nonzero square.
     Counts accumulate over blocks of points, one gather of characters per
-    block and part of the bases, the parts run on `threads` workers."""
+    block and part of the bases."""
     import numpy as np
 
     q, (count, n) = ctx.q, bases.shape
@@ -217,7 +219,7 @@ def _form_counts(ctx: FieldContext, bases, grid_rows, threads: int = None) -> tu
     zeros = np.zeros((count, q ** len(grid_rows)), dtype=np.int16)
     squares = np.zeros_like(zeros)
     # parts of at most 2^14 cells (unless one base has more) bound the gathers
-    parts = min(count, max(clamp_threads(threads, count), zeros.size >> 14))
+    parts = min(count, max(1, zeros.size >> 14))
     parts = [slice(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
     # the grid's values at a block of points (about 2^16 cells) are built once for all
     # parts, and each gather reads one part at as many points as fit in about 2^14 cells
@@ -225,17 +227,15 @@ def _form_counts(ctx: FieldContext, bases, grid_rows, threads: int = None) -> tu
     block = max(1, (1 << 14) // (-(-count // len(parts)) * zeros.shape[1]))
     for start in range(0, n, step):
         columns = _grid(ctx, grid_rows[:, start:start + step]).T  # (points, C)
-
-        def run(part):  # base + g at the block's points, flat in (q, q)
+        for part in parts:  # base + g at the block's points, flat in (q, q)
             part_bases = bases[part, start:start + step]
             for i in range(0, len(columns), block):
-                sums = part_bases[:, i:i + block, None].astype(np.intp) * q + columns[i:i + block]
-                values = np.take(chi, sums)
+                values = np.take(chi, part_bases[:, i:i + block, None].astype(np.intp) * q
+                                 + columns[i:i + block])  # the sums die with the call
                 for counts, value in ((zeros, 0), (squares, 1)):
                     hits = values == value  # a sum over one point costs more than the add
                     counts[part] += hits.sum(axis=1, dtype=np.int16) if block > 1 else hits[:, 0]
-
-        map_units(run, parts, threads)
+            del values, hits  # before the next part's first gather
     return zeros, squares
 
 

@@ -45,9 +45,9 @@ FAMILY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61
 _census_cache = {}
 
 
-def cached_quartic_census(q: int, threads: int = None):
+def cached_quartic_census(q: int):
     if q not in _census_cache:
-        _census_cache[q] = quartic_census(field(*prime_power_split(q)), threads=threads)
+        _census_cache[q] = quartic_census(field(*prime_power_split(q)))
     return _census_cache[q]
 
 
@@ -63,7 +63,7 @@ def _skipped(values, qmax, label):
 
 # -- criterion 1 -------------------------------------------------------------
 
-def checks_classnumbers(qmax=None, threads=None):
+def checks_classnumbers(qmax=None):
     special = {-3: Fraction(1, 3), -4: Fraction(1, 2),
                -16: Fraction(3, 2), -12: Fraction(4, 3)}
     ok = all(hurwitz_class_number(d) == v for d, v in special.items())
@@ -93,7 +93,7 @@ def _trace_limit(qmax):
     return TRACE_QMAX if qmax is None else min(qmax, TRACE_QMAX)
 
 
-def checks_traces_dimension_zero(qmax=None, threads=None):
+def checks_traces_dimension_zero(qmax=None):
     limit = _trace_limit(qmax)
     qs = list(odd_prime_powers(limit))
     for level, weights in ZERO_DIM_WEIGHTS.items():
@@ -103,7 +103,7 @@ def checks_traces_dimension_zero(qmax=None, threads=None):
                    % (level, k, limit), ok)
 
 
-def checks_traces_eta(qmax=None, threads=None):
+def checks_traces_eta(qmax=None):
     limit = _trace_limit(qmax)
     qs = list(odd_prime_powers(limit))
     primes = list(odd_primes(limit))
@@ -155,7 +155,7 @@ def _displayed_full(p, R, a_p):
     }[R]
 
 
-def checks_moments_displayed(qmax=None, threads=None):
+def checks_moments_displayed(qmax=None):
     primes = _cap(tuple(odd_primes(47)), qmax)
     yield from _skipped(primes, qmax, "displayed prime moment polynomials")
     eta6 = weight6_level4_form()
@@ -173,11 +173,11 @@ def checks_moments_displayed(qmax=None, threads=None):
 
 # -- criterion 5 -------------------------------------------------------------
 
-def checks_moments_census(qmax=None, threads=None):
+def checks_moments_census(qmax=None):
     qs = _cap(CENSUS_QS, qmax)
     yield from _skipped(qs, qmax, "census moments match formulas")
     for q in qs:
-        census = cached_quartic_census(q, threads)
+        census = cached_quartic_census(q)
         ok = all(empirical_moment(census, R, "all") == moment_formula(q, R, "all")
                  for R in range(6))
         for flavor in ("two_torsion", "full_two_torsion"):
@@ -188,11 +188,11 @@ def checks_moments_census(qmax=None, threads=None):
 
 # -- criterion 6 -------------------------------------------------------------
 
-def checks_isogeny_census(qmax=None, threads=None):
+def checks_isogeny_census(qmax=None):
     qs = _cap(ISOGENY_QS, qmax)
     yield from _skipped(qs, qmax, "weighted isogeny-class counts match census")
     for q in qs:
-        census = cached_quartic_census(q, threads)
+        census = cached_quartic_census(q)
         traces = set(census.traces())
         bound = isqrt(4 * q) + 2
         traces.update(range(-bound, bound + 1))
@@ -245,13 +245,13 @@ def _check_j_special(q: int) -> bool:
 
 # -- criterion 7 -------------------------------------------------------------
 
-def checks_c14(qmax=None, threads=None):
+def checks_c14(qmax=None):
     qs = _cap(C14_QS, qmax)
     yield from _skipped(qs, qmax, "degree-4 enumerator matches brute force")
     for q in qs:
         enum = quartic_code_enumerator(q)
         code = reed_solomon_code(field(*prime_power_split(q)), 4, projective=True)
-        brute = brute_force_enumerator(code, threads=threads)
+        brute = brute_force_enumerator(code)
         ok = enum == brute
         ok = ok and enum.total() == q ** 5
         ok = ok and enum.hamming_distribution() == mds_weight_distribution(q + 1, 5, q)
@@ -260,7 +260,7 @@ def checks_c14(qmax=None, threads=None):
 
 # -- criterion 8 -------------------------------------------------------------
 
-def checks_duals(qmax=None, threads=None):
+def checks_duals(qmax=None):
     qs = _cap(DUAL_QS, qmax)
     yield from _skipped(qs, qmax, "MacWilliams dual matches brute force")
     yield from _skipped(qs, qmax, "double transform returns the enumerator")
@@ -268,7 +268,7 @@ def checks_duals(qmax=None, threads=None):
         primal = quartic_code_enumerator(q)
         dual = qr_macwilliams_dual(primal, q, q ** 5)
         code = reed_solomon_code(field(*prime_power_split(q)), q - 5, projective=True)
-        ok = dual == brute_force_enumerator(code, threads=threads)
+        ok = dual == brute_force_enumerator(code)
         yield "MacWilliams dual matches brute force at q = %d" % q, ok
         again = qr_macwilliams_dual(dual, q, q ** (q - 4))
         yield "double transform returns the enumerator at q = %d" % q, again == primal
@@ -277,7 +277,7 @@ def checks_duals(qmax=None, threads=None):
     for q in qs:
         punctured = puncture_enumerator(quartic_code_enumerator(q), q)
         code = reed_solomon_code(field(*prime_power_split(q)), 4, projective=False)
-        ok = punctured == brute_force_enumerator(code, threads=threads)
+        ok = punctured == brute_force_enumerator(code)
         yield "puncturing matches the classical brute force at q = %d" % q, ok
     qs = _cap(DUAL_PRIME_POWER_QS, qmax)
     yield from _skipped(qs, qmax, "double transform and MDS dual at prime powers")
@@ -292,7 +292,7 @@ def checks_duals(qmax=None, threads=None):
 
 # -- criterion 9 -------------------------------------------------------------
 
-def checks_examples(qmax=None, threads=None):
+def checks_examples(qmax=None):
     qs = _cap(EXAMPLE_PRIMES_1MOD4 + EXAMPLE_PRIMES_3MOD4, qmax)
     yield from _skipped(qs, qmax, "projective dual closed forms hold")
     for q in qs:
@@ -315,7 +315,7 @@ def checks_examples(qmax=None, threads=None):
 
 # -- criterion 10 ------------------------------------------------------------
 
-def checks_family_sums(qmax=None, threads=None):
+def checks_family_sums(qmax=None):
     primes = _cap(FAMILY_PRIMES, qmax)
     yield from _skipped(primes, qmax, "sixth-power family sum matches its closed form")
     for p in primes:
@@ -340,12 +340,12 @@ SUITES["all"] = tuple(fn for name in
                        "examples") for fn in SUITES[name])
 
 
-def run_suite(name: str, qmax=None, threads=None, stream=None) -> bool:
+def run_suite(name: str, qmax=None, stream=None) -> bool:
     if name not in SUITES:
         raise KeyError("unknown suite %r" % name)
     all_ok = True
     for fn in SUITES[name]:
-        for label, ok in fn(qmax=qmax, threads=threads):
+        for label, ok in fn(qmax=qmax):
             all_ok = all_ok and (ok is None or bool(ok))
             if stream is not None:
                 status = "SKIP" if ok is None else "PASS" if ok else "FAIL"

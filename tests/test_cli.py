@@ -126,6 +126,21 @@ def test_usage_errors_exit_2(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("census", "--q", "7", "--kind", "quartic"),
+    ("census", "--q", "7", "--kind", "weierstrass"),
+    ("brute", "--q", "7", "--h", "2"),
+    ("moments", "--q", "7", "--R", "2", "--empirical"),
+    ("verify", "--suite", "c14", "--qmax", "7"),
+])
+def test_threads_flag_is_a_no_op(capsys, argv):
+    outputs = {run_cli(capsys, *flag, *argv)[:2]
+               for flag in ((), ("--threads", "1"), ("--threads", "3"))}
+    assert len(outputs) == 1
+    (code, out), = outputs
+    assert code == 0 and out
+
+
 def test_bad_budget_is_a_usage_error(capsys, monkeypatch):
     for bad in ("-3", "abc"):
         with pytest.raises(SystemExit) as info:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -176,6 +177,20 @@ def test_numpy_tables_agree_with_ops():
             for b in ctx.elements():
                 assert int(add[a, b]) == ctx.add(a, b)
                 assert int(mul[a, b]) == ctx.mul(a, b)
+
+
+def test_mul_table_builds_without_a_second_q2_array():
+    ctx = FieldContext(3001, 1)  # not the cached field: its table is built here
+    tracemalloc.start()
+    try:
+        mul = ctx.mul_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * mul.nbytes
+    rows = max(1, (1 << 16) // ctx.q)
+    for a in (0, 1, rows - 1, rows, rows + 1, ctx.q - 1):  # both sides of a block edge
+        assert mul[a].tolist() == [ctx.mul(a, b) for b in ctx.elements()], a
 
 
 def test_int16_tables_refuse_large_q():

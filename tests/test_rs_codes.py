@@ -7,8 +7,7 @@ from pathlib import Path
 import pytest
 
 from qrwe.enumerators import QREnumerator, mds_weight_distribution, qr_macwilliams_dual
-from qrwe.errors import (BudgetExceededError, ConsistencyError, check_budget,
-                         clamp_threads, map_units)
+from qrwe.errors import BudgetExceededError, ConsistencyError, check_budget
 from qrwe.finite_field import FieldContext, field
 from qrwe.rs_codes import (_tally_scalar, brute_force_enumerator,
                            puncture_enumerator, reed_solomon_code)
@@ -81,26 +80,20 @@ def test_brute_force_threads_deterministic():
             == brute_force_enumerator(code))
 
 
-def test_clamp_threads(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert clamp_threads(None, 10) == 1
-    assert clamp_threads(0, 10) == 1
-    assert clamp_threads(-2, 10) == 1
-    assert clamp_threads(3, 10) == 3
-    assert clamp_threads(10 ** 6, 10) == 4
-    assert clamp_threads(10 ** 6, 2) == 2
-    assert clamp_threads(3, 0) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert clamp_threads(10 ** 6, 10) == 1
-
-
 def test_import_leaves_out_the_thread_pool_and_map_units_keeps_order():
+    # The pool and its map are gone: the ignored threads= keyword keeps every
+    # result, no thread starts and concurrent.futures is never imported.
     code = """
 import sys
+import threading
 import qrwe
-from qrwe.errors import map_units
+ctx = qrwe.field(7, 1)
+for census in (qrwe.quartic_census, qrwe.weierstrass_census):
+    assert qrwe.census_json(census(ctx, threads=4)) == qrwe.census_json(census(ctx))
+rs = qrwe.reed_solomon_code(ctx, 3)
+assert qrwe.brute_force_enumerator(rs, threads=4) == qrwe.brute_force_enumerator(rs)
+assert threading.active_count() == 1
 assert "concurrent.futures" not in sys.modules
-assert map_units(lambda u: u * u, list(range(20)), threads=2) == [u * u for u in range(20)]
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run([sys.executable, "-c", code], env=env,
