@@ -298,21 +298,20 @@ def weierstrass_census(ctx: FieldContext, threads: int = None) -> Census:
 def empirical_moment(census, R: int, flavor: str = "all") -> Fraction:
     """Weighted 2R-th moment of the trace read off a census, weighing
     each trace by `census.weighted_count` (`weighted_count_full_2tors`
-    for the full-2-torsion flavor)."""
+    for the full-2-torsion flavor).  The model counts are summed as
+    integers and divided by the census denominator once."""
     if flavor not in ("all", "two_torsion", "full_two_torsion"):
         raise ValueError("unknown flavor %r" % (flavor,))
     if R < 0:
         raise ValueError("moment order R must be >= 0")
-    total = Fraction(0)
-    for t in census.traces():
-        if flavor == "two_torsion" and t % 2 != 0:
-            continue
-        if flavor == "full_two_torsion":
-            weight = census.weighted_count_full_2tors(t)
-        else:
-            weight = census.weighted_count(t)
-        total += t ** (2 * R) * weight
-    return total
+    buckets = census.buckets.items()
+    if flavor == "full_two_torsion":
+        total = census.full_multiplier * sum(t ** (2 * R) * bucket.by_roots[-1]
+                                             for t, bucket in buckets)
+    else:
+        total = sum(t ** (2 * R) * bucket.total for t, bucket in buckets
+                    if flavor == "all" or t % 2 == 0)
+    return Fraction(total, census.denominator)
 
 
 def _scaling_orbits(ctx: FieldContext, n: int) -> list:

@@ -1,23 +1,22 @@
 """Eichler-Selberg trace formulas and moment formulas for curve counts.
 
-For an odd prime power q = p^v and even weight k, everything here comes
-from three class-number sums over the traces t with t^2 < 4q:
+For an odd prime power q = p^v, everything here is read off integer
+power moments of class numbers over the traces t with t^2 < 4q:
 
-    K_all(k, q)  = 1/2 sum P_k(t, q) H(t^2 - 4q),
-    K_two(k, q)  = 1/2 sum over even t of P_k(t, q) H(t^2 - 4q),
-    K_full(k, q) = 1/2 sum over t = q + 1 (mod 4) of P_k(t, q) H((t^2 - 4q)/4),
+    M_j(q, "all")              = sum over t of t^(2j) 6H(t^2 - 4q),
+    M_j(q, "two_torsion")      = the same sum over even t,
+    M_j(q, "full_two_torsion") = sum over t = q + 1 (mod 4) of
+                                 t^(2j) 6H((t^2 - 4q)/4),
 
-with H the Hurwitz class number and P_k the Gegenbauer kernel, a
-polynomial in u = t^2:
+with H the Hurwitz class number.  The moment kernel K of weight k is
+the sum against the Gegenbauer kernel P_k, a polynomial in u = t^2,
 
-    P_k(t, q) = sum_{0 <= j < k/2} (-1)^j C(k-2-j, j) q^j u^(k/2-1-j).
+    P_k(t, q) = sum_{0 <= j < k/2} (-1)^j C(k-2-j, j) q^j u^(k/2-1-j),
 
-Its coefficient list is the inverse of the ballot numbers of
-`kernel_expansion_coeff`, which write t^(2R) in the P_k; each sum
-builds the list once and evaluates every t by Horner's rule in u.  The
-K are the moment kernels of the flavors below.  The trace of the Hecke
-operator T_q on S_k(Gamma_0(N)) for N in {1, 2, 4} is an affine
-function of them:
+so 12 K = sum_j (-1)^j C(k-2-j, j) q^j M_(k/2-1-j), and every weight
+at one (q, flavor) reads the same moments.  The trace of the
+Hecke operator T_q on S_k(Gamma_0(N)) for N in {1, 2, 4} is an affine
+function of the kernels:
 
     tr_N(k, q) = [v even] psi(N) (k-1)/12 q^(k/2-1) - (class part)
                  - c(N)/2 min_power_sum(q, k) + [k = 2] sigma_1(q),
@@ -33,33 +32,71 @@ trivial.  Level 2's sum over odd conductors of even-t orders is
 H(D) - H(D/4) for D = t^2 - 4q, and H(D/4) = 0 for even t off the
 class t = q + 1 (mod 4), which gives its class part.
 
-The sums are kept as the integers 12 K, and a trace is assembled as
-the integer 12 tr_N.  It must be divisible by 12; a remainder raises
+The kernels are kept as the integers 12 K, and a trace is assembled as
+the integer 12 tr.  It must be divisible by 12; a remainder raises
 ConsistencyError, since it would mean the class-number bookkeeping is
 broken.
 
-The moment kernels build the closed-form weighted moment sums of the
-trace of Frobenius over elliptic curves / F_q:
+The moment formulas are the weighted moments of the trace of Frobenius
+over elliptic curves / F_q:
 
     flavor "all"               -> every isomorphism class,
     flavor "two_torsion"       -> classes with a rational 2-torsion point
                                   (even trace),
     flavor "full_two_torsion"  -> classes with all of E[2] rational.
 
-The moment of order 2R is a linear combination of per-weight kernels at
-weights 2, 4, ..., 2R+2; the combination coefficients are the ballot
-numbers C(2R,j) - C(2R,j-1).
+The moment of order 2R combines the kernels at weights 2, ..., 2R+2
+at q and q/p^2 by the ballot numbers (`kernel_expansion_coeff`), which
+write t^(2R) in the P_k, so it collapses to the moments M_R at q and
+q/p^2 (`moment_formula`).
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, isqrt
+from operator import mul
 
 from .arith import odd_prime_power_split, prime_power_split, sigma1
 from .errors import ConsistencyError
 from .quadratic_forms import hurwitz_row
 
 FLAVORS = ("all", "two_torsion", "full_two_torsion")
+
+# (q, flavor) -> (M_0, M_1, ...), least recently used first
+_MOMENTS = {}
+_MOMENTS_MAX = 1 << 12
+
+
+def _power_moments(q: int, flavor: str, count: int) -> tuple:
+    """(M_0, ..., M_(count-1)) of `flavor` at odd prime power q, or at
+    q = 1 (t^2 < 4: H(-4) = 1/2, H(-3) = 1/3), cached as moments only
+    and recomputed, at least doubled, when an entry is too short.
+
+    The integers 6H are read off one Hurwitz row: H(t^2 - 4q) at |t| in
+    `hurwitz_row(4q)`, H((t^2 - 4q)/4) = H(u^2 - q) at u = |t|/2 in
+    `hurwitz_row(q)`.  t > 0 stands for t and -t, and each further
+    moment is one C-level product of the last terms with the t^2."""
+    key = (q, flavor)
+    moments = _MOMENTS.pop(key, ())
+    if len(moments) < count:
+        # at least double, so weights asked in ascending order recompute
+        # an entry O(log k) times
+        count = max(count, 2 * len(moments))
+        full = flavor == "full_two_torsion"
+        row = hurwitz_row(q if full else 4 * q)
+        start, step = ((q + 1) % 4, 4) if full else (0, 1 if flavor == "all" else 2)
+        terms = row[start // 2::2] if full else row[::step]
+        squares = [t * t for t in range(start, isqrt(4 * q - 1) + 1, step)]
+        # t = 0, present when start = 0, counts once and only in M_0
+        at_zero = terms[0] if start == 0 else 0
+        moments = [2 * sum(terms) - at_zero]
+        for _ in range(1, count):
+            terms = list(map(mul, terms, squares))
+            moments.append(2 * sum(terms))
+        moments = tuple(moments)
+    _MOMENTS[key] = moments
+    if len(_MOMENTS) > _MOMENTS_MAX:
+        del _MOMENTS[next(iter(_MOMENTS))]
+    return moments
 
 
 def _kernel_coefficients(k: int, q: int) -> list:
@@ -93,28 +130,12 @@ def min_power_sum(q: int, k: int) -> int:
     return sum(min(p ** i, p ** (v - i)) ** (k - 1) for i in range(v + 1))
 
 
-@lru_cache(maxsize=1 << 12)
 def _class_number_sum(k: int, q: int, flavor: str) -> int:
     """12 times the moment kernel of `flavor` at weight k and odd prime
-    power q, or q = 1.
-
-    The class numbers are read, as the integers 6H, off one Hurwitz
-    row: H(t^2 - 4q) at |t| in `hurwitz_row(4q)`, and H((t^2 - 4q)/4)
-    = H(u^2 - q) at u = |t|/2 in `hurwitz_row(q)`.  Each t evaluates
-    P_k(t, q) by Horner's rule in t^2 over one coefficient list."""
-    full = flavor == "full_two_torsion"
-    row = hurwitz_row(q if full else 4 * q)
-    start, step = ((q + 1) % 4, 4) if full else (0, 1 if flavor == "all" else 2)
-    coefficients = _kernel_coefficients(k, q)
-    total = 0
-    for t in range(start, isqrt(4 * q - 1) + 1, step):
-        u = t * t
-        value = 0
-        for c in coefficients:
-            value = value * u + c
-        # P_k(-t, q) = P_k(t, q) for even k, so t > 0 stands for t and -t
-        total += (2 if t else 1) * value * row[t // 2 if full else t]
-    return total
+    power q, or q = 1: the power moments M_(k/2-1), ..., M_0 against
+    P_k's coefficients, highest power of u first."""
+    moments = _power_moments(q, flavor, k // 2)[:k // 2]
+    return sum(map(mul, _kernel_coefficients(k, q), reversed(moments)))
 
 
 # level N -> (index psi(N) of Gamma_0(N), cusp count, multiple of each
@@ -192,7 +213,11 @@ def trace(level: int, k: int, q: int) -> int:
 def kernel_expansion_coeff(R: int, j: int) -> int:
     """Ballot number C(2R, j) - C(2R, j-1): the coefficient of
     q^j P_{2R-2j+2}(t, q) in the expansion of t^(2R).  Equals 1 at j = 0
-    and the R-th Catalan number at j = R."""
+    and the R-th Catalan number at j = R.
+
+    Read as power sums: sum_j ballot(R, j) q^j 12 K(2R-2j+2, q) is the
+    class-number power moment M_R(q), which is how `moment_formula`
+    skips the kernels."""
     if not 0 <= j <= R:
         raise ValueError("need 0 <= j <= R, got j=%d, R=%d" % (j, R))
     return comb(2 * R, j) - (comb(2 * R, j - 1) if j >= 1 else 0)
@@ -201,12 +226,12 @@ def kernel_expansion_coeff(R: int, j: int) -> int:
 def moment_kernel(q_arg, k: int, flavor: str = "all") -> Fraction:
     """Per-weight building block of the moment formulas.
 
-    `q_arg` is an odd prime power, or one of the two sentinels that the
-    recursion in `moment_formula` produces: 1 (two steps down from p^2)
-    and 0 (two steps down from p), where the kernel vanishes, as it does
-    for any value below 1.  At q = 1 the kernel is the same class-number
-    sum, over t^2 < 4, where H(-4) = 1/2 and H(-3) = 1/3.  A value of
-    at least 1 that is not an integer raises ValueError.
+    `q_arg` is an odd prime power, or one of the two values q/p^2 that
+    the moment formulas meet: 1 (at q = p^2) and 0 (at q = p), where the
+    kernel vanishes, as it does for any value below 1.  At q = 1 the
+    kernel is the same class-number sum, over t^2 < 4, where H(-4) = 1/2
+    and H(-3) = 1/3.  A value of at least 1 that is not an integer
+    raises ValueError.
     """
     if flavor not in FLAVORS:
         raise ValueError("unknown flavor %r" % (flavor,))
@@ -223,16 +248,22 @@ def moment_kernel(q_arg, k: int, flavor: str = "all") -> Fraction:
 def moment_formula(q: int, R: int, flavor: str = "all") -> Fraction:
     """Closed form for the weighted 2R-th moment of the trace of
     Frobenius over isomorphism classes of elliptic curves / F_q,
-    restricted by 2-torsion structure according to `flavor`."""
+    restricted by 2-torsion structure according to `flavor`.  The
+    ballot combination of the kernels at q and q/p^2 collapses, as
+    q^j p^(2R-2j+1) = p^(2R+1) (q/p^2)^j, to
+
+        (M_R(q) - p^(2R+1) M_R(q/p^2) + [v even] (p-1) (4q)^R) / 12,
+
+    where q/p^2 is 0 at v = 1 (the term vanishes), 1 at v = 2 and a
+    prime power at v >= 3."""
     if R < 0:
         raise ValueError("moment order R must be >= 0")
+    if flavor not in FLAVORS:
+        raise ValueError("unknown flavor %r" % (flavor,))
     p, v = odd_prime_power_split(q)
-    sub = q // (p * p)  # 1 at v = 2, and 0, where the kernel vanishes, at v = 1
-    total = Fraction(0)
-    for j in range(R + 1):
-        k = 2 * R - 2 * j + 2
-        term = moment_kernel(q, k, flavor) - p ** (k - 1) * moment_kernel(sub, k, flavor)
-        total += kernel_expansion_coeff(R, j) * q ** j * term
+    total = _power_moments(q, flavor, R + 1)[R]
+    if v > 1:
+        total -= p ** (2 * R + 1) * _power_moments(q // (p * p), flavor, R + 1)[R]
     if v % 2 == 0:
-        total += Fraction(p - 1, 12) * (4 * q) ** R
-    return total
+        total += (p - 1) * (4 * q) ** R
+    return Fraction(total, 12)

@@ -156,6 +156,8 @@ def _displayed_full(p, R, a_p):
 
 
 def checks_moments_displayed(qmax=None):
+    # moment_formula reads class-number power moments and no trace, so
+    # this compares them with tau(p) and the eta coefficients directly
     primes = _cap(tuple(odd_primes(47)), qmax)
     yield from _skipped(primes, qmax, "displayed prime moment polynomials")
     eta6 = weight6_level4_form()

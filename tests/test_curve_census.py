@@ -205,6 +205,37 @@ def test_empirical_moment_examples(quartic_census_for):
         empirical_moment(census7, -1)
 
 
+def _fraction_moment(census, R, flavor):
+    """Reference: one Fraction per trace bucket, as the weighted counts
+    give them."""
+    total = Fraction(0)
+    for t in census.traces():
+        if flavor == "two_torsion" and t % 2 != 0:
+            continue
+        if flavor == "full_two_torsion":
+            weight = census.weighted_count_full_2tors(t)
+        else:
+            weight = census.weighted_count(t)
+        total += t ** (2 * R) * weight
+    return total
+
+
+def test_integer_moments_match_the_per_bucket_fraction_sum(quartic_census_for):
+    censuses = [quartic_census_for(q) for q in (3, 5, 7, 9, 11, 13)]
+    censuses += [weierstrass_census(field(p, 1)) for p in (5, 7, 11, 13, 251)]
+    for census in censuses:
+        for flavor in ("all", "two_torsion", "full_two_torsion"):
+            for R in range(8):
+                value = empirical_moment(census, R, flavor)
+                assert isinstance(value, Fraction)
+                assert value == _fraction_moment(census, R, flavor), (
+                    census.kind, census.q, flavor, R)
+        with pytest.raises(ValueError, match="unknown flavor"):
+            empirical_moment(census, 1, "three_torsion")
+        with pytest.raises(ValueError, match="R must be >= 0"):
+            empirical_moment(census, -1, "full_two_torsion")
+
+
 def test_empirical_matches_formula_small(quartic_census_for):
     for q in (3, 5, 7, 9):
         census = quartic_census_for(q)

@@ -172,6 +172,77 @@ def test_power_expands_into_kernels():
                 assert total == t ** (2 * R), (q, R, t)
 
 
+def _ballot_moment(q, R, flavor):
+    """Reference: the moment as the ballot combination of the kernels at
+    q and q/p^2, plus the boundary term at even v."""
+    p, v = hecke_traces.odd_prime_power_split(q)
+    sub = q // (p * p)
+    total = Fraction(0)
+    for j in range(R + 1):
+        k = 2 * R - 2 * j + 2
+        term = moment_kernel(q, k, flavor) - p ** (k - 1) * moment_kernel(sub, k, flavor)
+        total += kernel_expansion_coeff(R, j) * q ** j * term
+    if v % 2 == 0:
+        total += Fraction(p - 1, 12) * (4 * q) ** R
+    return total
+
+
+def test_moment_formula_collapses_the_ballot_combination():
+    # q/p^2 is 0 at primes, 1 at squares and a prime power at 3^7, 5^5, 7^4
+    for q in list(odd_prime_powers(2000)) + [3 ** 7, 5 ** 5, 7 ** 4, 16411]:
+        for flavor in FLAVORS:
+            for R in range(8):
+                assert moment_formula(q, R, flavor) == _ballot_moment(q, R, flavor), (
+                    q, flavor, R)
+
+
+def _horner_class_number_sum(k, q, flavor):
+    """Reference 12 K: P_k(t, q) by Horner's rule in t^2 at every t,
+    t > 0 standing for t and -t."""
+    full = flavor == "full_two_torsion"
+    row = hurwitz_row(q if full else 4 * q)
+    start, step = ((q + 1) % 4, 4) if full else (0, 1 if flavor == "all" else 2)
+    coefficients = hecke_traces._kernel_coefficients(k, q)
+    total = 0
+    for t in range(start, isqrt(4 * q - 1) + 1, step):
+        u = t * t
+        value = 0
+        for c in coefficients:
+            value = value * u + c
+        total += (2 if t else 1) * value * row[t // 2 if full else t]
+    return total
+
+
+def test_kernels_from_moments_match_horner_in_any_weight_order(monkeypatch):
+    weights = list(range(2, 41, 2))
+    half = len(weights) // 2
+    orders = (weights, weights[::-1],
+              [k for pair in zip(weights[:half], weights[half:]) for k in pair])
+    for q in [1] + list(odd_prime_powers(2000)) + [100003]:
+        for flavor in FLAVORS:
+            expected = {k: _horner_class_number_sum(k, q, flavor) for k in weights}
+            for order in orders:
+                monkeypatch.setattr(hecke_traces, "_MOMENTS", {})
+                for k in order:
+                    assert hecke_traces._class_number_sum(k, q, flavor) == expected[k], (
+                        q, flavor, k, order[0])
+
+
+def test_moments_cache_stays_within_its_bound(monkeypatch):
+    bound = hecke_traces._MOMENTS_MAX
+    cache = {(-i, "all"): (0,) * 8 for i in range(bound)}
+    monkeypatch.setattr(hecke_traces, "_MOMENTS", cache)
+    hecke_traces._power_moments(-1, "all", 8)  # a hit refreshes its entry
+    for q in odd_prime_powers(300):
+        for flavor in FLAVORS:
+            hecke_traces._power_moments(q, flavor, 3)
+            assert len(cache) <= bound
+    assert len(cache) == bound
+    assert (-1, "all") in cache and (-2, "all") not in cache
+    # an entry is the moments only, not the power lists
+    assert all(type(m) is int for m in cache[(3, "all")]) and len(cache[(3, "all")]) == 3
+
+
 def test_even_trace_class_number_sum_is_two_torsion_kernel():
     # (1/2) sum_{t even, t^2 < 4q} P_k(t, q) H(t^2 - 4q) equals the
     # two-torsion moment kernel
