@@ -64,6 +64,14 @@ class QREnumerator:
             clean[(j, k)] = int(value)
         self.terms = clean
 
+    @classmethod
+    def _from_checked(cls, n: int, q: int, terms: dict) -> "QREnumerator":
+        """An enumerator over terms the caller has already checked: every
+        key in range for degree n, every value a positive int."""
+        enum = cls.__new__(cls)
+        enum.n, enum.q, enum.terms = n, q, terms
+        return enum
+
     def coeff(self, j: int, k: int) -> int:
         return self.terms.get((j, k), 0)
 
@@ -204,6 +212,9 @@ def _times_b_power(acc: list, gap: int) -> list:
 
 
 def _finalize(accumulator: dict, n: int, q: int, code_size: int) -> QREnumerator:
+    """The dual enumerator from the accumulated numerators, whose keys
+    (j, k) all have j + k <= n: each numerator must divide exactly and
+    come out nonnegative, so the terms need no second check."""
     denominator = 2 ** n * code_size
     terms = {}
     for key, a in accumulator.items():
@@ -215,7 +226,7 @@ def _finalize(accumulator: dict, n: int, q: int, code_size: int) -> QREnumerator
             raise ConsistencyError("negative dual coefficient %d at %s" % (value, key))
         if value:
             terms[key] = value
-    return QREnumerator(n, q, terms)
+    return QREnumerator._from_checked(n, q, terms)
 
 
 def qr_macwilliams_dual(enum: QREnumerator, q: int, code_size: int,

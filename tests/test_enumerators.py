@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -28,6 +29,22 @@ def test_enumerator_validation():
         QREnumerator(3, 5, {(0, 1): -2})
     enum = QREnumerator(3, 5, {(0, 0): 1, (1, 0): 0})
     assert enum.terms == {(0, 0): 1}
+
+
+def test_public_constructor_keeps_the_checks_the_dual_skips():
+    # `_finalize` checks its own terms and skips the constructor's pass;
+    # the constructor must still refuse every bad term
+    for bad in ({(-1, 0): 1}, {(0, -1): 1}, {(3, 1): 1}, {(0, 1): -1},
+                {(0, 1): Fraction(1, 2)}, {(1, 1): 2.5}):
+        with pytest.raises(ValueError):
+            QREnumerator(3, 5, bad)
+    assert QREnumerator(3, 5, {(1, 1): Fraction(4, 2)}).terms == {(1, 1): 2}
+    primal = quartic_code_enumerator(13)
+    dual = qr_macwilliams_dual(primal, 13, 13 ** 5)
+    assert dual == QREnumerator(dual.n, dual.q, dual.terms)
+    assert all(type(value) is int and value > 0 for value in dual.terms.values())
+    with pytest.raises(ConsistencyError):
+        _finalize({(0, 0): -2 ** 4}, 4, 5, 1)
 
 
 def test_mds_distribution_values():

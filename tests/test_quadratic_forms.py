@@ -1,17 +1,20 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qrwe import quadratic_forms
 from qrwe.arith import odd_prime_powers
 from qrwe.errors import BudgetExceededError
-from qrwe.quadratic_forms import (_sieve_table, _sweep_row, _table_row,
+from qrwe.quadratic_forms import (_TABLE_CAP, _isqrt_array, _sieve_table,
+                                  _sweep_row, _sweep_row_numpy, _table_row,
                                   class_number, hurwitz_class_number,
                                   hurwitz_row, kronecker, weighted_class_number)
 
@@ -145,9 +148,64 @@ def test_sieve_table_matches_one_discriminant_at_a_time_and_the_sweep():
         assert _table_row(table, m) == _sweep_row(m), m
 
 
+def _sieve_loop(top):
+    """The strided-slice sieve, one progression per pair (a, b): the
+    reference for `_sieve_table`."""
+    tab = np.zeros(top + 1, dtype=np.int64)
+    for a in range(1, isqrt(top // 3) + 1):
+        mod = 4 * a
+        for b in range(a + 1):
+            start = 4 * a * a - b * b  # c = a
+            if start > top:
+                continue
+            both = 12 if 0 < b < a else 6
+            tab[start::mod] += both
+            tab[start] -= both - (3 if b == 0 else 2 if b == a else 6)
+    return tab.astype(np.int32)
+
+
+def test_sieve_table_is_byte_identical_to_the_strided_loop():
+    for top in (1, 2, 3, 10, 128, 1000, 4736, 20000, 1 << 18):
+        table, reference = _sieve_table(top), _sieve_loop(top)
+        assert table.dtype == reference.dtype, top
+        assert table.tobytes() == reference.tobytes(), top
+
+
+LARGE_ROWS = (16411, 65644, 4 * 16417, (1 << 18) + 1, 4 * 100003)
+
+
+def test_numpy_sweep_is_bit_identical_to_the_loop():
+    small = range(1, 1 << 11)
+    edge = range((1 << 13) - 64, (1 << 13) + 65)
+    for m in (*small, *edge, *LARGE_ROWS):
+        assert _sweep_row_numpy(m) == _sweep_row(m), m
+
+
+def test_isqrt_array_is_exact_where_the_float_root_is_not():
+    # above 2^52 the float root of s^2 - 1 rounds up to s, and above
+    # 2^53 the int64 -> float conversion itself rounds
+    roots = [s + d for s in (1, 1 << 13, 1 << 26, 94906265, 1 << 30, (1 << 31) - 1)
+             for d in (-1, 0, 1) if s + d >= 0]
+    x = np.array([v for s in roots for v in (s * s - 1, s * s, s * s + 1) if 0 <= v < 1 << 62],
+                 dtype=np.int64)
+    assert _isqrt_array(x).tolist() == [isqrt(v) for v in x.tolist()]
+
+
+def test_numpy_sweep_memory_stays_in_blocks():
+    m = 4 * 100003
+    _sweep_row_numpy(m)  # numpy's own first-call allocations
+    tracemalloc.start()
+    try:
+        _sweep_row_numpy(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_hurwitz_row_entries_are_python_ints():
     for m in (5, 4 * 997, 4 * 10007):
-        for row in (hurwitz_row(m), _table_row(_sieve_table(m), m)):
+        for row in (hurwitz_row(m), _table_row(_sieve_table(m), m), _sweep_row_numpy(m)):
             assert all(type(value) is int for value in row), m
 
 
@@ -195,18 +253,58 @@ assert len(qf._table) == 0, len(qf._table)
     assert result.returncode == 0, result.stderr
 
 
+def test_numpy_sweep_serves_only_large_rows_once_numpy_is_loaded():
+    # a lone trace must not import numpy; once numpy is loaded, a large
+    # swept row comes from the numpy passes and equals the loop's row
+    code = """
+import sys
+import qrwe.quadratic_forms as qf
+from qrwe import trace_level1
+
+trace_level1(12, 16411)
+assert "numpy" not in sys.modules, "a lone trace imported numpy"
+looped = qf.hurwitz_row(4 * 16411)
+
+import numpy
+served = []
+numpy_sweep = qf._sweep_row_numpy
+qf._sweep_row_numpy = lambda m: served.append(m) or numpy_sweep(m)
+# as in a fresh process that has numpy loaded: no row cached or swept
+qf.hurwitz_row.cache_clear()
+qf._sweeps = 0
+assert qf.hurwitz_row(4 * 16411) == looped
+assert served == [4 * 16411], served
+for m in (100, qf._NUMPY_SWEEP_FROM - 1, 2000, 5000):
+    qf.hurwitz_row(m)  # a tiny row, the second sweep, then table reads
+assert len(qf._table) > 5000, len(qf._table)
+assert served == [4 * 16411], served
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 def test_every_class_number_sweep_is_charged_to_the_budget(monkeypatch):
-    # the uncached bodies, so each call is a cache miss, on either engine
+    # the uncached bodies, so each call is a cache miss, on any engine;
+    # a row above the table cap is swept by the numpy passes, and the
+    # budget must refuse it before they start
+    served = []
+    monkeypatch.setattr(quadratic_forms, "_sweep_row_numpy",
+                        lambda m: served.append(m) or _sweep_row_numpy(m))
     for table, sweeps in ((_sieve_table(60), 2), ((), 0)):
         monkeypatch.setattr(quadratic_forms, "_table", table)
         monkeypatch.setattr(quadratic_forms, "_sweeps", sweeps)
-        for m in (7, 4 * 13):
+        for m in (7, 4 * 13, _TABLE_CAP + 1):
             monkeypatch.setenv("QRWE_BUDGET", str(m - 1))
+            calls = len(served)
             with pytest.raises(BudgetExceededError):
                 hurwitz_row.__wrapped__(m)
+            assert len(served) == calls, m
             monkeypatch.setenv("QRWE_BUDGET", str(m))
             assert hurwitz_row.__wrapped__(m) == _sweep_row(m)
         assert quadratic_forms._table is table
+    assert served == [_TABLE_CAP + 1] * 2, served
     monkeypatch.setenv("QRWE_BUDGET", "22")
     with pytest.raises(BudgetExceededError):
         class_number.__wrapped__(-23)
