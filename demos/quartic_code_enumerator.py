@@ -40,7 +40,7 @@ print("  from the refined enumerator:", enum.hamming_distribution())
 print("  from the MDS closed form:   ", mds_weight_distribution(q + 1, 5, q))
 
 print("\nPuncturing one coordinate gives the classical length-%d code:" % q)
-classical = puncture_enumerator(enum, q)
+classical = puncture_enumerator(enum)
 classical_brute = brute_force_enumerator(reed_solomon_code(ctx, 4, projective=False))
 assert classical == classical_brute
 print("  punctured enumerator matches the classical brute force; total %d"

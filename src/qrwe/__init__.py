@@ -33,7 +33,7 @@ from .qr_pipeline import (classical_dual_weight7_check,
                           smooth_quartic_part)
 from .quadratic_forms import (class_number, hurwitz_class_number, hurwitz_row,
                               kronecker, weighted_class_number)
-from .rs_codes import (ReedSolomonCode, brute_force_enumerator,
+from .rs_codes import (LinearCode, brute_force_enumerator,
                        puncture_enumerator, reed_solomon_code)
 
 __version__ = "0.1.0"

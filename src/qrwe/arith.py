@@ -44,17 +44,6 @@ def odd_prime_power_split(q: int) -> tuple:
     return p, v
 
 
-def sigma1(n: int) -> int:
-    """Sum of the positive divisors of n."""
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d
-            if d != n // d:
-                total += n // d
-    return total
-
-
 def odd_prime_powers(limit: int):
     """All odd prime powers q with 3 <= q <= limit, ascending."""
     for q in range(3, limit + 1, 2):

@@ -232,7 +232,7 @@ def _quartic_unit_counts(ctx: FieldContext, leads) -> list:
 
     q, bound, width = ctx.q, isqrt(4 * ctx.q), len(leads[0])
     add, mul = ctx.add_table, ctx.mul_table
-    rows = np.array(_monomial_rows(ctx, 4)[1][::-1], dtype=np.int16)  # rows[e]: x^(4-e) y^e
+    rows = np.array(_monomial_rows(ctx, 4)[::-1], dtype=np.int16)  # rows[e]: x^(4-e) y^e
     bases = 0
     for c, row in zip(np.array(leads).T, rows):
         bases = add[bases, mul[c[:, None], row]]

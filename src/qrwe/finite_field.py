@@ -262,9 +262,10 @@ class FieldContext:
         return "FieldContext(p=%d, v=%d, modulus=%s)" % (self.p, self.v, self.modulus)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def field(p: int, v: int) -> FieldContext:
-    """Shared default-modulus context for F_{p^v}."""
+    """Shared default-modulus context for F_{p^v}; the last 64 fields
+    asked for keep their tables."""
     return FieldContext(p, v)
 
 

@@ -55,7 +55,7 @@ from fractions import Fraction
 from math import comb, isqrt
 from operator import mul
 
-from .arith import odd_prime_power_split, prime_power_split, sigma1
+from .arith import odd_prime_power_split, prime_power_split
 from .errors import ConsistencyError
 from .quadratic_forms import hurwitz_row
 
@@ -147,14 +147,14 @@ _LEVELS = {1: (1, 1, {"all": 1}),
 
 def _compute_trace(level: int, k: int, q: int) -> int:
     psi, cusps, multiples = _LEVELS[level]
-    _, v = odd_prime_power_split(q)
+    p, v = odd_prime_power_split(q)
     # total is 12 tr: every term is an integer once multiplied by 12
     total = -sum(m * _class_number_sum(k, q, flavor) for flavor, m in multiples.items())
     if v % 2 == 0:
         total += psi * (k - 1) * q ** (k // 2 - 1)
     total -= 6 * cusps * min_power_sum(q, k)
     if k == 2:
-        total += 12 * sigma1(q)
+        total += 12 * ((p ** (v + 1) - 1) // (p - 1))  # 12 sigma_1(p^v)
     value, remainder = divmod(total, 12)
     if remainder:
         raise ConsistencyError("trace (level %d, k=%d, q=%d) evaluated to non-integer %s"

@@ -111,7 +111,7 @@ def quartic_code_enumerator(q: int) -> QREnumerator:
 
 def classical_quartic_code_enumerator(q: int) -> QREnumerator:
     """Same for the classical (length q) degree-4 code, by puncturing."""
-    return puncture_enumerator(quartic_code_enumerator(q), q)
+    return puncture_enumerator(quartic_code_enumerator(q))
 
 
 # ---------------------------------------------------------------------------

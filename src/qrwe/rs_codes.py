@@ -1,14 +1,16 @@
-"""Projective and classical Reed-Solomon codes with brute-force
-enumerators.
+"""Linear codes over F_q, the projective and classical Reed-Solomon
+codes among them, with brute-force QR enumerators.
 
-The projective code of order h evaluates every binary form of degree h
-at the q+1 standard representatives (1, a) for a in field order, then
-(0, 1); the classical code drops the final coordinate.  Codewords are
-walked as F_q-linear combinations of the generator rows.  The scalar
-reference (`_tally_scalar`) is a mixed-radix odometer whose single-row
-delta updates make each visit O(n) field additions; it visits every
-codeword, and the tests compare it with the vector walk.  The vector
-walk uses that scaling a codeword by a nonzero square keeps its
+A `LinearCode` is given by independent generator rows of element codes;
+its length, dimension and size follow from the rows.  The projective RS
+code of order h evaluates every binary form of degree h at the q+1
+standard representatives (1, a) for a in field order, then (0, 1); the
+classical code drops the final coordinate.  Codewords are walked as
+F_q-linear combinations of the generator rows.  The scalar reference
+(`_tally_scalar`) is a mixed-radix odometer whose single-row delta
+updates make each visit O(n) field additions; it visits every codeword,
+and the tests compare it with the vector walk.  The vector walk uses
+that scaling a codeword of any linear code by a nonzero square keeps its
 (squares, non-squares) counts while a non-square swaps them: it takes
 the q+1 tops (two highest message digits) whose first nonzero digit is
 1 and the zero top, q+2 instead of q^2, into one tally.  Their counts
@@ -21,7 +23,6 @@ per call or with the QRWE_BUDGET environment variable.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
 
 from .enumerators import QREnumerator
 from .errors import DEFAULT_BUDGET  # noqa: F401  (still read as rs_codes.DEFAULT_BUDGET)
@@ -29,54 +30,57 @@ from .errors import ConsistencyError, check_budget
 from .finite_field import FieldContext
 
 
-@dataclass
-class ReedSolomonCode:
-    ctx: FieldContext
-    h: int
-    projective: bool
-    points: list = dataclass_field(repr=False, default=None)
-    rows: list = dataclass_field(repr=False, default=None)
+class LinearCode:
+    """The F_q-linear code spanned by `rows`: equal-length lists of
+    element codes 0..q-1, linearly independent over F_q.  Anything else
+    raises ValueError."""
+
+    def __init__(self, ctx: FieldContext, rows):
+        rows = [list(row) for row in rows]
+        if not rows or not rows[0]:
+            raise ValueError("need at least one generator row of positive length")
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("generator rows have unequal lengths")
+        if not all(isinstance(x, int) and 0 <= x < ctx.q for row in rows for x in row):
+            raise ValueError("generator entries must be element codes 0..%d" % (ctx.q - 1))
+        if _rank(ctx, rows) != len(rows):
+            raise ValueError("generator rows are linearly dependent")
+        self.ctx, self.rows = ctx, rows
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.rows[0])
 
     @property
     def dim(self) -> int:
-        return self.h + 1
+        return len(self.rows)
 
     @property
     def size(self) -> int:
         return self.ctx.q ** self.dim
 
+    def __repr__(self):
+        return "LinearCode(%r, n=%d, dim=%d)" % (self.ctx, self.n, self.dim)
 
-def reed_solomon_code(ctx: FieldContext, h: int, projective: bool = True) -> ReedSolomonCode:
+
+def reed_solomon_code(ctx: FieldContext, h: int, projective: bool = True) -> LinearCode:
     """Order-h Reed-Solomon code over F_q (projective length q+1 or
     classical length q); generator rows evaluate the monomial basis
     x^a y^(h-a), a = 0..h."""
     top = ctx.q if projective else ctx.q - 1  # rank h + 1 needs h + 1 <= n
     if not 0 <= h <= top:
         raise ValueError("need 0 <= h <= %d, got h=%d" % (top, h))
-    points, rows = _monomial_rows(ctx, h, projective)
-    code = ReedSolomonCode(ctx=ctx, h=h, projective=projective,
-                           points=points, rows=rows)
-    if _rank(ctx, rows) != h + 1:
-        raise ConsistencyError("generator matrix rank below %d" % (h + 1))
-    return code
+    return LinearCode(ctx, _monomial_rows(ctx, h, projective))
 
 
-def _monomial_rows(ctx: FieldContext, h: int, projective: bool = True) -> tuple:
-    """(points, rows): the points (1, a), then (0, 1) if projective, and the
-    rows of x^a y^(h-a), a = 0..h, at them; any h >= 0 (independent for h < n)."""
-    points = [(1, a) for a in ctx.elements()]
-    if projective:
-        points.append((0, 1))
+def _monomial_rows(ctx: FieldContext, h: int, projective: bool = True) -> list:
+    """The rows of x^a y^(h-a), a = 0..h, at the points (1, s) for s in
+    field order, then (0, 1) if projective; any h >= 0 (independent for h < n)."""
     # x^a y^(h-a) is s^(h-a) at (1, s) and [a = 0] at (0, 1)
     powers = [[1] * ctx.q]
     for _ in range(h):
         powers.append(list(map(ctx.mul, powers[-1], ctx.elements())))
-    rows = [powers[h - a] + ([int(a == 0)] if projective else []) for a in range(h + 1)]
-    return points, rows
+    return [powers[h - a] + ([int(a == 0)] if projective else []) for a in range(h + 1)]
 
 
 def _rank(ctx: FieldContext, rows) -> int:
@@ -107,11 +111,11 @@ def _rank(ctx: FieldContext, rows) -> int:
 # Brute-force enumeration
 # ---------------------------------------------------------------------------
 
-def brute_force_enumerator(code: ReedSolomonCode, budget: int = None,
+def brute_force_enumerator(code: LinearCode, budget: int = None,
                            threads: int = None) -> QREnumerator:
-    """Exact enumerator of the code by visiting all q^dim codewords.
-    `threads` is accepted and ignored until the benchmark harness stops
-    passing it (ROADMAP item 5, step 2)."""
+    """Exact QR enumerator of any F_q-linear code by visiting all q^dim
+    codewords.  `threads` is accepted and ignored until the benchmark
+    harness stops passing it (ROADMAP item 5, step 2)."""
     visits = code.size
     check_budget(visits, budget)
     enum = QREnumerator(code.n, code.ctx.q, _tally_vector(code))
@@ -121,7 +125,7 @@ def brute_force_enumerator(code: ReedSolomonCode, budget: int = None,
     return enum
 
 
-def _tally_scalar(code: ReedSolomonCode) -> dict:
+def _tally_scalar(code: LinearCode) -> dict:
     # Mixed-radix odometer over the F_p message digits: the F_p-basis of
     # the code is {x^m row_d}, and stepping one digit is a single basis-row
     # addition (p repeats of any row cancel, so wraps need no special case).
@@ -162,16 +166,16 @@ def _tally_scalar(code: ReedSolomonCode) -> dict:
     return counts
 
 
-def _tally_vector(code: ReedSolomonCode) -> dict:
+def _tally_vector(code: LinearCode) -> dict:
     import numpy as np
 
     ctx, q, n = code.ctx, code.ctx.q, code.n
     rows = np.array(code.rows, dtype=np.int16)
-    # Scaling a codeword by a nonzero square keeps (j, k) and scaling by
-    # a non-square swaps them.  Every nonzero top is a unit multiple of
-    # exactly one top whose first nonzero digit is 1, and the low
-    # combinations are closed under scaling, so those tops (tally P) and
-    # the zero top (tally Z) give (q-1)/2 (P + P^T) + Z.  The tops are
+    # In any linear code, scaling a codeword by a nonzero square keeps
+    # (j, k) and scaling by a non-square swaps them.  Every nonzero top
+    # is a unit multiple of exactly one top whose first nonzero digit is
+    # 1, and the low combinations are closed under scaling, so those
+    # tops (tally P) and the zero top (tally Z) give (q-1)/2 (P + P^T) + Z.  The tops are
     # (1, s) for every s, (0, 1) and (0, 0); at dim 1, (1,) and (0,).
     ones = [ctx.add_table[rows[-2], _grid(ctx, rows[-1:])]] if code.dim > 1 else []
     tops = np.concatenate(ones + [rows[-1:], np.zeros((1, n), dtype=np.int16)])
@@ -243,7 +247,7 @@ def _form_counts(ctx: FieldContext, bases, grid_rows) -> tuple:
 # Puncturing
 # ---------------------------------------------------------------------------
 
-def puncture_enumerator(enum: QREnumerator, q: int) -> QREnumerator:
+def puncture_enumerator(enum: QREnumerator) -> QREnumerator:
     """Enumerator of the code punctured at one point, for codes whose
     automorphisms act transitively on the q+1 coordinates:
 
@@ -253,6 +257,7 @@ def puncture_enumerator(enum: QREnumerator, q: int) -> QREnumerator:
 
     A fractional result means the input was not point-transitive.
     """
+    q = enum.q
     if enum.n != q + 1:
         raise ValueError("expected a projective enumerator of length q+1")
     targets = set()

@@ -9,6 +9,7 @@ enumerator equality, with zero tolerance.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .arith import odd_prime_powers, odd_primes, prime_power_split
@@ -42,13 +43,9 @@ CLASSICAL_PRIMES = (13, 17, 7, 11, 19)
 FAMILY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
                  67, 71, 73, 79, 83, 89, 97)
 
-_census_cache = {}
-
-
+@lru_cache(maxsize=32)  # holds every q in CENSUS_QS
 def cached_quartic_census(q: int):
-    if q not in _census_cache:
-        _census_cache[q] = quartic_census(field(*prime_power_split(q)))
-    return _census_cache[q]
+    return quartic_census(field(*prime_power_split(q)))
 
 
 def _cap(values, qmax):
@@ -277,7 +274,7 @@ def checks_duals(qmax=None):
     qs = _cap(PUNCTURE_QS, qmax)
     yield from _skipped(qs, qmax, "puncturing matches the classical brute force")
     for q in qs:
-        punctured = puncture_enumerator(quartic_code_enumerator(q), q)
+        punctured = puncture_enumerator(quartic_code_enumerator(q))
         code = reed_solomon_code(field(*prime_power_split(q)), 4, projective=False)
         ok = punctured == brute_force_enumerator(code)
         yield "puncturing matches the classical brute force at q = %d" % q, ok

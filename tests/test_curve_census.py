@@ -55,7 +55,7 @@ def test_gcd_and_discriminant_smoothness_agree(p, v):
     # slab, not only those it evaluates, and on every Weierstrass unit
     # (0, 1, 0, a), against the gcd test on every form
     ctx = field(p, v)
-    rows = np.array(_monomial_rows(ctx, 4)[1][::-1], dtype=np.int16)
+    rows = np.array(_monomial_rows(ctx, 4)[::-1], dtype=np.int16)
     forms = list(product(range(ctx.q), repeat=5))
     squarefree = dict(zip(forms, (is_squarefree_quartic(ctx, f) for f in forms)))
     leads = (list(product(range(ctx.q), repeat=2)) + list(product(range(ctx.q), repeat=3))

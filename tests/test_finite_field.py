@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from qrwe import finite_field
+from qrwe.arith import odd_primes
 from qrwe.finite_field import FieldContext, field, poly_degree, poly_gcd
 
 
@@ -191,6 +192,20 @@ def test_mul_table_builds_without_a_second_q2_array():
     rows = max(1, (1 << 16) // ctx.q)
     for a in (0, 1, rows - 1, rows, rows + 1, ctx.q - 1):  # both sides of a block edge
         assert mul[a].tolist() == [ctx.mul(a, b) for b in ctx.elements()], a
+
+
+def test_field_cache_is_bounded_and_rebuilds_evicted_fields():
+    bound = field.cache_info().maxsize
+    assert bound == 64
+    evicted = field(3, 2)
+    tables = [t.tobytes() for t in (evicted.add_table, evicted.mul_table, evicted.char_table)]
+    for p in list(odd_primes(1000))[:bound]:  # as many other fields as the bound
+        field(p, 1)
+    assert field.cache_info().currsize == bound
+    rebuilt = field(3, 2)
+    assert rebuilt is not evicted
+    assert [t.tobytes() for t in (rebuilt.add_table, rebuilt.mul_table, rebuilt.char_table)] == tables
+    assert field.cache_info().currsize == bound
 
 
 def test_int16_tables_refuse_large_q():

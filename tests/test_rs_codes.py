@@ -5,11 +5,13 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from qrwe.enumerators import QREnumerator, mds_weight_distribution, qr_macwilliams_dual
+from qrwe.enumerators import (QREnumerator, mds_weight_distribution,
+                              qr_dual_coefficients, qr_macwilliams_dual)
 from qrwe.errors import BudgetExceededError, ConsistencyError, check_budget
 from qrwe.finite_field import FieldContext, field
-from qrwe.rs_codes import (_tally_scalar, brute_force_enumerator,
+from qrwe.rs_codes import (LinearCode, _tally_scalar, brute_force_enumerator,
                            puncture_enumerator, reed_solomon_code)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -20,6 +22,29 @@ def test_code_dimensions():
     assert code.n == 8 and code.dim == 5
     classical = reed_solomon_code(field(3, 2), 4, projective=False)
     assert classical.n == 9 and classical.dim == 5
+
+
+def test_linear_code_derives_its_shape_from_the_rows():
+    ctx = field(5, 1)
+    code = LinearCode(ctx, ((1, 0, 2), (0, 1, 4)))
+    assert (code.n, code.dim, code.size) == (3, 2, 25)
+    assert code.rows == [[1, 0, 2], [0, 1, 4]]
+    assert "rows" not in repr(code) and "[" not in repr(code)
+
+
+@pytest.mark.parametrize("rows,match", [
+    ([], "at least one"),
+    ([[]], "at least one"),
+    ([[1, 0, 2], [0, 1]], "unequal"),
+    ([[1, 0, 5]], "element codes"),
+    ([[1, -1, 0]], "element codes"),
+    ([[1, 0.5, 0]], "element codes"),
+    ([[1, 2, 3], [2, 4, 1]], "dependent"),  # the second row is twice the first over F_5
+    ([[0, 0, 0]], "dependent"),
+])
+def test_linear_code_refuses_bad_rows(rows, match):
+    with pytest.raises(ValueError, match=match):
+        LinearCode(field(5, 1), rows)
 
 
 def test_rejects_large_degree():
@@ -150,7 +175,7 @@ def test_puncture_matches_classical_brute_force():
     q = 7
     ctx = field(q, 1)
     projective = brute_force_enumerator(reed_solomon_code(ctx, 4))
-    punctured = puncture_enumerator(projective, q)
+    punctured = puncture_enumerator(projective)
     classical = brute_force_enumerator(reed_solomon_code(ctx, 4, projective=False))
     assert punctured == classical
     assert punctured.total() == projective.total()
@@ -172,6 +197,82 @@ def test_puncture_rejects_non_transitive_input():
     q = 5
     lopsided = QREnumerator(q + 1, q, {(0, 0): 1, (1, 0): 1})
     with pytest.raises(ConsistencyError, match="point-transitive"):
-        puncture_enumerator(lopsided, q)
+        puncture_enumerator(lopsided)
     with pytest.raises(ValueError):
-        puncture_enumerator(QREnumerator(4, 5, {(0, 0): 1}), 5)
+        puncture_enumerator(QREnumerator(4, 5, {(0, 0): 1}))
+
+
+# ---------------------------------------------------------------------------
+# The QR MacWilliams identity over random linear codes
+# ---------------------------------------------------------------------------
+
+_FIELDS = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2)}
+_WALK_LIMIT = 10 ** 5  # q^k and q^(n-k) both at most this
+
+
+def _dual_rows(ctx, rows) -> list:
+    """Generator rows of the dual code: Gauss-Jordan reduction of `rows`,
+    then one nullspace vector per free column."""
+    matrix, pivots = [list(row) for row in rows], []
+    n = len(matrix[0])
+    for col in range(n):
+        pivot = next((r for r in range(len(pivots), len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        top = len(pivots)
+        matrix[top], matrix[pivot] = matrix[pivot], matrix[top]
+        inv = ctx.inv(matrix[top][col])
+        matrix[top] = [ctx.mul(inv, x) for x in matrix[top]]
+        for r in range(len(matrix)):
+            if r != top and matrix[r][col]:
+                factor = matrix[r][col]
+                matrix[r] = [ctx.sub(x, ctx.mul(factor, y)) for x, y in zip(matrix[r], matrix[top])]
+        pivots.append(col)
+    dual = []
+    for free in (c for c in range(n) if c not in pivots):
+        word = [0] * n
+        word[free] = 1
+        for row, col in zip(matrix, pivots):
+            word[col] = ctx.neg(row[free])
+        dual.append(word)
+    return dual
+
+
+@st.composite
+def _codes(draw):
+    """(code, max_codim): a random full-rank k x n generator matrix over
+    F_q, q in {3, 5, 7, 9}, 2 <= n <= 10, 1 <= k < n, q^k and q^(n-k)
+    at most _WALK_LIMIT, and a truncation 0 <= max_codim <= n."""
+    q = draw(st.sampled_from(sorted(_FIELDS)))
+    ctx = field(*_FIELDS[q])
+    n = draw(st.integers(2, 10))
+    k = draw(st.sampled_from([k for k in range(1, n)
+                              if max(q ** k, q ** (n - k)) <= _WALK_LIMIT]))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    try:
+        code = LinearCode(ctx, rows)
+    except ValueError:  # dependent rows
+        assume(False)
+    return code, draw(st.integers(0, n))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_codes())
+def test_qr_macwilliams_identity_on_random_linear_codes(drawn):
+    # every F_q-linear code is Y/Z-symmetric, and its QR transform is
+    # the walk of its dual (MacWilliams and Sloane, ch. 5)
+    code, max_codim = drawn
+    ctx, q = code.ctx, code.ctx.q
+    dual = LinearCode(ctx, _dual_rows(ctx, code.rows))
+    assert dual.dim == code.n - code.dim
+    for row in code.rows:
+        for other in dual.rows:
+            acc = 0
+            for x, y in zip(row, other):
+                acc = ctx.add(acc, ctx.mul(x, y))
+            assert acc == 0
+    enum, dual_enum = brute_force_enumerator(code), brute_force_enumerator(dual)
+    assert qr_macwilliams_dual(enum, q, code.size) == dual_enum
+    assert qr_dual_coefficients(enum, q, code.size, max_codim) == {
+        (j, k): c for (j, k), c in dual_enum.terms.items() if j + k <= max_codim}
