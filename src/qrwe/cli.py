@@ -3,6 +3,7 @@
     qrwe c14 --q Q [--classical] [--format json|csv]
     qrwe dual --q Q --max-codim M [--classical]
     qrwe brute --q Q --h H [--classical] [--budget N]
+    qrwe census --q Q [--kind quartic|weierstrass] [--budget N]
     qrwe trace --level {1|2|4} --weight K --q Q
     qrwe moments --q Q --R R --flavor {all|2tors|full2tors} [--empirical]
     qrwe classnum --disc D
@@ -103,9 +104,9 @@ def _cmd_trace(args) -> int:
 def _cmd_census(args) -> int:
     ctx = _field_for(args.q)
     if args.kind == "weierstrass":
-        census = weierstrass_census(ctx)
+        census = weierstrass_census(ctx, budget=args.budget)
     else:
-        census = quartic_census(ctx)
+        census = quartic_census(ctx, budget=args.budget)
     print(json.dumps(census_json(census)))
     return 0
 
@@ -180,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     census.add_argument("--q", type=int, required=True)
     census.add_argument("--kind", choices=("quartic", "weierstrass"),
                         default="quartic")
+    census.add_argument("--budget", type=_int_at_least(0), default=None)
     census.set_defaults(func=_cmd_census)
 
     mom = sub.add_parser("moments", help="moment of the trace of Frobenius")

@@ -15,22 +15,23 @@ weighted class counts and moment formulas:
 
 Both censuses are the degree-4 codeword walk plus a smoothness mask, on
 `rs_codes._form_counts`, the one numpy engine for binary forms on P^1.
-A work unit fixes the leading coefficients, (c4, c3) for quartics and
-(0, 1, 0, a) for y^2 = x^3 + ax + b as w^2 = y (x^3 + a x y^2 + b y^3),
+A work unit fixes the leading coefficients, (c4, c3, c2) for quartics
+and (0, 1, 0, a) for y^2 = x^3 + ax + b as w^2 = y (x^3 + a x y^2 + b y^3),
 and the engine counts the zeros z and nonzero squares s of the codeword
-of each of the q^3 (or q) forms at once: points = z + 2s, roots = z.
+of each of the q^2 (or q) forms at once: points = z + 2s, roots = z.
 The Weierstrass quartic's values are the cubic's times fourth powers,
 plus a zero at (1 : 0), and its discriminant is the cubic's; the
 universal integer discriminant of the binary quartic vanishes exactly
 on forms with a repeated projective root in every odd characteristic.
 Changes of variable and scalings that keep the trace, the root count
 and smoothness carry one unit onto another bijectively, so each orbit
-of units is evaluated once, its counts multiplied by the orbit size: 3
-units instead of q^2 for quartics, 1 + gcd(4, q-1) instead of q for
-Weierstrass models.  The tests check a plain-Python walk of every
-quartic (`_quartic_census_scalar(ctx)`, square-freeness by a gcd) and
-of every (a, b) model against the censuses, and every unit against its
-representative, exhaustively at small q.
+of units is evaluated once, its counts multiplied by the orbit size: 9
+slabs of q^2 forms instead of q^3, O(q^3) work, for quartics, and
+1 + gcd(4, q-1) units instead of q for Weierstrass models.  The tests
+check a plain-Python walk of every quartic (`_quartic_census_scalar(ctx)`,
+square-freeness by a gcd) and of every (a, b) model against the
+censuses, and every unit against its representative, exhaustively at
+small q.
 
 Two scalar oracles use the same idea with one model as the unit.
 `j_special_census` evaluates one model y^2 = x^3 + c (x^3 + cx) per
@@ -201,25 +202,36 @@ def _quartic_census_scalar(ctx: FieldContext) -> Census:
     return _quartic_census_of(q, buckets)
 
 
-def _discriminant_grid(ctx: FieldContext, lead, rows):
-    """The discriminant of the quartics whose leading coefficients
-    (c4, c3, ...) are `lead`, flat in `_grid` order over the free ones.
-    `rows[e]` holds x^(4-e) y^e at the points, so c^e at (1, c)."""
+def _discriminant_grid(ctx: FieldContext, leads, rows):
+    """The discriminants of the quartics whose leading coefficients
+    (c4, c3, ...) are each of `leads`, all of one length, as a
+    (len(leads), q^free) array, each row flat in `_grid` order over the
+    free coefficients.  `rows[e]` holds x^(4-e) y^e at the points, so c^e
+    at (1, c)."""
     import numpy as np
 
-    q, free = ctx.q, 5 - len(lead)
+    q, width = ctx.q, len(leads[0])
+    free = 5 - width
     mul, add = ctx.mul_table, ctx.add_table
-    total = np.zeros((q,) * free, dtype=np.int16)
+    # The terms' leading parts, in scalar arithmetic, summed per lead over
+    # the terms that share one monomial in the free coefficients.
+    heads = {}
     for coefficient, exponents in _DISC_TERMS:
-        term = ctx.int_embed(coefficient)
-        for c, e in zip(lead, exponents):
-            term = ctx.mul(term, ctx.pow(c, e))
-        if term == 0:
+        sums = heads.setdefault(exponents[width:], [0] * len(leads))
+        for i, lead in enumerate(leads):
+            head = ctx.int_embed(coefficient)
+            for c, e in zip(lead, exponents):
+                head = ctx.mul(head, ctx.pow(c, e))
+            sums[i] = ctx.add(sums[i], head)
+    total = np.zeros((len(leads),) + (q,) * free, dtype=np.int16)
+    for exponents, sums in heads.items():
+        if not any(sums):
             continue
-        for axis, e in enumerate(exponents[len(lead):]):
+        term = np.array(sums, dtype=np.int16).reshape((-1,) + (1,) * free)
+        for axis, e in enumerate(exponents):
             term = mul[term, rows[e, :q].reshape((q,) + (1,) * (free - 1 - axis))]
         total = add[total, term]
-    return total.ravel()
+    return total.reshape(len(leads), -1)
 
 
 def _quartic_unit_counts(ctx: FieldContext, leads) -> list:
@@ -238,29 +250,37 @@ def _quartic_unit_counts(ctx: FieldContext, leads) -> list:
         bases = add[bases, mul[c[:, None], row]]
     zeros, squares = _form_counts(ctx, bases, rows[width:])
     out = []
-    for lead, z, s in zip(leads, zeros, squares):
-        smooth = _discriminant_grid(ctx, lead, rows) != 0
+    for smooth, z, s in zip(_discriminant_grid(ctx, leads, rows) != 0, zeros, squares):
         t = q + 1 - z[smooth] - 2 * s[smooth]
         out.append(np.bincount((t + bound) * 5 + z[smooth],
                                minlength=(2 * bound + 1) * 5).reshape(-1, 5))
     return out
 
 
-def quartic_census(ctx: FieldContext, threads: int = None) -> Census:
+def quartic_census(ctx: FieldContext, threads: int = None, budget: int = None) -> Census:
     """Census of all smooth binary quartics over F_q, bucketed by trace
     t = q + 1 - #points and by rational root count.  Refuses
-    (BudgetExceededError) when the q^5 forms exceed the budget.
-    `threads` is accepted and ignored until the benchmark harness stops
-    passing it (ROADMAP item 5, step 2)."""
-    check_budget(ctx.q ** 5)
+    (BudgetExceededError) when the q^5 forms exceed the budget:
+    `budget` if given, else QRWE_BUDGET, else 10^8; a negative budget
+    raises ValueError.  `threads` is accepted and ignored until the
+    benchmark harness stops passing it (ROADMAP item 5, step 2)."""
     q = ctx.q
-    # Each unit stands for its orbit of leading pairs (c4, c3): x -> x + sy
-    # moves c3 by 4sc4, scaling the form by a square moves c4 within its
-    # square class, and y -> uy moves c3 when c4 = 0.  All three keep the
-    # trace, the root count and smoothness.  The (0, 0) unit is skipped:
-    # y^2 divides all its forms, so none is smooth.
-    orbits = [((c4, 0), weight * q) for c4, weight in _scaling_orbits(ctx, 2)]
-    orbits.append(((0, 1), q - 1))
+    check_budget(q ** 5, budget)
+    # Each unit (c4, c3, c2) stands for its orbit of slabs, on which the
+    # free (c1, c0) run over the q^2 grid.  x -> x + sy moves c3 by 4sc4,
+    # scaling the form by a square moves c4 within its square class, and
+    # y -> ly sends (c2, c1, c0) to (l^2 c2, l^3 c1, l^4 c0).  When c4 = 0,
+    # y -> y/c3 makes c3 = 1, and (x, y) -> (ax, lay) with the form scaled
+    # by 1/(l a^4), a square exactly when l is, sends (c2, c1, c0) to
+    # (l c2, l^2 c1, l^3 c0).  All of these keep the trace, the root count
+    # and smoothness, and c2 = 0 is fixed, so in both cases c2 runs over
+    # 0, 1 and nu, of weights 1, (q-1)/2 and (q-1)/2.  The (0, 0) unit is
+    # skipped: y^2 divides all its forms, so none is smooth.
+    square_classes = _scaling_orbits(ctx, 2)
+    c2_classes = [(0, 1)] + square_classes
+    orbits = [((c4, 0, c2), weight * q * w) for c4, weight in square_classes
+              for c2, w in c2_classes]
+    orbits += [((0, 1, c2), (q - 1) * w) for c2, w in c2_classes]
     parts = _quartic_unit_counts(ctx, [unit for unit, _ in orbits])
     return _quartic_census_of(q, _weighted_buckets(orbits, parts))
 
@@ -269,16 +289,18 @@ def quartic_census(ctx: FieldContext, threads: int = None) -> Census:
 # The Weierstrass census (p >= 5)
 # ---------------------------------------------------------------------------
 
-def weierstrass_census(ctx: FieldContext, threads: int = None) -> Census:
+def weierstrass_census(ctx: FieldContext, threads: int = None,
+                       budget: int = None) -> Census:
     """Census of the q^2 short Weierstrass models y^2 = x^3 + ax + b.
-    Refuses (BudgetExceededError) when the q^2 models exceed the budget.
-    `threads` is accepted and ignored until the benchmark harness stops
-    passing it (ROADMAP item 5, step 2)."""
+    Refuses (BudgetExceededError) when the q^2 models exceed the budget,
+    which `quartic_census` reads the same way.  `threads` is accepted and
+    ignored until the benchmark harness stops passing it (ROADMAP item 5,
+    step 2)."""
     if ctx.p < 5:
         raise ValueError("short Weierstrass census needs p >= 5 "
                          "(the quartic census covers p = 3)")
     q = ctx.q
-    check_budget(q ** 2)
+    check_budget(q ** 2, budget)
     # The model is the quartic y (x^3 + a x y^2 + b y^3) of lead (0, 1, 0, a),
     # whose roots are the cubic's plus (1 : 0): its slot 0 is empty.
     # (a, b) -> (u^4 a, u^6 b) is an isomorphism that permutes the b of

@@ -19,8 +19,8 @@ from .enumerators import mds_weight_distribution, qr_macwilliams_dual
 from .eta_products import (hecke_eigenvalue_prime_power, ramanujan_tau,
                            weight6_level4_form, weight8_level2_form)
 from .finite_field import field
-from .hecke_traces import (moment_formula, trace, trace_level1, trace_level2,
-                           trace_level4)
+from .hecke_traces import (FLAVORS, moment_formula, trace, trace_level1,
+                           trace_level2, trace_level4)
 from .isogeny_counts import weighted_count, weighted_count_full_2tors
 from .qr_pipeline import (classical_dual_weight7_check, dual_code_report,
                           quartic_code_enumerator)
@@ -40,6 +40,9 @@ PUNCTURE_QS = (7, 9)
 EXAMPLE_PRIMES_1MOD4 = (13, 17, 29)
 EXAMPLE_PRIMES_3MOD4 = (7, 11, 19, 23)
 CLASSICAL_PRIMES = (13, 17, 7, 11, 19)
+# censuses past the default budget, each computed once and checked at
+# every moment order and trace
+CENSUS_SCALE_QS = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 49, 121)
 FAMILY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
                  67, 71, 73, 79, 83, 89, 97)
 
@@ -172,17 +175,31 @@ def checks_moments_displayed(qmax=None):
 
 # -- criterion 5 -------------------------------------------------------------
 
+def _census_moments_match(census, q: int, orders: dict) -> bool:
+    """The census's moments equal `moment_formula` at every R < orders[flavor]."""
+    return all(empirical_moment(census, R, flavor) == moment_formula(q, R, flavor)
+               for flavor, order in orders.items() for R in range(order))
+
+
+def _census_counts_match(census, q: int) -> bool:
+    """The census's weighted counts equal the closed forms at every trace
+    it holds and every |t| <= 2 sqrt(q) + 2."""
+    traces = set(census.traces())
+    bound = isqrt(4 * q) + 2
+    traces.update(range(-bound, bound + 1))
+    return all(census.weighted_count(t) == weighted_count(q, t)
+               and census.weighted_count_full_2tors(t)
+               == weighted_count_full_2tors(q, t)
+               for t in traces)
+
+
 def checks_moments_census(qmax=None):
     qs = _cap(CENSUS_QS, qmax)
     yield from _skipped(qs, qmax, "census moments match formulas")
+    orders = {"all": 6, "two_torsion": 4, "full_two_torsion": 4}
     for q in qs:
-        census = cached_quartic_census(q)
-        ok = all(empirical_moment(census, R, "all") == moment_formula(q, R, "all")
-                 for R in range(6))
-        for flavor in ("two_torsion", "full_two_torsion"):
-            ok = ok and all(empirical_moment(census, R, flavor)
-                            == moment_formula(q, R, flavor) for R in range(4))
-        yield "census moments match formulas at q = %d" % q, ok
+        yield ("census moments match formulas at q = %d" % q,
+               _census_moments_match(cached_quartic_census(q), q, orders))
 
 
 # -- criterion 6 -------------------------------------------------------------
@@ -191,20 +208,24 @@ def checks_isogeny_census(qmax=None):
     qs = _cap(ISOGENY_QS, qmax)
     yield from _skipped(qs, qmax, "weighted isogeny-class counts match census")
     for q in qs:
-        census = cached_quartic_census(q)
-        traces = set(census.traces())
-        bound = isqrt(4 * q) + 2
-        traces.update(range(-bound, bound + 1))
-        ok = all(census.weighted_count(t) == weighted_count(q, t)
-                 and census.weighted_count_full_2tors(t)
-                 == weighted_count_full_2tors(q, t)
-                 for t in traces)
-        yield "weighted isogeny-class counts match census at q = %d" % q, ok
+        yield ("weighted isogeny-class counts match census at q = %d" % q,
+               _census_counts_match(cached_quartic_census(q), q))
     qs = _cap(JSPECIAL_QS, qmax)
     yield from _skipped(qs, qmax, "special j-invariant classes match")
     for q in qs:
         yield ("special j-invariant classes match at q = %d" % q,
                _check_j_special(q))
+
+
+def checks_census_at_scale(qmax=None):
+    qs = _cap(CENSUS_SCALE_QS, qmax)
+    yield from _skipped(qs, qmax, "census moments and weighted counts match")
+    orders = dict.fromkeys(FLAVORS, 6)
+    for q in qs:
+        # the budget admits the largest of the list, 121^5 forms
+        census = quartic_census(field(*prime_power_split(q)), budget=121 ** 5)
+        yield ("census moments and weighted counts match at q = %d" % q,
+               _census_moments_match(census, q, orders) and _census_counts_match(census, q))
 
 
 def _check_j_special(q: int) -> bool:
@@ -329,7 +350,7 @@ SUITES = {
     "classnumbers": (checks_classnumbers,),
     "traces": (checks_traces_dimension_zero, checks_traces_eta),
     "moments": (checks_moments_displayed, checks_moments_census,
-                checks_isogeny_census),
+                checks_isogeny_census, checks_census_at_scale),
     "c14": (checks_c14,),
     "duals": (checks_duals,),
     "examples": (checks_examples, checks_family_sums),

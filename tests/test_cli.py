@@ -100,6 +100,21 @@ def test_brute_subcommand_and_budget(capsys):
     assert code == 1 and out == "" and err.startswith("refused: ") and "budget" in err
 
 
+def test_census_budget_flag(capsys, monkeypatch):
+    monkeypatch.delenv("QRWE_BUDGET", raising=False)
+    # 41^5 quartics exceed the default budget of 10^8
+    code, out, err = run_cli(capsys, "census", "--q", "41")
+    assert code == 1 and out == "" and err.startswith("refused: ")
+    code, out, _ = run_cli(capsys, "census", "--q", "41", "--budget", "200000000")
+    assert code == 0 and json.loads(out)["q"] == 41
+    code, out, err = run_cli(capsys, "census", "--q", "7", "--kind", "weierstrass",
+                             "--budget", "48")
+    assert code == 1 and "budget >= 49" in err
+    with pytest.raises(SystemExit) as info:
+        main(["census", "--q", "7", "--budget", "-1"])
+    assert info.value.code == 2
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["trace", "--level", "3", "--weight", "6", "--q", "3"])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from itertools import product
@@ -6,7 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from qrwe.arith import is_prime
+from qrwe.arith import is_prime, odd_prime_power_split
 from qrwe.curve_census import (_discriminant_grid, _j_special_census_scalar,
                                _j_special_model, _legendre_family_sum_scalar,
                                _quartic_census_scalar, _quartic_unit_counts,
@@ -51,7 +52,7 @@ def test_point_count_works_on_singular_quartics():
 
 @pytest.mark.parametrize("p,v", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_gcd_and_discriminant_smoothness_agree(p, v):
-    # the engine's discriminant on every (c4, c3) unit and every (c4, c3, c2)
+    # the engine's discriminant on every (c4, c3) pair and every (c4, c3, c2)
     # slab, not only those it evaluates, and on every Weierstrass unit
     # (0, 1, 0, a), against the gcd test on every form
     ctx = field(p, v)
@@ -60,12 +61,15 @@ def test_gcd_and_discriminant_smoothness_agree(p, v):
     squarefree = dict(zip(forms, (is_squarefree_quartic(ctx, f) for f in forms)))
     leads = (list(product(range(ctx.q), repeat=2)) + list(product(range(ctx.q), repeat=3))
              + [(0, 1, 0, a) for a in ctx.elements()])
-    for lead in leads:
-        disc = _discriminant_grid(ctx, lead, rows).tolist()
-        free = product(range(ctx.q), repeat=5 - len(lead))
-        for value, rest in zip(disc, free, strict=True):
-            coeffs = lead + rest
-            assert squarefree[coeffs] == (value != 0), coeffs
+    for width in (2, 3, 4):
+        batch = [lead for lead in leads if len(lead) == width]
+        grid = _discriminant_grid(ctx, batch, rows)
+        assert grid.shape == (len(batch), ctx.q ** (5 - width))
+        for lead, disc in zip(batch, grid.tolist(), strict=True):
+            free = product(range(ctx.q), repeat=5 - len(lead))
+            for value, rest in zip(disc, free, strict=True):
+                coeffs = lead + rest
+                assert squarefree[coeffs] == (value != 0), coeffs
 
 
 @pytest.mark.parametrize("p,v", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -79,22 +83,52 @@ def test_scalar_and_vector_census_agree(p, v):
         assert scalar.buckets[t].by_roots == vector.buckets[t].by_roots
 
 
+def _slab_representative(ctx, c4, c3, c2):
+    """The unit (c4, 0, c2') or (0, 1, c2') that `quartic_census`
+    evaluates for the slab (c4, c3, c2), c2' in {0, 1, nu}, derived here
+    from the changes of variable: for c4 != 0, x -> x + sy with
+    s = -c3/(4 c4) clears c3 and sends c2 to c2 - 3 c3^2/(8 c4); for
+    c4 = 0, y -> y/c3 makes c3 = 1.  Then c4 and c2 go to the least code
+    of their square classes."""
+    nonsquare = min(x for x in ctx.elements() if ctx.quadratic_character(x) == -1)
+
+    def square_class(c):
+        return {0: 0, 1: 1, -1: nonsquare}[ctx.quadratic_character(c)]
+
+    if c4:
+        shift = ctx.mul(ctx.mul(ctx.int_embed(3), ctx.mul(c3, c3)),
+                        ctx.inv(ctx.mul(ctx.int_embed(8), c4)))
+        return square_class(c4), 0, square_class(ctx.sub(c2, shift))
+    c2 = ctx.mul(c2, ctx.inv(ctx.mul(c3, c3)))  # y -> y/c3 scales c3 by 1/c3, c2 by 1/c3^2
+    return 0, 1, square_class(c2)
+
+
 @pytest.mark.parametrize("p,v", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
 def test_every_quartic_unit_matches_its_orbit_representative(p, v):
-    # the vector engine evaluates only (1, 0), (nu, 0) and (0, 1)
+    # the census evaluates 9 units (c4, c3, c2); every other slab must
+    # carry the counts of the representative the changes of variable give
     ctx = field(p, v)
-    units = list(product(range(ctx.q), repeat=2))
-    counts = dict(zip(units, _quartic_unit_counts(ctx, units)))
-    nonsquare = min(x for x in ctx.elements() if ctx.quadratic_character(x) == -1)
-    for c4, c3 in units:
-        if c4:
-            rep = (1, 0) if ctx.quadratic_character(c4) == 1 else (nonsquare, 0)
-        elif c3:
-            rep = (0, 1)
-        else:
-            assert not counts[0, 0].any()  # y^2 divides every form
+    slabs = list(product(range(ctx.q), repeat=3))
+    counts = dict(zip(slabs, _quartic_unit_counts(ctx, slabs)))
+    for c4, c3, c2 in slabs:
+        if (c4, c3) == (0, 0):
+            assert not counts[c4, c3, c2].any()  # y^2 divides every form
             continue
-        assert (counts[c4, c3] == counts[rep]).all(), (c4, c3)
+        rep = _slab_representative(ctx, c4, c3, c2)
+        assert (counts[c4, c3, c2] == counts[rep]).all(), ((c4, c3, c2), rep)
+
+
+@pytest.mark.parametrize("p,v", [(5, 2), (31, 1)])
+def test_every_reduced_quartic_unit_matches_its_orbit_representative(p, v):
+    # at larger q, the slabs (c4, 0, c2) and (0, 1, c2) the orbits of
+    # y -> ly and (x, y) -> (ax, lay) move among
+    ctx = field(p, v)
+    slabs = [(c4, 0, c2) for c4 in range(1, ctx.q) for c2 in ctx.elements()]
+    slabs += [(0, 1, c2) for c2 in ctx.elements()]
+    counts = dict(zip(slabs, _quartic_unit_counts(ctx, slabs)))
+    for slab in slabs:
+        rep = _slab_representative(ctx, *slab)
+        assert (counts[slab] == counts[rep]).all(), (slab, rep)
 
 
 @pytest.mark.parametrize("p,v", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (29, 1)])
@@ -325,3 +359,73 @@ def test_census_json_shape(quartic_census_for):
     wpayload = census_json(weierstrass_census(field(5, 1)))
     assert wpayload["kind"] == "weierstrass"
     assert all(len(b["by_roots"]) == 4 for b in wpayload["buckets"])
+
+
+# sha256 of the compact, key-sorted `census_json` of the quartic and the
+# Weierstrass census (None at p = 3) at every odd prime power q <= 37, as
+# the census gave them when it walked 3 units of q^3 forms
+CENSUS_DIGESTS = {
+    3: ("d3aaf74b7c66c58a49639c1a9b970db1d71d36d9a7bb593cb2387d9d08a71672",
+        None),
+    5: ("87576d9afa0b08e3b398028b8ed1f5d7da81f0253b4afac3410559c4c80340d5",
+        "6df1aa4c25a447777b791a82257c8f1863b7c638cadb5b1efa5adeb0864f33d4"),
+    7: ("5f916a86e79007416c170fbdb19fc005a9b92e174c6b508e41b5a1a6029eca81",
+        "3a92f0114a7041ae1ea94848424100357fe69b0077fe276fee85cdac9e3fcfe9"),
+    9: ("1d955d18a90abf1bb373cee02a21a0d44cd89539b9353d50caf21688256d2036",
+        None),
+    11: ("98e2b2fcf221f6c539eadeccd37aac958e51f7c16b85123ea2c2fee20151e5a3",
+         "b15d11e67bf327fc27a727f4e5524922fe2c25b76af40975c84af0f482f23a6c"),
+    13: ("6ddcbc25dc54b2a476729f5e5f219f686a2a86646acb52b60ecba783eef63095",
+         "71157b9797505dd8fa7f8d07ec8dff3a08947d3b92f4ea49c540097a9bebdde8"),
+    17: ("182aae80f866160918c63f2aec28a5a22caebae232b84c398f0e60c159d0d8c8",
+         "5794c4b0e0cd473e0c02b5ce84ab8c70ebb0a4198b2e728ef81f173b3b0f38d4"),
+    19: ("727dcf9b20d1657ba2573e8454444193fd32dc5d0c819d85e7984e4d5b41e790",
+         "1dbe4bf0ec8b994fbf2b1a74888b2a4027c62c60ec2d6023410886817f309ff1"),
+    23: ("d9f93c147542e8467537315250516ee12d010c8d429efe6b917301103cf1ceb0",
+         "536d0d3176a712c93e0998afb98f435eb9bcbc5954ec00fcc87d9a95a64359ce"),
+    25: ("0137f9d4b7d3840bc8e43701d9ce939c7d97fc3a327487ad2109a025fec28e7a",
+         "d9e65f1cbd15a288b6a9d54b157f197453dbd044dd27844cb4f5030e8d9e5e1e"),
+    27: ("3b1523b66b5eec62cf647fab26074d0d2df3aa483f53ad12f0a85b9752db74a1",
+         None),
+    29: ("eea19e7d16346e3885d9c34c8dd5c6d977b99a433e2521dd1738caf7d902e79f",
+         "b90538442ba59156ced4e401b6cf488074a6505fc25c6f6acd681f721253a3e4"),
+    31: ("e0edc1d77c2b72686ee9a46c98881b6bccda4b62ffdc69a3a9c7f3ec8a322e6e",
+         "776af69df790a323b2b742e02c57eb774641a848f8f92eeea91da39ca2716979"),
+    37: ("a6c22e16f4637baac5fca82b3790ca77cecda730aabf029813392704d7cf7357",
+         "dfc0c65494a2c1126e76f50509ae78a88fe7cd695cde75c3566ec7a07210a79c"),
+}
+
+
+def _census_digest(census) -> str:
+    blob = json.dumps(census_json(census), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q", sorted(CENSUS_DIGESTS))
+def test_census_json_is_bit_identical(q, quartic_census_for):
+    quartic, weierstrass = CENSUS_DIGESTS[q]
+    assert _census_digest(quartic_census_for(q)) == quartic
+    ctx = field(*odd_prime_power_split(q))
+    if weierstrass is not None:
+        assert _census_digest(weierstrass_census(ctx)) == weierstrass
+
+
+def test_census_budget_is_explicit_then_environment(monkeypatch):
+    ctx = field(5, 1)
+    monkeypatch.setenv("QRWE_BUDGET", "100")
+    for census, required in ((quartic_census, 5 ** 5), (weierstrass_census, 5 ** 2)):
+        with pytest.raises(BudgetExceededError) as info:
+            census(ctx, budget=required - 1)
+        assert (info.value.required, info.value.budget) == (required, required - 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            census(ctx, budget=-1)
+        assert census_json(census(ctx, budget=required)) == census_json(
+            census(ctx, budget=10 ** 8))
+    with pytest.raises(BudgetExceededError) as info:
+        quartic_census(ctx)  # the environment's 100 < 5^5
+    assert info.value.budget == 100
+    assert weierstrass_census(ctx).q == 5  # 25 <= 100
+    monkeypatch.delenv("QRWE_BUDGET")
+    with pytest.raises(BudgetExceededError) as info:
+        quartic_census(field(41, 1))  # 41^5 > 10^8, the default
+    assert info.value.budget == 10 ** 8
