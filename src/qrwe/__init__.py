@@ -13,8 +13,7 @@ exact.
 
 from .curve_census import (Census, census_json, empirical_moment,
                            j_special_census, legendre_family_sum,
-                           quartic_census, quartic_point_count,
-                           weierstrass_census)
+                           quartic_census, weierstrass_census)
 from .enumerators import (QREnumerator, mds_weight_distribution,
                           qr_dual_coefficients, qr_macwilliams_dual)
 from .errors import BudgetExceededError, ConsistencyError

@@ -28,10 +28,9 @@ and smoothness carry one unit onto another bijectively, so each orbit
 of units is evaluated once, its counts multiplied by the orbit size: 9
 slabs of q^2 forms instead of q^3, O(q^3) work, for quartics, and
 1 + gcd(4, q-1) units instead of q for Weierstrass models.  The tests
-check a plain-Python walk of every quartic (`_quartic_census_scalar(ctx)`,
-square-freeness by a gcd) and of every (a, b) model against the
-censuses, and every unit against its representative, exhaustively at
-small q.
+check a plain-Python walk of every quartic (square-freeness by a gcd)
+and of every (a, b) model against the censuses, and every unit against
+its representative, exhaustively at small q.
 
 Two scalar oracles use the same idea with one model as the unit.
 `j_special_census` evaluates one model y^2 = x^3 + c (x^3 + cx) per
@@ -39,9 +38,8 @@ coset of the gcd(6, q-1)-th (gcd(4, q-1)-th) powers in F_q^*, since
 (x, y) -> (u^2 x, u^3 y) moves c by u^6 (u^4): at most 10 models
 instead of 2(q-1).  `legendre_family_sum` evaluates one pair (a, b) per
 orbit of x -> lx, which sends (a, b) to (a/l, b/l^2): p pairs
-instead of (p-1)^2.  Their full walks, `_j_special_census_scalar(ctx)`
-and `_legendre_family_sum_scalar(p, R)`, are the references the tests
-compare them with.
+instead of (p-1)^2.  The tests compare them with their full walks,
+which live with the quartic walk in `tests/references.py`.
 """
 
 from dataclasses import dataclass
@@ -49,8 +47,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import ConsistencyError, check_budget
-from .finite_field import (FieldContext, field, poly_degree, poly_derivative,
-                           poly_gcd)
+from .finite_field import FieldContext, field
 from .rs_codes import _form_counts, _monomial_rows
 
 # Universal discriminant of a x^4 + b x^3 y + c x^2 y^2 + d x y^3 + e y^4
@@ -126,81 +123,8 @@ def _weighted_buckets(units, parts) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Point counts and smoothness for a single quartic
-# ---------------------------------------------------------------------------
-
-def quartic_point_count(ctx: FieldContext, coeffs) -> tuple:
-    """(points, rational_roots) of w^2 = f4(x, y) over P^1(F_q).
-
-    `coeffs` are (c4, c3, c2, c1, c0) with f4 = c4 x^4 + ... + c0 y^4.
-    Each of the q+1 standard representatives (1, a), (0, 1) contributes
-    1 point if f4 vanishes there, 2 if the value is a nonzero square,
-    and 0 otherwise.  Applies to any nonzero quartic, smooth or not.
-    """
-    c4, c3, c2, c1, c0 = coeffs
-    if not any(coeffs):
-        raise ValueError("zero polynomial has no associated curve")
-    points = 0
-    roots = 0
-    for a in ctx.elements():
-        value = c0
-        for c in (c1, c2, c3, c4):
-            value = ctx.add(ctx.mul(value, a), c)
-        chi = ctx.quadratic_character(value)
-        if chi == 0:
-            points += 1
-            roots += 1
-        elif chi == 1:
-            points += 2
-    chi = ctx.quadratic_character(c0)
-    if chi == 0:
-        points += 1
-        roots += 1
-    elif chi == 1:
-        points += 2
-    return points, roots
-
-
-def is_squarefree_quartic(ctx: FieldContext, coeffs) -> bool:
-    """True iff the binary quartic has 4 distinct roots over the closure.
-
-    Dehomogenize to g(x) = f4(x, 1); the form is squarefree iff
-    gcd(g, g') is a nonzero constant (with gcd(g, 0) = g, which settles
-    the vanishing-derivative cases in characteristic 3) and the root at
-    (1 : 0) is not repeated, i.e. not both leading coefficients vanish.
-    """
-    c4, c3, c2, c1, c0 = coeffs
-    if c4 == 0 and c3 == 0:
-        return False
-    g = [c0, c1, c2, c3, c4]
-    gcd = poly_gcd(ctx, g, poly_derivative(ctx, g))
-    return poly_degree(gcd) == 0
-
-
-# ---------------------------------------------------------------------------
 # The quartic census
 # ---------------------------------------------------------------------------
-
-def _quartic_census_scalar(ctx: FieldContext) -> Census:
-    q = ctx.q
-    buckets = {}
-    rng = range(q)
-    for c4 in rng:
-        for c3 in rng:
-            for c2 in rng:
-                for c1 in rng:
-                    for c0 in rng:
-                        coeffs = (c4, c3, c2, c1, c0)
-                        if not any(coeffs):
-                            continue
-                        if not is_squarefree_quartic(ctx, coeffs):
-                            continue
-                        points, roots = quartic_point_count(ctx, coeffs)
-                        t = q + 1 - points
-                        bucket = buckets.setdefault(t, TraceBucket(by_roots=[0] * 5))
-                        bucket.by_roots[roots] += 1
-    return _quartic_census_of(q, buckets)
-
 
 def _discriminant_grid(ctx: FieldContext, leads, rows):
     """The discriminants of the quartics whose leading coefficients
@@ -358,15 +282,6 @@ def _legendre_point_sum(chi: list, a: int, b: int) -> int:
     return sum(chi[x * (x * x + a * x + b) % p] for x in range(p))
 
 
-def _legendre_characters(p: int, R: int) -> list:
-    """chi as a list over F_p, after the checks of both family walks."""
-    if R < 0:
-        raise ValueError("moment order R must be >= 0")
-    check_budget(p ** 3)
-    ctx = field(p, 1)
-    return [ctx.quadratic_character(x) for x in range(p)]
-
-
 def legendre_family_sum(p: int, R: int) -> int:
     """sum over smooth y^2 = x(x^2 + ax + b) of (#E - (p + 1))^(2R).
 
@@ -380,23 +295,21 @@ def legendre_family_sum(p: int, R: int) -> int:
     per orbit is summed, times the orbit size: (1, b) for each b != 0
     with 1 - 4b != 0, of weight p - 1 (the orbits with a != 0), and
     (0, 1) and (0, nu), nu a non-square, of weight (p-1)/2.  That is p^2
-    point evaluations; `_legendre_family_sum_scalar(p, R)` walks all
+    point evaluations; the full walk (`tests/references.py`) makes all
     p^3.  Raises ValueError for R < 0, and refuses
     (BudgetExceededError) when the p^3 terms of the full walk exceed
     the budget.
     """
-    chi = _legendre_characters(p, R)
+    if R < 0:
+        raise ValueError("moment order R must be >= 0")
+    check_budget(p ** 3)
+    ctx = field(p, 1)
+    chi = [ctx.quadratic_character(x) for x in range(p)]
     total = (p - 1) * sum(_legendre_point_sum(chi, 1, b) ** (2 * R)
                           for b in range(1, p) if (1 - 4 * b) % p)
     total += sum(weight * _legendre_point_sum(chi, 0, b) ** (2 * R)
-                 for b, weight in _scaling_orbits(field(p, 1), 2))
+                 for b, weight in _scaling_orbits(ctx, 2))
     return total
-
-
-def _legendre_family_sum_scalar(p: int, R: int) -> int:
-    chi = _legendre_characters(p, R)
-    return sum(_legendre_point_sum(chi, a, b) ** (2 * R)
-               for a in range(p) for b in range(1, p) if (a * a - 4 * b) % p)
 
 
 def _j_special_model(ctx: FieldContext, label: str, c: int) -> tuple:
@@ -470,16 +383,13 @@ def j_special_census(ctx: FieldContext) -> dict:
     (j = 0) or c u^4 (j = 1728) and keeps the trace and the root count.
     So one model per coset of the gcd(6, q-1)-th (gcd(4, q-1)-th) powers
     is evaluated and counted (q-1)/d times: at most 10 models of q
-    points each.  `_j_special_census_scalar(ctx)` walks every model.
+    points each.  The full walk (`tests/references.py`) evaluates every
+    model.
     Refuses (BudgetExceededError) when the 2q^2 element evaluations of
     the full walk exceed the budget.
     """
     return _j_special_tally(
         ctx, lambda label: _scaling_orbits(ctx, 6 if label == "j0" else 4))
-
-
-def _j_special_census_scalar(ctx: FieldContext) -> dict:
-    return _j_special_tally(ctx, lambda label: [(c, 1) for c in range(1, ctx.q)])
 
 
 # ---------------------------------------------------------------------------

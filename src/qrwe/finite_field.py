@@ -281,10 +281,6 @@ def poly_degree(f) -> int:
     return -1
 
 
-def poly_derivative(ctx: FieldContext, f) -> list:
-    return [ctx.mul(ctx.int_embed(i), f[i]) for i in range(1, len(f))]
-
-
 def poly_mul(ctx: FieldContext, f, g) -> list:
     """Product of f and g over F_q."""
     out = [0] * (len(f) + len(g) - 1) if f and g else []
@@ -310,12 +306,3 @@ def poly_mod(ctx: FieldContext, f, g) -> list:
             for i in range(dg + 1):
                 f[shift + i] = ctx.add(f[shift + i], ctx.mul(factor, g[i]))
     return f[:poly_degree(f[:dg]) + 1]
-
-
-def poly_gcd(ctx: FieldContext, f, g) -> list:
-    """Euclidean gcd with the convention gcd(f, 0) = f."""
-    f, g = list(f), list(g)
-    while poly_degree(g) >= 0:
-        f, g = g, poly_mod(ctx, f, g)
-    return f[:poly_degree(f) + 1]
-

@@ -119,12 +119,15 @@ def hurwitz_class_number(delta: int) -> Fraction:
     Sums h_w(delta/d^2) over all d >= 1 with d^2 | delta and
     delta/d^2 = 0 or 1 (mod 4).  Inputs with no admissible divisor at
     all (delta = 2 or 3 mod 4 and square-free in the relevant sense)
-    give 0, which lets callers feed arbitrary negative integers.
+    give 0, which lets callers feed arbitrary negative integers.  The
+    isqrt(-delta) divisors are charged to the budget first.
     """
     if delta >= 0:
         raise ValueError("Hurwitz class number needs delta < 0, got %d" % delta)
+    top = isqrt(-delta)
+    check_budget(top)
     total = Fraction(0)
-    for d in range(1, isqrt(-delta) + 1):
+    for d in range(1, top + 1):
         if delta % (d * d) != 0:
             continue
         quotient = delta // (d * d)

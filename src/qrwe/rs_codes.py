@@ -6,16 +6,17 @@ its length, dimension and size follow from the rows.  The projective RS
 code of order h evaluates every binary form of degree h at the q+1
 standard representatives (1, a) for a in field order, then (0, 1); the
 classical code drops the final coordinate.  Codewords are walked as
-F_q-linear combinations of the generator rows.  The scalar reference
-(`_tally_scalar`) is a mixed-radix odometer whose single-row delta
-updates make each visit O(n) field additions; it visits every codeword,
-and the tests compare it with the vector walk.  The vector walk uses
-that scaling a codeword of any linear code by a nonzero square keeps its
-(squares, non-squares) counts while a non-square swaps them: it takes
-the q+1 tops (two highest message digits) whose first nonzero digit is
-1 and the zero top, q+2 instead of q^2, into one tally.  Their counts
-come from `_form_counts`, the one numpy engine that evaluates binary
-forms on P^1, which both censuses in `curve_census` run too.
+F_q-linear combinations of the generator rows.  The scalar reference,
+with the tests in `tests/references.py`, is a mixed-radix odometer
+whose single-row delta updates make each visit O(n) field additions; it
+visits every codeword, and the tests compare it with the vector walk.
+The vector walk uses that scaling a codeword of any linear code by a
+nonzero square keeps its (squares, non-squares) counts while a
+non-square swaps them: it takes the q+1 tops (two highest message
+digits) whose first nonzero digit is 1 and the zero top, q+2 instead
+of q^2, into one tally.  Their counts come from `_form_counts`, the one
+numpy engine that evaluates binary forms on P^1, which both censuses in
+`curve_census` run too.
 
 Brute-force enumeration refuses politely (BudgetExceededError) when
 q^dim exceeds the budget, which defaults to 10^8 and can be overridden
@@ -123,47 +124,6 @@ def brute_force_enumerator(code: LinearCode, budget: int = None,
         raise ConsistencyError("enumerated %d codewords, expected %d"
                                % (enum.total(), visits))
     return enum
-
-
-def _tally_scalar(code: LinearCode) -> dict:
-    # Mixed-radix odometer over the F_p message digits: the F_p-basis of
-    # the code is {x^m row_d}, and stepping one digit is a single basis-row
-    # addition (p repeats of any row cancel, so wraps need no special case).
-    ctx = code.ctx
-    q, n, p = ctx.q, code.n, ctx.p
-    basis_rows = []
-    for row in code.rows:
-        for m in range(ctx.v):
-            beta_m = p ** m  # the element code of x^m
-            basis_rows.append([ctx.mul(beta_m, entry) for entry in row])
-    chi = [ctx.quadratic_character(x) for x in range(q)]
-    add = ctx.add
-    counts = {}
-    word = [0] * n
-    digits = [0] * len(basis_rows)
-    while True:
-        j = k = 0
-        for x in word:
-            c = chi[x]
-            if c == 1:
-                j += 1
-            elif c == -1:
-                k += 1
-        key = (j, k)
-        counts[key] = counts.get(key, 0) + 1
-        d = 0
-        while d < len(basis_rows):
-            row = basis_rows[d]
-            for i in range(n):
-                word[i] = add(word[i], row[i])
-            digits[d] += 1
-            if digits[d] < p:
-                break
-            digits[d] = 0
-            d += 1
-        if d == len(basis_rows):
-            break
-    return counts
 
 
 def _tally_vector(code: LinearCode) -> dict:

@@ -32,7 +32,7 @@ CENSUS_QS = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37)
 ISOGENY_QS = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27)
 JSPECIAL_QS = (5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 37, 49, 121, 125, 169, 289, 343,
                1009)
-C14_QS = (5, 7, 9, 11, 13, 17, 19, 23)
+C14_QS = (5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37)
 DUAL_QS = (7, 9, 11)
 # prime powers no brute-force walk reaches: involution and MDS collapse only
 DUAL_PRIME_POWER_QS = (25, 27, 49)

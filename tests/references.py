@@ -1,0 +1,175 @@
+"""Plain-Python references for the library's fast engines.
+
+Each function here walks every object its engine reduces by symmetry or
+vectorizes, in scalar field arithmetic, and the tests compare the two:
+
+ * `_quartic_census_scalar(ctx)` checks `curve_census.quartic_census`:
+   it visits all q^5 binary quartics, keeps the square-free ones
+   (`is_squarefree_quartic`, a gcd of the dehomogenized form and its
+   derivative by `poly_gcd` and `poly_derivative`), and counts points
+   and roots of each (`quartic_point_count`).  The gcd test also checks
+   the census's discriminant grid (`curve_census._discriminant_grid`).
+ * `_legendre_family_sum_scalar(p, R)` checks
+   `curve_census.legendre_family_sum`: all (p-1)^2 pairs (a, b) instead
+   of one per orbit.
+ * `_j_special_census_scalar(ctx)` checks `curve_census.j_special_census`:
+   all q - 1 models of each special j-invariant instead of one per coset.
+ * `_tally_scalar(code)` checks `rs_codes.brute_force_enumerator`: a
+   mixed-radix odometer over every codeword, one basis-row addition per
+   step, instead of the numpy walk over q + 2 tops.
+
+None of them is read by the library; they live here so that `src/`
+holds only code the library runs.
+"""
+
+from qrwe.curve_census import (Census, TraceBucket, _j_special_tally,
+                               _legendre_point_sum, _quartic_census_of)
+from qrwe.finite_field import FieldContext, field, poly_degree, poly_mod
+from qrwe.rs_codes import LinearCode
+
+# ---------------------------------------------------------------------------
+# Polynomials over F_q, for the square-free test
+# ---------------------------------------------------------------------------
+
+def poly_derivative(ctx: FieldContext, f) -> list:
+    return [ctx.mul(ctx.int_embed(i), f[i]) for i in range(1, len(f))]
+
+
+def poly_gcd(ctx: FieldContext, f, g) -> list:
+    """Euclidean gcd with the convention gcd(f, 0) = f."""
+    f, g = list(f), list(g)
+    while poly_degree(g) >= 0:
+        f, g = g, poly_mod(ctx, f, g)
+    return f[:poly_degree(f) + 1]
+
+
+# ---------------------------------------------------------------------------
+# The quartic census
+# ---------------------------------------------------------------------------
+
+def quartic_point_count(ctx: FieldContext, coeffs) -> tuple:
+    """(points, rational_roots) of w^2 = f4(x, y) over P^1(F_q).
+
+    `coeffs` are (c4, c3, c2, c1, c0) with f4 = c4 x^4 + ... + c0 y^4.
+    Each of the q+1 standard representatives (1, a), (0, 1) contributes
+    1 point if f4 vanishes there, 2 if the value is a nonzero square,
+    and 0 otherwise.  Applies to any nonzero quartic, smooth or not.
+    """
+    c4, c3, c2, c1, c0 = coeffs
+    if not any(coeffs):
+        raise ValueError("zero polynomial has no associated curve")
+    points = 0
+    roots = 0
+    for a in ctx.elements():
+        value = c0
+        for c in (c1, c2, c3, c4):
+            value = ctx.add(ctx.mul(value, a), c)
+        chi = ctx.quadratic_character(value)
+        if chi == 0:
+            points += 1
+            roots += 1
+        elif chi == 1:
+            points += 2
+    chi = ctx.quadratic_character(c0)
+    if chi == 0:
+        points += 1
+        roots += 1
+    elif chi == 1:
+        points += 2
+    return points, roots
+
+
+def is_squarefree_quartic(ctx: FieldContext, coeffs) -> bool:
+    """True iff the binary quartic has 4 distinct roots over the closure.
+
+    Dehomogenize to g(x) = f4(x, 1); the form is squarefree iff
+    gcd(g, g') is a nonzero constant (with gcd(g, 0) = g, which settles
+    the vanishing-derivative cases in characteristic 3) and the root at
+    (1 : 0) is not repeated, i.e. not both leading coefficients vanish.
+    """
+    c4, c3, c2, c1, c0 = coeffs
+    if c4 == 0 and c3 == 0:
+        return False
+    g = [c0, c1, c2, c3, c4]
+    gcd = poly_gcd(ctx, g, poly_derivative(ctx, g))
+    return poly_degree(gcd) == 0
+
+
+def _quartic_census_scalar(ctx: FieldContext) -> Census:
+    q = ctx.q
+    buckets = {}
+    rng = range(q)
+    for c4 in rng:
+        for c3 in rng:
+            for c2 in rng:
+                for c1 in rng:
+                    for c0 in rng:
+                        coeffs = (c4, c3, c2, c1, c0)
+                        if not any(coeffs):
+                            continue
+                        if not is_squarefree_quartic(ctx, coeffs):
+                            continue
+                        points, roots = quartic_point_count(ctx, coeffs)
+                        t = q + 1 - points
+                        bucket = buckets.setdefault(t, TraceBucket(by_roots=[0] * 5))
+                        bucket.by_roots[roots] += 1
+    return _quartic_census_of(q, buckets)
+
+
+# ---------------------------------------------------------------------------
+# The two scalar oracles' full walks
+# ---------------------------------------------------------------------------
+
+def _legendre_family_sum_scalar(p: int, R: int) -> int:
+    chi = [field(p, 1).quadratic_character(x) for x in range(p)]
+    return sum(_legendre_point_sum(chi, a, b) ** (2 * R)
+               for a in range(p) for b in range(1, p) if (a * a - 4 * b) % p)
+
+
+def _j_special_census_scalar(ctx: FieldContext) -> dict:
+    return _j_special_tally(ctx, lambda label: [(c, 1) for c in range(1, ctx.q)])
+
+
+# ---------------------------------------------------------------------------
+# Codeword walks
+# ---------------------------------------------------------------------------
+
+def _tally_scalar(code: LinearCode) -> dict:
+    # Mixed-radix odometer over the F_p message digits: the F_p-basis of
+    # the code is {x^m row_d}, and stepping one digit is a single basis-row
+    # addition (p repeats of any row cancel, so wraps need no special case).
+    ctx = code.ctx
+    q, n, p = ctx.q, code.n, ctx.p
+    basis_rows = []
+    for row in code.rows:
+        for m in range(ctx.v):
+            beta_m = p ** m  # the element code of x^m
+            basis_rows.append([ctx.mul(beta_m, entry) for entry in row])
+    chi = [ctx.quadratic_character(x) for x in range(q)]
+    add = ctx.add
+    counts = {}
+    word = [0] * n
+    digits = [0] * len(basis_rows)
+    while True:
+        j = k = 0
+        for x in word:
+            c = chi[x]
+            if c == 1:
+                j += 1
+            elif c == -1:
+                k += 1
+        key = (j, k)
+        counts[key] = counts.get(key, 0) + 1
+        d = 0
+        while d < len(basis_rows):
+            row = basis_rows[d]
+            for i in range(n):
+                word[i] = add(word[i], row[i])
+            digits[d] += 1
+            if digits[d] < p:
+                break
+            digits[d] = 0
+            d += 1
+        if d == len(basis_rows):
+            break
+    return counts

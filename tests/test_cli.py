@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qrwe import cli
+from qrwe.arith import odd_prime_powers
 from qrwe.cli import main
 from qrwe.curve_census import census_json, weierstrass_census
 from qrwe.errors import ConsistencyError
@@ -228,3 +232,77 @@ def test_class_number_sweeps_beyond_the_budget_are_refused(capsys, argv):
     # each sweep would take O(10^11) steps or more: refused before it starts
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("refused: ") and "budget" in err
+
+
+def test_prime_power_split_beyond_the_budget_is_refused_at_once(capsys, monkeypatch):
+    monkeypatch.delenv("QRWE_BUDGET", raising=False)
+    # 10^18 + 3 is prime: its trial division would try 10^9 - 1 divisors
+    for argv in (("trace", "--level", "1", "--weight", "12", "--q", "1000000000000000003"),
+                 ("dual", "--q", "1000000000000000003", "--max-codim", "7")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("refused: ") and "budget" in err
+    # 3 divides 3 * 10^17 + 3: the division stops at its second divisor
+    for argv in (("trace", "--level", "1", "--weight", "12", "--q", "300000000000000003"),
+                 ("dual", "--q", "300000000000000003", "--max-codim", "7")):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert "not a prime power" in capsys.readouterr().err
+
+
+SMALL_QS = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27)
+PRIME_POWERS = tuple(odd_prime_powers(10 ** 4))
+
+
+def _option(name, values, optional=False):
+    """[name, value] for a drawn value; [] half the time if optional."""
+    pairs = values.map(lambda value: [name, str(value)])
+    return st.one_of(st.just([]), pairs) if optional else pairs
+
+
+def _flag(name):
+    return st.sampled_from([[], [name]])
+
+
+def _argv_strategy():
+    """Random argv for every subcommand but `verify`: q <= 10^4, weight
+    <= 64 (trace weight is not charged to the budget), R <= 20, flags
+    drawn at random, and --threads before the subcommand now and then."""
+    q = _option("--q", st.one_of(st.sampled_from(SMALL_QS), st.sampled_from(PRIME_POWERS),
+                                 st.integers(-3, 10 ** 4)))
+    budget = _option("--budget", st.integers(-1, 10 ** 6), optional=True)
+    weight = st.one_of(st.integers(0, 32).map(lambda half: 2 * half), st.integers(-2, 64))
+    disc = _option("--disc", st.one_of(st.integers(-2000, 4), st.integers(-10 ** 6, 4)))
+    commands = st.one_of(
+        st.tuples(st.just(["c14"]), q, _flag("--classical"),
+                  _option("--format", st.sampled_from(["json", "csv"]), optional=True)),
+        st.tuples(st.just(["dual"]), q, _option("--max-codim", st.integers(-2, 12)),
+                  _flag("--classical")),
+        st.tuples(st.just(["brute"]), q, _option("--h", st.integers(-1, 6)),
+                  _flag("--classical"), budget),
+        st.tuples(st.just(["census"]), q, budget,
+                  _option("--kind", st.sampled_from(["quartic", "weierstrass"]), optional=True)),
+        st.tuples(st.just(["trace"]), _option("--level", st.integers(1, 4)),
+                  _option("--weight", weight), q),
+        st.tuples(st.just(["moments"]), q, _option("--R", st.integers(-1, 20)),
+                  _option("--flavor", st.sampled_from(["all", "2tors", "full2tors"]),
+                          optional=True),
+                  _flag("--empirical")),
+        st.tuples(st.just(["classnum"]), disc),
+        st.tuples(st.just(["hurwitz"]), disc),
+    )
+    threads = _option("--threads", st.integers(0, 4), optional=True)
+    return st.tuples(threads, commands).map(lambda drawn: drawn[0] + sum(drawn[1], []))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv_strategy())
+def test_every_command_exits_0_1_or_2(monkeypatch, argv):
+    monkeypatch.setenv("QRWE_BUDGET", str(10 ** 5))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)

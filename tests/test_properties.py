@@ -7,6 +7,7 @@ import random
 import pytest
 
 from qrwe.arith import odd_prime_powers, prime_power_split
+from qrwe.errors import BudgetExceededError
 from qrwe.finite_field import field
 from qrwe.hecke_traces import gegenbauer_kernel, kernel_expansion_coeff
 from qrwe.qr_pipeline import quartic_code_enumerator
@@ -78,3 +79,27 @@ def test_kernel_expansion_identity_full_grid():
                             * gegenbauer_kernel(2 * R - 2 * j + 2, t, q)
                             for j in range(R + 1))
                 assert total == t ** (2 * R)
+
+
+def test_prime_power_split_charges_the_divisors_it_would_try(monkeypatch):
+    # 1031^2 and 1031 * 1033 both stop at their 1030th divisor, 1031
+    split = prime_power_split.__wrapped__
+    for q, expected in ((1031 ** 2, (1031, 2)), (1031 * 1033, None)):
+        monkeypatch.setenv("QRWE_BUDGET", "1029")
+        with pytest.raises(BudgetExceededError):
+            split(q)
+        monkeypatch.setenv("QRWE_BUDGET", "1030")
+        if expected is None:
+            with pytest.raises(ValueError, match="not a prime power"):
+                split(q)
+        else:
+            assert split(q) == expected
+    # a prime is refused before any division, and a budget of two divisors finds 3
+    monkeypatch.setenv("QRWE_BUDGET", "2")
+    with pytest.raises(BudgetExceededError, match="budget >= 31621,"):
+        split(1000000007)
+    with pytest.raises(ValueError, match="not a prime power"):
+        split(3 * 1000000007)
+    # a division of at most 1024 divisors is not charged
+    monkeypatch.setenv("QRWE_BUDGET", "0")
+    assert split(1021 ** 2) == (1021, 2)

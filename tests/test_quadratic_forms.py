@@ -310,3 +310,17 @@ def test_every_class_number_sweep_is_charged_to_the_budget(monkeypatch):
         class_number.__wrapped__(-23)
     monkeypatch.setenv("QRWE_BUDGET", "23")
     assert class_number.__wrapped__(-23) == 3
+
+
+def test_hurwitz_divisor_loop_is_charged_first(monkeypatch):
+    # -1000001 is 3 mod 4 and square-free: no divisor reaches a class
+    # number, so the loop's isqrt(1000001) = 1000 steps are the only charge
+    hurwitz = hurwitz_class_number.__wrapped__
+    monkeypatch.setenv("QRWE_BUDGET", "999")
+    with pytest.raises(BudgetExceededError, match="budget >= 1000,"):
+        hurwitz(-1000001)
+    monkeypatch.setenv("QRWE_BUDGET", "1000")
+    assert hurwitz(-1000001) == 0
+    # H(36) = h_w(-36) + h_w(-4): the class numbers' charges still bound it
+    monkeypatch.setenv("QRWE_BUDGET", "36")
+    assert hurwitz(-36) == Fraction(5, 2)

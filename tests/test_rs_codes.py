@@ -11,8 +11,9 @@ from qrwe.enumerators import (QREnumerator, mds_weight_distribution,
                               qr_dual_coefficients, qr_macwilliams_dual)
 from qrwe.errors import BudgetExceededError, ConsistencyError, check_budget
 from qrwe.finite_field import FieldContext, field
-from qrwe.rs_codes import (LinearCode, _tally_scalar, brute_force_enumerator,
+from qrwe.rs_codes import (LinearCode, brute_force_enumerator,
                            puncture_enumerator, reed_solomon_code)
+from references import _tally_scalar
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
