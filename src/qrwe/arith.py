@@ -1,29 +1,51 @@
-"""Small shared integer helpers."""
+"""Small shared integer helpers: the one split of q = p^v and the one
+primality test, neither of which reads the budget below
+_STRONG_TEST_EXACT_BELOW."""
 
 from functools import lru_cache
 from math import isqrt
 
-from .errors import BudgetExceededError, configured_budget
+from .errors import check_budget
 
 # The strong probable-prime test to these bases is exact below
 # _STRONG_TEST_EXACT_BELOW: no composite under it passes all of them
 # (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
 _STRONG_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _STRONG_TEST_EXACT_BELOW = 3317044064679887385961981
-# A trial division of at most this many divisors takes microseconds and
-# is not charged: the many small q that loops split read no budget.
-_UNCHARGED_DIVISORS = 1 << 10
+# Trial division stops at this divisor: it settles every n < 2^20, and
+# an n it leaves has every prime factor above it.
+_SMALL_DIVISORS = 1 << 10
+
+
+def _small_factor(n: int, top: int) -> int:
+    """The least d in 2, 3, ..., min(top, 2^10) that divides n, else 0;
+    2 for every even n, n = 2 included."""
+    if n % 2 == 0:
+        return 2
+    for d in range(3, min(top, _SMALL_DIVISORS) + 1, 2):
+        if n % d == 0:
+            return d
+    return 0
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, exactly: trial division by d <= 2^10, then
+    the strong test, and beyond _STRONG_TEST_EXACT_BELOW a trial
+    division up to isqrt(n) charged to the budget."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    for f in range(3, isqrt(n) + 1, 2):
-        if n % f == 0:
-            return False
-    return True
+    top = isqrt(n)
+    d = _small_factor(n, top)
+    if d:
+        return d == n
+    if top <= _SMALL_DIVISORS:
+        return True
+    if not _strong_probable_prime(n):
+        return False
+    if n < _STRONG_TEST_EXACT_BELOW:
+        return True
+    check_budget(top - _SMALL_DIVISORS)
+    return all(n % d for d in range(_SMALL_DIVISORS + 1, top + 1))
 
 
 def _strong_probable_prime(n: int) -> bool:
@@ -46,35 +68,42 @@ def _strong_probable_prime(n: int) -> bool:
     return True
 
 
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 @lru_cache(maxsize=256)
 def prime_power_split(q: int) -> tuple:
     """(p, v) with q = p^v, or ValueError if q is not a prime power.
 
-    p is the first of the divisors 2, 3, ..., isqrt(q) that divides q,
-    else q itself.  Refuses (BudgetExceededError) when that trial
-    division would try more than _UNCHARGED_DIVISORS divisors and more
-    than the budget allows (`errors.configured_budget`): at once for a
-    prime q, which the strong test settles exactly below
-    _STRONG_TEST_EXACT_BELOW, and after the budget's divisors for any
-    other q.  Callers split the same q many times; the cache holds a
-    fixed number."""
+    p is the first of the divisors 2, 3, ..., min(isqrt(q), 2^10) that
+    divides q, else q itself if isqrt(q) <= 2^10.  Otherwise every prime
+    factor of q exceeds 2^10, so q = p^v needs v <= bit_length(q) / 10:
+    v is the largest such exponent with an exact integer root p = q^(1/v)
+    (else v = 1), and q is a prime power exactly when p is prime.
+    Callers split the same q many times; the cache holds a fixed number."""
     if q < 2:
         raise ValueError("not a prime power: %d" % q)
-    top = limit = isqrt(q)  # the division tries the divisors 2 .. limit
-    if top - 1 > _UNCHARGED_DIVISORS:
-        budget = configured_budget()
-        if top - 1 > budget:
-            if q < _STRONG_TEST_EXACT_BELOW and _strong_probable_prime(q):
-                raise BudgetExceededError(required=top - 1, budget=budget)
-            limit = budget + 1
-    p = q
-    for d in range(2, limit + 1):
-        if q % d == 0:
-            p = d
-            break
-    else:
-        if limit < top:
-            raise BudgetExceededError(required=top - 1, budget=limit - 1)
+    top = isqrt(q)
+    p = _small_factor(q, top)
+    if not p:
+        if top <= _SMALL_DIVISORS:
+            return q, 1
+        p, v = q, 1
+        for k in range(q.bit_length() // 10, 1, -1):
+            root = _integer_root(q, k)
+            if root ** k == q:
+                p, v = root, k
+                break
+        if not is_prime(p):
+            raise ValueError("not a prime power: %d" % q)
+        return p, v
     v = 0
     rest = q
     while rest % p == 0:

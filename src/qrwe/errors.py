@@ -24,29 +24,23 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def configured_budget(explicit: int = None) -> int:
-    """The step budget: `explicit` if given, else the QRWE_BUDGET
-    environment variable if set and not empty, else DEFAULT_BUDGET.  A
-    negative `explicit`, or a QRWE_BUDGET that is not a nonnegative
-    integer, raises ValueError."""
+def check_budget(required: int, explicit: int = None) -> None:
+    """Refuse (BudgetExceededError) a brute-force walk or class-number
+    count of `required` steps above the budget: `explicit` if given,
+    else the QRWE_BUDGET environment variable if set and not empty, else
+    DEFAULT_BUDGET.  A negative `explicit`, or a QRWE_BUDGET that is not
+    a nonnegative integer, raises ValueError."""
     if explicit is not None:
         if explicit < 0:
             raise ValueError("budget must be a nonnegative integer, got %r" % (explicit,))
-        return explicit
-    env = os.environ.get("QRWE_BUDGET")
-    try:
-        budget = int(env) if env else DEFAULT_BUDGET
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise ValueError("QRWE_BUDGET must be a nonnegative integer, got %r" % env)
-    return budget
-
-
-def check_budget(required: int, explicit: int = None) -> None:
-    """Refuse (BudgetExceededError) a brute-force walk or class-number
-    count of `required` steps above `configured_budget(explicit)`."""
-    budget = configured_budget(explicit)
+        budget = explicit
+    else:
+        env = os.environ.get("QRWE_BUDGET")
+        try:
+            budget = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            budget = -1
+        if budget < 0:
+            raise ValueError("QRWE_BUDGET must be a nonnegative integer, got %r" % env)
     if required > budget:
         raise BudgetExceededError(required=required, budget=budget)
-

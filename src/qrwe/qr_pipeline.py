@@ -25,7 +25,7 @@ have a closed form: `dual_code_report` compares exactly those.
 
 from fractions import Fraction
 
-from .arith import is_prime, odd_prime_power_split
+from .arith import odd_prime_power_split
 from .enumerators import QREnumerator, qr_dual_coefficients
 from .errors import ConsistencyError
 from .hecke_traces import trace_level4
@@ -33,10 +33,12 @@ from .isogeny_counts import isogeny_profile
 from .rs_codes import puncture_enumerator
 
 
-def _check_q(q: int) -> None:
-    odd_prime_power_split(q)
+def _check_q(q: int) -> tuple:
+    """(p, v) with q = p^v for an odd prime power q >= 5, else ValueError."""
+    split = odd_prime_power_split(q)
     if q < 5:
         raise ValueError("need odd q >= 5, got %d" % q)
+    return split
 
 
 def singular_quartic_part(q: int) -> QREnumerator:
@@ -186,11 +188,11 @@ def dual_code_report(q: int, max_codim: int) -> dict:
 
     Raises ConsistencyError naming the monomial on any mismatch.
     """
-    _check_q(q)
+    _, v = _check_q(q)
     enum = quartic_code_enumerator(q)
     computed = qr_dual_coefficients(enum, q, q ** 5, max_codim)
     comparisons = []
-    if is_prime(q) and q >= 7:
+    if v == 1 and q >= 7:
         limit = min(max_codim, _DUAL_MAX_CODIM)
         for j in range(limit + 1):
             for k in range(limit + 1 - j):
@@ -223,7 +225,7 @@ def classical_dual_weight7_check(q: int) -> dict:
     """Compare the X^(q-7) Y^7 coefficient of the classical dual code's
     enumerator against its closed form (prime q only; q >= 11 when
     q = 1 mod 4, q >= 7 when q = 3 mod 4)."""
-    if not is_prime(q):
+    if _check_q(q)[1] != 1:
         raise ValueError("closed form applies to prime q only, got %d" % q)
     coeffs, extra_qplus1, minimum = _CLASSICAL_WEIGHT7[q % 4]
     if q < minimum:

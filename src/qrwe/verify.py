@@ -9,7 +9,6 @@ enumerator equality, with zero tolerance.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 from .arith import odd_prime_powers, odd_primes, prime_power_split
@@ -29,7 +28,6 @@ from .quadratic_forms import (hurwitz_class_number, kronecker,
 from .rs_codes import brute_force_enumerator, puncture_enumerator, reed_solomon_code
 
 CENSUS_QS = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37)
-ISOGENY_QS = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27)
 JSPECIAL_QS = (5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 37, 49, 121, 125, 169, 289, 343,
                1009)
 C14_QS = (5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37)
@@ -40,16 +38,10 @@ PUNCTURE_QS = (7, 9)
 EXAMPLE_PRIMES_1MOD4 = (13, 17, 29)
 EXAMPLE_PRIMES_3MOD4 = (7, 11, 19, 23)
 CLASSICAL_PRIMES = (13, 17, 7, 11, 19)
-# censuses past the default budget, each computed once and checked at
-# every moment order and trace
+# after CENSUS_QS, censuses past the default budget
 CENSUS_SCALE_QS = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 49, 121)
 FAMILY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
                  67, 71, 73, 79, 83, 89, 97)
-
-@lru_cache(maxsize=32)  # holds every q in CENSUS_QS
-def cached_quartic_census(q: int):
-    return quartic_census(field(*prime_power_split(q)))
-
 
 def _cap(values, qmax):
     return tuple(v for v in values if qmax is None or v <= qmax)
@@ -173,59 +165,38 @@ def checks_moments_displayed(qmax=None):
         yield "displayed prime moment polynomials at p = %d" % p, ok
 
 
-# -- criterion 5 -------------------------------------------------------------
+# -- criteria 5 and 6 --------------------------------------------------------
 
-def _census_moments_match(census, q: int, orders: dict) -> bool:
-    """The census's moments equal `moment_formula` at every R < orders[flavor]."""
-    return all(empirical_moment(census, R, flavor) == moment_formula(q, R, flavor)
-               for flavor, order in orders.items() for R in range(order))
-
-
-def _census_counts_match(census, q: int) -> bool:
-    """The census's weighted counts equal the closed forms at every trace
-    it holds and every |t| <= 2 sqrt(q) + 2."""
-    traces = set(census.traces())
+def _census_matches(census, q: int) -> bool:
+    """The census's moments equal `moment_formula` at every R <= 5 in
+    every flavor, and its weighted counts the closed forms at every
+    trace it holds and every |t| <= 2 sqrt(q) + 2."""
     bound = isqrt(4 * q) + 2
-    traces.update(range(-bound, bound + 1))
-    return all(census.weighted_count(t) == weighted_count(q, t)
-               and census.weighted_count_full_2tors(t)
-               == weighted_count_full_2tors(q, t)
-               for t in traces)
+    traces = set(census.traces()) | set(range(-bound, bound + 1))
+    return (all(empirical_moment(census, R, flavor) == moment_formula(q, R, flavor)
+                for flavor in FLAVORS for R in range(6))
+            and all(census.weighted_count(t) == weighted_count(q, t)
+                    and census.weighted_count_full_2tors(t)
+                    == weighted_count_full_2tors(q, t)
+                    for t in traces))
 
 
-def checks_moments_census(qmax=None):
-    qs = _cap(CENSUS_QS, qmax)
-    yield from _skipped(qs, qmax, "census moments match formulas")
-    orders = {"all": 6, "two_torsion": 4, "full_two_torsion": 4}
+def checks_census(qmax=None):
+    qs = _cap(CENSUS_QS + CENSUS_SCALE_QS, qmax)
+    yield from _skipped(qs, qmax, "census moments and weighted counts match")
     for q in qs:
-        yield ("census moments match formulas at q = %d" % q,
-               _census_moments_match(cached_quartic_census(q), q, orders))
+        # the budget admits the largest of the lists, 121^5 forms
+        census = quartic_census(field(*prime_power_split(q)), budget=121 ** 5)
+        yield ("census moments and weighted counts match at q = %d" % q,
+               _census_matches(census, q))
 
 
-# -- criterion 6 -------------------------------------------------------------
-
-def checks_isogeny_census(qmax=None):
-    qs = _cap(ISOGENY_QS, qmax)
-    yield from _skipped(qs, qmax, "weighted isogeny-class counts match census")
-    for q in qs:
-        yield ("weighted isogeny-class counts match census at q = %d" % q,
-               _census_counts_match(cached_quartic_census(q), q))
+def checks_j_special(qmax=None):
     qs = _cap(JSPECIAL_QS, qmax)
     yield from _skipped(qs, qmax, "special j-invariant classes match")
     for q in qs:
         yield ("special j-invariant classes match at q = %d" % q,
                _check_j_special(q))
-
-
-def checks_census_at_scale(qmax=None):
-    qs = _cap(CENSUS_SCALE_QS, qmax)
-    yield from _skipped(qs, qmax, "census moments and weighted counts match")
-    orders = dict.fromkeys(FLAVORS, 6)
-    for q in qs:
-        # the budget admits the largest of the list, 121^5 forms
-        census = quartic_census(field(*prime_power_split(q)), budget=121 ** 5)
-        yield ("census moments and weighted counts match at q = %d" % q,
-               _census_moments_match(census, q, orders) and _census_counts_match(census, q))
 
 
 def _check_j_special(q: int) -> bool:
@@ -349,8 +320,7 @@ def checks_family_sums(qmax=None):
 SUITES = {
     "classnumbers": (checks_classnumbers,),
     "traces": (checks_traces_dimension_zero, checks_traces_eta),
-    "moments": (checks_moments_displayed, checks_moments_census,
-                checks_isogeny_census, checks_census_at_scale),
+    "moments": (checks_moments_displayed, checks_census, checks_j_special),
     "c14": (checks_c14,),
     "duals": (checks_duals,),
     "examples": (checks_examples, checks_family_sums),

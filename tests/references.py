@@ -17,10 +17,15 @@ vectorizes, in scalar field arithmetic, and the tests compare the two:
  * `_tally_scalar(code)` checks `rs_codes.brute_force_enumerator`: a
    mixed-radix odometer over every codeword, one basis-row addition per
    step, instead of the numpy walk over q + 2 tops.
+ * `trial_division_split(q)` checks `arith.prime_power_split` and
+   `arith.is_prime`: trial division by every d <= isqrt(q), with no
+   strong test and no integer roots.
 
 None of them is read by the library; they live here so that `src/`
 holds only code the library runs.
 """
+
+from math import isqrt
 
 from qrwe.curve_census import (Census, TraceBucket, _j_special_tally,
                                _legendre_point_sum, _quartic_census_of)
@@ -173,3 +178,18 @@ def _tally_scalar(code: LinearCode) -> dict:
         if d == len(basis_rows):
             break
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Prime powers
+# ---------------------------------------------------------------------------
+
+def trial_division_split(q: int):
+    """(p, v) with q = p^v for q >= 2, or None if q is not a prime power:
+    p is the first d <= isqrt(q) that divides q, else q itself."""
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    v = 0
+    while q % p == 0:
+        q //= p
+        v += 1
+    return (p, v) if q == 1 else None

@@ -41,13 +41,13 @@ def test_criterion_04_prime_moment_polynomials():
 
 
 def test_criterion_05_moments_vs_census():
-    _run(5, "census moments equal formula moments (q <= 27)",
-         verify.checks_moments_census)
+    _run(5, "census moments and weighted counts vs formulas (q <= 121)",
+         verify.checks_census)
 
 
 def test_criterion_06_isogeny_counts_vs_census():
-    _run(6, "weighted class counts and special j-invariants vs census",
-         verify.checks_isogeny_census)
+    _run(6, "special j-invariant classes vs census",
+         verify.checks_j_special)
 
 
 def test_criterion_07_degree4_enumerator():
@@ -70,14 +70,13 @@ def test_criterion_10_family_sums():
          verify.checks_family_sums)
 
 
-def test_criterion_11_property_suites():
+def test_criterion_11_property_suites(quartic_census_for):
     # the property suites live in tests/test_properties.py and run
     # standalone; here we spot-run the census parity invariant so the
     # acceptance table stays self-contained
-    from qrwe.verify import cached_quartic_census
     failures = []
     for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27):
-        census = cached_quartic_census(q)
+        census = quartic_census_for(q)
         for t, bucket in census.buckets.items():
             odd_order = (q + 1 - t) % 2 == 1
             if bucket.by_roots[3] != 0:

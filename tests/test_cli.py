@@ -218,7 +218,8 @@ def test_verify_refuses_small_qmax_and_skips_emptied_checks(capsys):
     assert code == 0
     assert out == "SKIP  degree-4 enumerator matches brute force: none of its q is <= 4\n"
     code, out, _ = run_cli(capsys, "verify", "--suite", "moments", "--qmax", "3")
-    assert code == 0 and out.count("PASS") == 3 and "FAIL" not in out
+    assert code == 0 and out.count("PASS") == 2 and "FAIL" not in out
+    assert "PASS  census moments and weighted counts match at q = 3\n" in out
     assert "SKIP  special j-invariant classes match: none of its q is <= 3\n" in out
 
 
@@ -248,6 +249,20 @@ def test_prime_power_split_beyond_the_budget_is_refused_at_once(capsys, monkeypa
             main(list(argv))
         assert info.value.code == 2
         assert "not a prime power" in capsys.readouterr().err
+
+
+def test_large_q_is_split_at_once_and_refused_by_its_hurwitz_row(capsys, monkeypatch):
+    monkeypatch.delenv("QRWE_BUDGET", raising=False)
+    trace = ("trace", "--level", "4", "--weight", "6", "--q")
+    # (10^9 + 7)(10^9 + 9) has no divisor below 2^10 and is no exact power
+    with pytest.raises(SystemExit) as info:
+        main([*trace, "1000000016000000063"])
+    assert info.value.code == 2
+    assert "not a prime power: 1000000016000000063" in capsys.readouterr().err
+    # (10^9 + 7)^2 splits, and the trace's first Hurwitz row, m = q, is refused
+    code, out, err = run_cli(capsys, *trace, "1000000014000000049")
+    assert code == 1 and out == ""
+    assert err.startswith("refused: enumeration needs budget >= 1000000014000000049,")
 
 
 SMALL_QS = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27)

@@ -6,12 +6,12 @@ import random
 
 import pytest
 
-from qrwe.arith import odd_prime_powers, prime_power_split
+from qrwe.arith import is_prime, odd_prime_powers, prime_power_split
 from qrwe.errors import BudgetExceededError
 from qrwe.finite_field import field
 from qrwe.hecke_traces import gegenbauer_kernel, kernel_expansion_coeff
 from qrwe.qr_pipeline import quartic_code_enumerator
-from qrwe.verify import cached_quartic_census
+from references import trial_division_split
 
 
 @pytest.mark.parametrize("q", [q for q in odd_prime_powers(27)])
@@ -53,8 +53,8 @@ def test_character_multiplicative(q):
 
 
 @pytest.mark.parametrize("q", [q for q in odd_prime_powers(27)])
-def test_census_parity_invariants(q):
-    census = cached_quartic_census(q)
+def test_census_parity_invariants(q, quartic_census_for):
+    census = quartic_census_for(q)
     for t, bucket in census.buckets.items():
         assert bucket.by_roots[3] == 0, (q, t)
         assert sum(bucket.by_roots) == bucket.total
@@ -81,25 +81,58 @@ def test_kernel_expansion_identity_full_grid():
                 assert total == t ** (2 * R)
 
 
-def test_prime_power_split_charges_the_divisors_it_would_try(monkeypatch):
-    # 1031^2 and 1031 * 1033 both stop at their 1030th divisor, 1031
+def _parity_qs():
+    yield from range(2, 1 << 17)
+    yield from range((1 << 20) - (1 << 12), (1 << 20) + (1 << 12) + 1)
+    for p in (1031, 1033, 65537):
+        for v in range(1, 5):
+            yield p ** v
+    yield 1031 * 1033
+    yield 1031 ** 2 * 1033
+
+
+def test_prime_power_split_and_is_prime_match_trial_division():
+    # below 2^20 the split is the small-divisor loop; at and beyond 1025^2
+    # a q with no divisor <= 2^10 is settled by integer roots and is_prime
     split = prime_power_split.__wrapped__
-    for q, expected in ((1031 ** 2, (1031, 2)), (1031 * 1033, None)):
-        monkeypatch.setenv("QRWE_BUDGET", "1029")
-        with pytest.raises(BudgetExceededError):
-            split(q)
-        monkeypatch.setenv("QRWE_BUDGET", "1030")
+    for q in _parity_qs():
+        expected = trial_division_split(q)
+        assert is_prime(q) == (expected == (q, 1)), q
         if expected is None:
             with pytest.raises(ValueError, match="not a prime power"):
                 split(q)
         else:
-            assert split(q) == expected
-    # a prime is refused before any division, and a budget of two divisors finds 3
-    monkeypatch.setenv("QRWE_BUDGET", "2")
-    with pytest.raises(BudgetExceededError, match="budget >= 31621,"):
-        split(1000000007)
-    with pytest.raises(ValueError, match="not a prime power"):
-        split(3 * 1000000007)
-    # a division of at most 1024 divisors is not charged
+            assert split(q) == expected, q
+
+
+def test_prime_power_split_reads_no_budget_below_the_exact_bound(monkeypatch):
+    split = prime_power_split.__wrapped__
+    p = 10 ** 9 + 7
+    powers = {p ** v: (p, v) for v in range(1, 5)}
+    powers.update({2 ** 61 - 1: (2 ** 61 - 1, 1), (2 ** 61 - 1) ** 2: (2 ** 61 - 1, 2),
+                   3 ** 40: (3, 40), 1031 ** 2: (1031, 2), 1021 ** 2: (1021, 2)})
     monkeypatch.setenv("QRWE_BUDGET", "0")
-    assert split(1021 ** 2) == (1021, 2)
+    for q, expected in powers.items():
+        assert split(q) == expected
+    for q in (p * (p + 2), 3 * p, 1031 * 1033):
+        with pytest.raises(ValueError, match="not a prime power"):
+            split(q)
+    # a budget that check_budget would refuse is never read
+    monkeypatch.setenv("QRWE_BUDGET", "unreadable")
+    for q, expected in powers.items():
+        assert split(q) == expected
+
+
+def test_is_prime_is_exact_up_to_the_strong_test_bound(monkeypatch):
+    monkeypatch.setenv("QRWE_BUDGET", "0")
+    # a strong pseudoprime to every base up to 37, caught by 41
+    assert not is_prime(318665857834031151167461)
+    # the bound itself passes the strong test to every base: it is not
+    # called prime, and the division that would settle it is charged
+    with pytest.raises(BudgetExceededError):
+        is_prime(3317044064679887385961981)
+    # a prime above the bound is refused at the default budget
+    monkeypatch.delenv("QRWE_BUDGET")
+    for check in (is_prime, prime_power_split.__wrapped__):
+        with pytest.raises(BudgetExceededError):
+            check(2 ** 89 - 1)
