@@ -3,6 +3,7 @@ primality test, neither of which reads the budget below
 _STRONG_TEST_EXACT_BELOW."""
 
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 
 from .errors import check_budget
@@ -122,17 +123,22 @@ def odd_prime_power_split(q: int) -> tuple:
     return p, v
 
 
-def odd_prime_powers(limit: int):
-    """All odd prime powers q with 3 <= q <= limit, ascending."""
-    for q in range(3, limit + 1, 2):
-        try:
-            prime_power_split(q)
-        except ValueError:
-            continue
-        yield q
+def odd_primes(limit: int) -> list:
+    """All odd primes p <= limit, ascending, by the sieve of Eratosthenes."""
+    flags = bytearray(b"\0\0") + bytearray(b"\1") * (limit - 1)
+    for d in range(2, isqrt(max(limit, 0)) + 1):
+        if flags[d]:
+            flags[d * d::d] = bytes(len(range(d * d, limit + 1, d)))
+    return [p for p in compress(range(limit + 1), flags) if p > 2]
 
 
-def odd_primes(limit: int):
-    for p in range(3, limit + 1, 2):
-        if is_prime(p):
-            yield p
+def odd_prime_powers(limit: int) -> list:
+    """All odd prime powers q with 3 <= q <= limit, ascending: the powers
+    of `odd_primes(limit)`, with no split of q."""
+    powers = []
+    for p in odd_primes(limit):
+        power = p
+        while power <= limit:
+            powers.append(power)
+            power *= p
+    return sorted(powers)

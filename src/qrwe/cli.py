@@ -25,19 +25,24 @@ from .arith import odd_prime_power_split
 from .curve_census import (census_json, empirical_moment, quartic_census,
                            weierstrass_census)
 from .enumerators import qr_dual_coefficients
-from .errors import BudgetExceededError, ConsistencyError
+from .errors import BudgetExceededError, ConsistencyError, check_budget
 from .finite_field import field
 from .hecke_traces import DEFAULT_TABLE, moment_formula, trace
 from .qr_pipeline import (classical_quartic_code_enumerator, dual_code_report,
                           quartic_code_enumerator)
 from .quadratic_forms import class_number, hurwitz_class_number
-from .rs_codes import brute_force_enumerator, reed_solomon_code
+from .rs_codes import (brute_force_enumerator, reed_solomon_code,
+                       reed_solomon_dimension)
 
 _FLAVOR = {"all": "all", "2tors": "two_torsion", "full2tors": "full_two_torsion"}
 
 
-def _field_for(q: int):
-    return field(*odd_prime_power_split(q))
+def _field_for(q: int, walk_steps, budget: int = None):
+    """F_q for a walk of walk_steps(p) steps, refused by the budget
+    before the field's O(q) tables are built."""
+    p, v = odd_prime_power_split(q)
+    check_budget(walk_steps(p), budget)
+    return field(p, v)
 
 
 def _int_at_least(low: int):
@@ -86,7 +91,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_brute(args) -> int:
-    ctx = _field_for(args.q)
+    ctx = _field_for(args.q, lambda p: args.q ** reed_solomon_dimension(
+        args.q, args.h, not args.classical), args.budget)
     code = reed_solomon_code(ctx, args.h, projective=not args.classical)
     enum = brute_force_enumerator(code, budget=args.budget)
     _emit_enumerator(enum, "json")
@@ -102,8 +108,11 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    ctx = _field_for(args.q)
-    if args.kind == "weierstrass":
+    weierstrass = args.kind == "weierstrass"
+    # at p = 3 the Weierstrass census is a usage error, raised after the build
+    ctx = _field_for(args.q, lambda p: args.q ** 2 * (p >= 5) if weierstrass else args.q ** 5,
+                     args.budget)
+    if weierstrass:
         census = weierstrass_census(ctx, budget=args.budget)
     else:
         census = quartic_census(ctx, budget=args.budget)
@@ -114,7 +123,7 @@ def _cmd_census(args) -> int:
 def _cmd_moments(args) -> int:
     flavor = _FLAVOR[args.flavor]
     if args.empirical:
-        ctx = _field_for(args.q)
+        ctx = _field_for(args.q, lambda p: args.q ** (2 if p >= 5 else 5))
         if ctx.p >= 5:
             census = weierstrass_census(ctx)
         else:

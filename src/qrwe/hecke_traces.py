@@ -14,7 +14,8 @@ the sum against the Gegenbauer kernel P_k, a polynomial in u = t^2,
     P_k(t, q) = sum_{0 <= j < k/2} (-1)^j C(k-2-j, j) q^j u^(k/2-1-j),
 
 so 12 K = sum_j (-1)^j C(k-2-j, j) q^j M_(k/2-1-j), and every weight
-at one (q, flavor) reads the same moments.  The trace of the
+at one (q, flavor) reads the same moments, summed by Horner's rule in
+q over signed binomials cached per weight.  The trace of the
 Hecke operator T_q on S_k(Gamma_0(N)) for N in {1, 2, 4} is an affine
 function of the kernels:
 
@@ -52,6 +53,7 @@ q/p^2 (`moment_formula`).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, isqrt
 from operator import mul
 
@@ -99,16 +101,22 @@ def _power_moments(q: int, flavor: str, count: int) -> tuple:
     return moments
 
 
-def _kernel_coefficients(k: int, q: int) -> list:
-    """P_k(t, q) as a polynomial in u = t^2, highest power first: the
-    coefficient of u^(k/2-1-j) is (-1)^j C(k-2-j, j) q^j.  Each binomial
+@lru_cache(maxsize=128)
+def _kernel_binomials(k: int) -> tuple:
+    """The signed binomials (-1)^j C(k-2-j, j), 0 <= j < k/2, of P_k.  Each
     is the last one times (k-2j)(k-1-2j) / (j(k-1-j)), an exact division."""
-    coefficients, binomial = [], 1
+    binomials, binomial = [], 1
     for j in range(k // 2):
         if j:
             binomial = binomial * (k - 2 * j) * (k - 1 - 2 * j) // (j * (k - 1 - j))
-        coefficients.append(binomial * (-q) ** j)
-    return coefficients
+        binomials.append(-binomial if j % 2 else binomial)
+    return tuple(binomials)
+
+
+def _kernel_coefficients(k: int, q: int) -> list:
+    """P_k(t, q) as a polynomial in u = t^2, highest power first: the
+    coefficient of u^(k/2-1-j) is (-1)^j C(k-2-j, j) q^j."""
+    return [b * q ** j for j, b in enumerate(_kernel_binomials(k))]
 
 
 def gegenbauer_kernel(k: int, t: int, q: int) -> int:
@@ -125,17 +133,22 @@ def gegenbauer_kernel(k: int, t: int, q: int) -> int:
 
 
 def min_power_sum(q: int, k: int) -> int:
-    """sum over 0 <= i <= v of min(p^i, p^(v-i))^(k-1) for q = p^v."""
+    """sum over 0 <= i <= v of min(p^i, p^(v-i))^(k-1) for q = p^v, k >= 2:
+    2 (1 + r + ... + r^(ceil(v/2) - 1)) + [v even] r^(v/2), r = p^(k-1)."""
     p, v = prime_power_split(q)
-    return sum(min(p ** i, p ** (v - i)) ** (k - 1) for i in range(v + 1))
+    r = p ** (k - 1)
+    total = 2 * (r ** ((v + 1) // 2) - 1) // (r - 1)
+    return total + r ** (v // 2) if v % 2 == 0 else total
 
 
 def _class_number_sum(k: int, q: int, flavor: str) -> int:
     """12 times the moment kernel of `flavor` at weight k and odd prime
-    power q, or q = 1: the power moments M_(k/2-1), ..., M_0 against
-    P_k's coefficients, highest power of u first."""
-    moments = _power_moments(q, flavor, k // 2)[:k // 2]
-    return sum(map(mul, _kernel_coefficients(k, q), reversed(moments)))
+    power q, or q = 1: sum_j b_j q^j M_(k/2-1-j) over P_k's signed
+    binomials b_j, by Horner's rule in q from M_0 up."""
+    value = 0
+    for b, moment in zip(reversed(_kernel_binomials(k)), _power_moments(q, flavor, k // 2)):
+        value = value * q + b * moment
+    return value
 
 
 # level N -> (index psi(N) of Gamma_0(N), cusp count, multiple of each
@@ -162,21 +175,29 @@ def _compute_trace(level: int, k: int, q: int) -> int:
     return value
 
 
+_TRACES_MAX = 1 << 14
+
+
 class TraceTable:
-    """Cache of traces keyed by (level, weight, q), dumpable as CSV."""
+    """Cache of traces keyed by (level, weight, q), dumpable as CSV.  An
+    insertion past _TRACES_MAX entries evicts the oldest one; a hit
+    moves nothing."""
 
     def __init__(self):
         self.entries = {}
 
     def get(self, level: int, weight: int, q: int) -> int:
         key = (level, weight, q)
-        if key not in self.entries:
+        value = self.entries.get(key)
+        if value is None:
             if level not in _LEVELS:
                 raise ValueError("level must be 1, 2 or 4, got %d" % level)
             if weight < 2 or weight % 2 != 0:
                 raise ValueError("weight must be even and >= 2, got %d" % weight)
-            self.entries[key] = _compute_trace(level, weight, q)
-        return self.entries[key]
+            value = self.entries[key] = _compute_trace(level, weight, q)
+            if len(self.entries) > _TRACES_MAX:
+                del self.entries[next(iter(self.entries))]
+        return value
 
     def to_csv(self, stream) -> None:
         stream.write("N,k,q,trace\n")

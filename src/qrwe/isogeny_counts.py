@@ -16,6 +16,10 @@ Branch layout notes:
    then a fundamental discriminant and H(p) = h_w(-p);
  * p | t with t != 0 and no boundary case applies means no curve exists
    and the count is 0.
+
+`isogeny_profile(q)` reads every t prime to p off one pass over
+`hurwitz_row(4q)` and `hurwitz_row(q)`: every boundary case has p | t,
+so only those t call the two counts.
 """
 
 from dataclasses import dataclass
@@ -84,11 +88,22 @@ class IsogenyProfile:
 
 
 def isogeny_profile(q: int) -> IsogenyProfile:
-    odd_prime_power_split(q)
+    """Every nonzero (weighted_count, weighted_count_full_2tors) pair at
+    q, keyed by t from -isqrt(4q) up; both depend on |t| only.  At p not
+    dividing t they are 6H(t^2 - 4q)/12 and, at t = q + 1 (mod 4),
+    6H(t^2/4 - q)/12 (else 0), with one Fraction per distinct 6H."""
+    p, _ = odd_prime_power_split(q)
     bound = isqrt(4 * q)
-    table = {}
-    for t in range(-bound, bound + 1):
-        pair = (weighted_count(q, t), weighted_count_full_2tors(q, t))
-        if pair != (0, 0):
-            table[t] = pair
+    row, half_row = hurwitz_row(4 * q), hurwitz_row(q)
+    twelfths = {six_h: Fraction(six_h, 12) for six_h in {0, *row, *half_row}}
+    full = (q + 1) % 4
+    by_abs = {}
+    for a in range(bound + 1):
+        if a % p:
+            by_abs[a] = (twelfths[row[a]], twelfths[half_row[a // 2] if a % 4 == full else 0])
+        else:
+            pair = (weighted_count(q, a), weighted_count_full_2tors(q, a))
+            if pair != (0, 0):
+                by_abs[a] = pair
+    table = {t: by_abs[abs(t)] for t in range(-bound, bound + 1) if abs(t) in by_abs}
     return IsogenyProfile(q=q, table=table)

@@ -68,10 +68,17 @@ def reed_solomon_code(ctx: FieldContext, h: int, projective: bool = True) -> Lin
     """Order-h Reed-Solomon code over F_q (projective length q+1 or
     classical length q); generator rows evaluate the monomial basis
     x^a y^(h-a), a = 0..h."""
-    top = ctx.q if projective else ctx.q - 1  # rank h + 1 needs h + 1 <= n
+    reed_solomon_dimension(ctx.q, h, projective)
+    return LinearCode(ctx, _monomial_rows(ctx, h, projective))
+
+
+def reed_solomon_dimension(q: int, h: int, projective: bool = True) -> int:
+    """h + 1, the dimension of the order-h code over F_q; ValueError
+    unless 0 <= h < n, its length (rank h + 1 needs h + 1 <= n)."""
+    top = q if projective else q - 1
     if not 0 <= h <= top:
         raise ValueError("need 0 <= h <= %d, got h=%d" % (top, h))
-    return LinearCode(ctx, _monomial_rows(ctx, h, projective))
+    return h + 1
 
 
 def _monomial_rows(ctx: FieldContext, h: int, projective: bool = True) -> list:

@@ -87,7 +87,7 @@ def _trace_limit(qmax):
 
 def checks_traces_dimension_zero(qmax=None):
     limit = _trace_limit(qmax)
-    qs = list(odd_prime_powers(limit))
+    qs = odd_prime_powers(limit)
     for level, weights in ZERO_DIM_WEIGHTS.items():
         for k in weights:
             ok = all(trace(level, k, q) == 0 for q in qs)
@@ -97,8 +97,8 @@ def checks_traces_dimension_zero(qmax=None):
 
 def checks_traces_eta(qmax=None):
     limit = _trace_limit(qmax)
-    qs = list(odd_prime_powers(limit))
-    primes = list(odd_primes(limit))
+    qs = odd_prime_powers(limit)
+    primes = odd_primes(limit)
     precision = limit + 1
     ok = all(trace_level1(12, q) == ramanujan_tau(q, precision) for q in qs)
     yield "level 1 weight 12 trace = tau(q), q <= %d" % limit, ok

@@ -20,6 +20,9 @@ vectorizes, in scalar field arithmetic, and the tests compare the two:
  * `trial_division_split(q)` checks `arith.prime_power_split` and
    `arith.is_prime`: trial division by every d <= isqrt(q), with no
    strong test and no integer roots.
+ * `odd_prime_powers_by_split(limit)` and `odd_primes_by_test(limit)`
+   check `arith.odd_prime_powers` and `arith.odd_primes`: every odd
+   number up to the limit split or tested on its own, with no sieve.
 
 None of them is read by the library; they live here so that `src/`
 holds only code the library runs.
@@ -27,6 +30,7 @@ holds only code the library runs.
 
 from math import isqrt
 
+from qrwe.arith import is_prime, prime_power_split
 from qrwe.curve_census import (Census, TraceBucket, _j_special_tally,
                                _legendre_point_sum, _quartic_census_of)
 from qrwe.finite_field import FieldContext, field, poly_degree, poly_mod
@@ -193,3 +197,18 @@ def trial_division_split(q: int):
         q //= p
         v += 1
     return (p, v) if q == 1 else None
+
+
+def odd_prime_powers_by_split(limit: int) -> list:
+    powers = []
+    for q in range(3, limit + 1, 2):
+        try:
+            prime_power_split(q)
+        except ValueError:
+            continue
+        powers.append(q)
+    return powers
+
+
+def odd_primes_by_test(limit: int) -> list:
+    return [p for p in range(3, limit + 1, 2) if is_prime(p)]

@@ -10,7 +10,7 @@ from qrwe.arith import odd_prime_powers
 from qrwe.cli import main
 from qrwe.curve_census import census_json, weierstrass_census
 from qrwe.errors import ConsistencyError
-from qrwe.finite_field import field
+from qrwe.finite_field import FieldContext, field
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +117,24 @@ def test_census_budget_flag(capsys, monkeypatch):
     with pytest.raises(SystemExit) as info:
         main(["census", "--q", "7", "--budget", "-1"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--q", "1000003"),
+    ("census", "--q", "1000003", "--kind", "weierstrass"),
+    ("brute", "--q", "1000003", "--h", "1"),
+    ("moments", "--q", "1000003", "--R", "1", "--empirical"),
+    ("moments", "--q", "3486784401", "--R", "1", "--empirical"),
+], ids=["quartic", "weierstrass", "brute", "moments-weierstrass", "moments-quartic"])
+def test_walks_beyond_the_budget_are_refused_before_the_field_is_built(
+        capsys, monkeypatch, argv):
+    monkeypatch.delenv("QRWE_BUDGET", raising=False)
+
+    def no_build(self, *args, **kwargs):
+        raise AssertionError("a FieldContext was built")
+    monkeypatch.setattr(FieldContext, "__init__", no_build)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("refused: ") and "budget" in err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -73,6 +73,11 @@ def test_min_power_sum_values():
     assert min_power_sum(7, 6) == 2
     assert min_power_sum(9, 4) == 29
     assert min_power_sum(27, 2) == 8
+    for q in odd_prime_powers(3 ** 8):
+        p, v = hecke_traces.odd_prime_power_split(q)
+        for k in range(2, 25, 2):
+            assert min_power_sum(q, k) == sum(min(p ** i, p ** (v - i)) ** (k - 1)
+                                              for i in range(v + 1)), (q, k)
 
 
 def test_dimension_zero_traces_small():
@@ -321,6 +326,20 @@ def test_trace_table_csv():
     lines = out.getvalue().strip().splitlines()
     assert lines[0] == "N,k,q,trace"
     assert "1,12,5,4830" in lines and "4,6,3,-12" in lines
+
+
+def test_trace_table_stays_within_its_bound():
+    bound = hecke_traces._TRACES_MAX
+    table = TraceTable()
+    table.entries.update(((1, 12, -i), 0) for i in range(bound))
+    assert table.get(1, 12, -1) == 0  # a hit moves nothing
+    keys = list(table.entries)
+    assert table.get(4, 6, 3) == -12
+    assert len(table.entries) == bound
+    assert list(table.entries) == keys[1:] + [(4, 6, 3)]
+    for q in odd_prime_powers(50):
+        table.get(2, 8, q)
+        assert len(table.entries) == bound
 
 
 def test_trace_table_rejects_bad_keys():

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+from qrwe.arith import odd_prime_powers
 from qrwe.hecke_traces import moment_formula
 from qrwe.isogeny_counts import (isogeny_profile, weighted_count,
                                  weighted_count_full_2tors)
@@ -71,3 +73,21 @@ def test_isogeny_profile_at_large_prime():
     table = isogeny_profile(q).table
     assert sum(count for count, _ in table.values()) == q
     assert sum(full for _, full in table.values()) == Fraction(q, 6) - Fraction(1, 3)
+
+
+def _profile_by_t(q):
+    """The profile table from the two counts at every t, in t order."""
+    bound = isqrt(4 * q)
+    table = {}
+    for t in range(-bound, bound + 1):
+        pair = (weighted_count(q, t), weighted_count_full_2tors(q, t))
+        if pair != (0, 0):
+            table[t] = pair
+    return table
+
+
+def test_isogeny_profile_matches_the_counts_at_every_t():
+    for q in odd_prime_powers(2000) + [3 ** 7, 5 ** 5, 7 ** 4, 16411, 100003]:
+        table, expected = isogeny_profile(q).table, _profile_by_t(q)
+        assert list(table.items()) == list(expected.items()), q
+        assert all(type(x) is Fraction for pair in table.values() for x in pair), q

@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from qrwe.arith import is_prime, odd_prime_powers, prime_power_split
+from qrwe.arith import is_prime, odd_prime_powers, odd_primes, prime_power_split
 from qrwe.errors import BudgetExceededError
 from qrwe.finite_field import field
 from qrwe.hecke_traces import gegenbauer_kernel, kernel_expansion_coeff
 from qrwe.qr_pipeline import quartic_code_enumerator
-from references import trial_division_split
+from references import (odd_prime_powers_by_split, odd_primes_by_test,
+                        trial_division_split)
 
 
 @pytest.mark.parametrize("q", [q for q in odd_prime_powers(27)])
@@ -103,6 +104,17 @@ def test_prime_power_split_and_is_prime_match_trial_division():
                 split(q)
         else:
             assert split(q) == expected, q
+
+
+def test_sieved_prime_powers_match_the_split_and_the_primality_test():
+    top = 2 ** 16 + 1
+    powers, primes = odd_prime_powers_by_split(top), odd_primes_by_test(top)
+    assert odd_prime_powers(top) == powers and odd_primes(top) == primes
+    assert odd_prime_powers(10 ** 4) == odd_prime_powers_by_split(10 ** 4)
+    assert odd_primes(10 ** 4) == odd_primes_by_test(10 ** 4)
+    for limit in range(-2, 3001):
+        assert odd_prime_powers(limit) == [q for q in powers if q <= limit], limit
+        assert odd_primes(limit) == [p for p in primes if p <= limit], limit
 
 
 def test_prime_power_split_reads_no_budget_below_the_exact_bound(monkeypatch):
