@@ -109,9 +109,9 @@ def _cmd_trace(args) -> int:
 
 def _cmd_census(args) -> int:
     weierstrass = args.kind == "weierstrass"
-    # at p = 3 the Weierstrass census is a usage error, raised after the build
-    ctx = _field_for(args.q, lambda p: args.q ** 2 * (p >= 5) if weierstrass else args.q ** 5,
-                     args.budget)
+    if weierstrass and odd_prime_power_split(args.q)[0] < 5:  # before the field is built
+        raise ValueError("--kind weierstrass needs p >= 5; use --kind quartic at p = 3")
+    ctx = _field_for(args.q, lambda p: args.q ** (2 if weierstrass else 5), args.budget)
     if weierstrass:
         census = weierstrass_census(ctx, budget=args.budget)
     else:

@@ -28,11 +28,13 @@ read off a three-term recurrence in v (MacWilliams and Sloane, *The
 Theory of Error-Correcting Codes*, ch. 5).  Per X degree i0 and even V
 degree v the input collapses to one integer weight w, and at X = 1 the
 V^v part is the U series S_v = sum over i0 of w a^i0 b^(n - i0 - v)
-with a = 2 + (q-1)U and b = 2 - U, built by Horner steps
-acc <- acc b^gap + w a^i0 over the i0 that occur, in increasing order.
-Each total degree m = u + v goes back to Y, Z by Horner steps
-G <- G (Y - Z)^2 + c (Y + Z)^(m - v) over the even v.  The halves are
-cleared by a single 2^n denominator divided out exactly at the end.
+with a = 2 + (q-1)U and b = 2 - U.  In U' = U/2 they are 2a' and 2b',
+a' = 1 + (q-1)U' and b' = 1 - U', so the U^u V^v coefficient is
+2^(n-u-v) times the U'^u one of sum w a'^i0 b'^(n - i0 - v), built by
+Horner steps acc <- acc b'^gap + w a'^i0 over the i0 that occur, in
+increasing order.  Each total degree m = u + v goes back to Y, Z by
+Horner steps G <- G (Y - Z)^2 + c (Y + Z)^(m - v) over the even v and
+is divided exactly by 2^m |C| at the end: no 2^n factor is carried.
 The (U, V) degree is the (Y, Z) degree, so asked only for the monomials
 of degree j + k <= max_codim, every series stops at that degree.
 
@@ -191,37 +193,37 @@ def _pair_weights(enum: QREnumerator, q: int, limit: int) -> dict:
 
 
 def _power_series(slope: int, power: int, length: int) -> list:
-    """U coefficients of (2 + slope U)^power below U^length, zero-padded,
+    """Coefficients of (1 + slope U')^power below U'^length, zero-padded,
     each binomial stepped from the last by an exact division."""
     out, binomial, lift = [], 1, 1
     for u in range(min(power + 1, length)):
-        out.append(binomial * lift << (power - u))
+        out.append(binomial * lift)
         binomial = binomial * (power - u) // (u + 1)
         lift *= slope
     return out + [0] * (length - len(out))
 
 
 def _times_b_power(acc: list, gap: int) -> list:
-    """acc (2 - U)^gap, truncated to len(acc) coefficients."""
+    """acc (1 - U')^gap, truncated to len(acc) coefficients."""
     if gap == 0:
         return acc
-    if gap == 1:  # c_u <- 2 c_u - c_(u-1)
-        return [2 * c - previous for c, previous in zip(acc, [0] + acc)]
+    if gap == 1:  # c_u <- c_u - c_(u-1)
+        return [c - previous for c, previous in zip(acc, [0] + acc)]
     factor, backwards = _power_series(-1, gap, len(acc)), acc[::-1]
     return [sum(map(mul, factor[:u + 1], backwards[-1 - u:])) for u in range(len(acc))]
 
 
 def _finalize(accumulator: dict, n: int, q: int, code_size: int) -> QREnumerator:
-    """The dual enumerator from the accumulated numerators, whose keys
-    (j, k) all have j + k <= n: each numerator must divide exactly and
-    come out nonnegative, so the terms need no second check."""
-    denominator = 2 ** n * code_size
+    """The dual enumerator from the accumulated numerators, keyed by (j, k)
+    with m = j + k <= n: each must divide exactly by 2^m |C| and come out
+    nonnegative, so the terms need no second check."""
     terms = {}
     for key, a in accumulator.items():
-        if a % denominator != 0:
+        denominator = code_size << (key[0] + key[1])
+        value, remainder = divmod(a, denominator)
+        if remainder:
             raise ConsistencyError("coefficient %d at %s not divisible by %d"
                                    % (a, key, denominator))
-        value = a // denominator
         if value < 0:
             raise ConsistencyError("negative dual coefficient %d at %s" % (value, key))
         if value:
@@ -250,9 +252,9 @@ def qr_macwilliams_dual(enum: QREnumerator, q: int, code_size: int,
         raise ConsistencyError("code size %d is not the enumerator's total %d"
                                % (code_size, enum.total()))
 
-    # S_v(U) = sum over i0 of w a^i0 b^(n-v-i0), a = 2 + (q-1)U, b = 2 - U,
-    # truncated at U^(limit-v): Horner steps acc <- acc b^gap + w a^i0
-    # over the i0 that occur, in increasing order
+    # 2^(v-n) S_v(2U') = sum over i0 of w a'^i0 b'^(n-v-i0), a' = 1 + (q-1)U',
+    # b' = 1 - U', truncated at U'^(limit-v): Horner steps acc <- acc b'^gap
+    # + w a'^i0 over the i0 that occur, in increasing order
     by_degree = [[0] * (m + 1) for m in range(limit + 1)]  # [u + v][v]
     for v, row in _pair_weights(enum, q, limit).items():
         acc, reached = [0] * (limit - v + 1), min(row)

@@ -23,8 +23,6 @@ computation path.  `_DUAL_TABLE`, read through
 have a closed form: `dual_code_report` compares exactly those.
 """
 
-from fractions import Fraction
-
 from .arith import odd_prime_power_split
 from .enumerators import QREnumerator, qr_dual_coefficients
 from .errors import ConsistencyError
@@ -49,8 +47,7 @@ def singular_quartic_part(q: int) -> QREnumerator:
     terms = {}
 
     def bump(j, k, value):
-        assert value % 1 == 0
-        terms[(j, k)] = terms.get((j, k), 0) + int(value)
+        terms[(j, k)] = terms.get((j, k), 0) + value
 
     bump(0, 0, 1)
     for j, k in ((q, 0), (0, q)):
@@ -68,32 +65,32 @@ def singular_quartic_part(q: int) -> QREnumerator:
 
 
 def smooth_quartic_part(q: int) -> QREnumerator:
-    """Enumerator contribution of the quartics with distinct roots."""
+    """Enumerator contribution of the quartics with distinct roots.  The
+    isogeny weights (denominators dividing 24) are read as integers in
+    units of 1/96, where the 1/2, 1/4 and 3/4 root splits stay integral;
+    each (trace, root count) is its own monomial, divided by 96 once."""
     _check_q(q)
     factor = (q - 1) ** 2 * q * (q + 1)
-    weights = {}
+    terms = {}
 
-    def bump(j, k, weight):
-        if weight:
-            weights[(j, k)] = weights.get((j, k), Fraction(0)) + weight
+    def bump(j, k, units):
+        if units:
+            value, remainder = divmod(units * factor, 96)
+            if remainder:
+                raise ConsistencyError("non-integral count at (%d, %d)" % (j, k))
+            terms[(j, k)] = value
 
     for t, (n_all, n_full) in isogeny_profile(q).table.items():
+        if 24 % n_all.denominator or 24 % n_full.denominator:
+            raise ConsistencyError("isogeny weights at t = %d are not in 1/24" % t)
+        a = n_all.numerator * (96 // n_all.denominator)
         if t % 2 != 0:
-            bump((q - t) // 2, (q + t) // 2, n_all)
+            bump((q - t) // 2, (q + t) // 2, a)
             continue
-        n_single = n_all - n_full
-        bump((q - 1 - t) // 2, (q - 1 + t) // 2, n_single / 2)   # 2 roots
-        bump((q + 1 - t) // 2, (q + 1 + t) // 2,
-             n_single / 2 + 3 * n_full / 4)                       # 0 roots
-        bump((q - 3 - t) // 2, (q - 3 + t) // 2, n_full / 4)      # 4 roots
-    terms = {}
-    for (j, k), weight in weights.items():
-        scaled = weight * factor
-        if scaled.denominator != 1:
-            raise ConsistencyError("non-integral count %s at (%d, %d)"
-                                   % (scaled, j, k))
-        if scaled:
-            terms[(j, k)] = scaled.numerator
+        f = n_full.numerator * (96 // n_full.denominator)
+        bump((q - 1 - t) // 2, (q - 1 + t) // 2, (a - f) // 2)                # 2 roots
+        bump((q + 1 - t) // 2, (q + 1 + t) // 2, (a - f) // 2 + 3 * f // 4)  # 0 roots
+        bump((q - 3 - t) // 2, (q - 3 + t) // 2, f // 4)                      # 4 roots
     return QREnumerator(q + 1, q, terms)
 
 
@@ -173,11 +170,11 @@ def predicted_dual_coefficient(q: int, j: int, k: int):
     if (j, k) not in table["entries"]:
         return None
     coeffs, mult, denom = table["entries"][(j, k)]
-    value = Fraction(_poly_at(coeffs, q) + mult * trace_level4(6, q), denom)
-    value *= (q - 1) ** 2 * q * (q + 1)
-    if value.denominator != 1:
+    value, remainder = divmod((_poly_at(coeffs, q) + mult * trace_level4(6, q))
+                              * (q - 1) ** 2 * q * (q + 1), denom)
+    if remainder:
         raise ConsistencyError("closed form non-integral at (%d, %d)" % (j, k))
-    return value.numerator
+    return value
 
 
 def dual_code_report(q: int, max_codim: int) -> dict:
@@ -232,18 +229,19 @@ def classical_dual_weight7_check(q: int) -> dict:
         raise ValueError("closed form needs q >= %d in this residue class" % minimum)
     enum = classical_quartic_code_enumerator(q)
     computed = qr_dual_coefficients(enum, q, q ** 5, 7).get((7, 0), 0)
-    base = Fraction((q - 6) * q * (q - 1) ** 2, 645120)
     poly = _poly_at(coeffs, q)
     if extra_qplus1:
         poly *= (q + 1)
-    predicted = base * poly - Fraction((q - 6) * q * (q - 1) ** 2, 18432) * trace_level4(6, q)
-    if predicted.denominator != 1:
+    # (q-6) q (q-1)^2 (poly / 645120 - tr / 18432), and 645120 = 35 * 18432
+    predicted, remainder = divmod((q - 6) * q * (q - 1) ** 2
+                                  * (poly - 35 * trace_level4(6, q)), 645120)
+    if remainder:
         raise ConsistencyError("classical closed form non-integral at q=%d" % q)
-    report = {"q": q, "computed": str(computed), "predicted": str(predicted.numerator),
-              "match": computed == predicted.numerator}
+    report = {"q": q, "computed": str(computed), "predicted": str(predicted),
+              "match": computed == predicted}
     if not report["match"]:
         raise ConsistencyError(
             "classical dual X^%d Y^7 coefficient: computed %d, closed form %d"
-            % (q - 7, computed, predicted.numerator))
+            % (q - 7, computed, predicted))
     return report
 

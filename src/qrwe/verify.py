@@ -34,6 +34,7 @@ C14_QS = (5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37)
 DUAL_QS = (7, 9, 11)
 # prime powers no brute-force walk reaches: involution and MDS collapse only
 DUAL_PRIME_POWER_QS = (25, 27, 49)
+DUAL_TRUNCATED_QS = (81, 121, 125)  # past DUAL_PRIME_POWER_QS, up to j + k = 12
 PUNCTURE_QS = (7, 9)
 EXAMPLE_PRIMES_1MOD4 = (13, 17, 29)
 EXAMPLE_PRIMES_3MOD4 = (7, 11, 19, 23)
@@ -279,6 +280,13 @@ def checks_duals(qmax=None):
         yield "double transform returns the enumerator at q = %d" % q, again == primal
         ok = dual.hamming_distribution() == mds_weight_distribution(q + 1, q - 4, q)
         yield "dual Hamming distribution is MDS at q = %d" % q, ok
+    qs = _cap(DUAL_TRUNCATED_QS, qmax)
+    yield from _skipped(qs, qmax, "truncated dual is symmetric and MDS")
+    for q in qs:
+        dual = qr_macwilliams_dual(quartic_code_enumerator(q), q, q ** 5, 12)
+        ok = dual.is_yz_symmetric() and dual.hamming_distribution()[:13] == (
+            mds_weight_distribution(q + 1, q - 4, q)[:13])
+        yield "truncated dual (j + k <= 12) is symmetric and MDS at q = %d" % q, ok
 
 
 # -- criterion 9 -------------------------------------------------------------

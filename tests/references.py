@@ -23,17 +23,25 @@ vectorizes, in scalar field arithmetic, and the tests compare the two:
  * `odd_prime_powers_by_split(limit)` and `odd_primes_by_test(limit)`
    check `arith.odd_prime_powers` and `arith.odd_primes`: every odd
    number up to the limit split or tested on its own, with no sieve.
+ * `smooth_quartic_part_fractions(q)` checks
+   `qr_pipeline.smooth_quartic_part`: the same root splits of the
+   isogeny weights in `Fraction` arithmetic, one rational weight per
+   monomial, instead of integers in units of 1/96.
 
 None of them is read by the library; they live here so that `src/`
 holds only code the library runs.
 """
 
+from fractions import Fraction
 from math import isqrt
 
 from qrwe.arith import is_prime, prime_power_split
 from qrwe.curve_census import (Census, TraceBucket, _j_special_tally,
                                _legendre_point_sum, _quartic_census_of)
+from qrwe.enumerators import QREnumerator
+from qrwe.errors import ConsistencyError
 from qrwe.finite_field import FieldContext, field, poly_degree, poly_mod
+from qrwe.isogeny_counts import isogeny_profile
 from qrwe.rs_codes import LinearCode
 
 # ---------------------------------------------------------------------------
@@ -212,3 +220,37 @@ def odd_prime_powers_by_split(limit: int) -> list:
 
 def odd_primes_by_test(limit: int) -> list:
     return [p for p in range(3, limit + 1, 2) if is_prime(p)]
+
+
+# ---------------------------------------------------------------------------
+# The smooth quartic part of the degree-4 enumerator
+# ---------------------------------------------------------------------------
+
+def smooth_quartic_part_fractions(q: int) -> QREnumerator:
+    """Enumerator contribution of the quartics with distinct roots, with
+    the isogeny weights and their root splits kept as Fractions."""
+    factor = (q - 1) ** 2 * q * (q + 1)
+    weights = {}
+
+    def bump(j, k, weight):
+        if weight:
+            weights[(j, k)] = weights.get((j, k), Fraction(0)) + weight
+
+    for t, (n_all, n_full) in isogeny_profile(q).table.items():
+        if t % 2 != 0:
+            bump((q - t) // 2, (q + t) // 2, n_all)
+            continue
+        n_single = n_all - n_full
+        bump((q - 1 - t) // 2, (q - 1 + t) // 2, n_single / 2)   # 2 roots
+        bump((q + 1 - t) // 2, (q + 1 + t) // 2,
+             n_single / 2 + 3 * n_full / 4)                       # 0 roots
+        bump((q - 3 - t) // 2, (q - 3 + t) // 2, n_full / 4)      # 4 roots
+    terms = {}
+    for (j, k), weight in weights.items():
+        scaled = weight * factor
+        if scaled.denominator != 1:
+            raise ConsistencyError("non-integral count %s at (%d, %d)"
+                                   % (scaled, j, k))
+        if scaled:
+            terms[(j, k)] = scaled.numerator
+    return QREnumerator(q + 1, q, terms)

@@ -137,6 +137,21 @@ def test_walks_beyond_the_budget_are_refused_before_the_field_is_built(
     assert code == 1 and out == "" and err.startswith("refused: ") and "budget" in err
 
 
+def test_weierstrass_census_at_p_3_is_refused_before_the_field_is_built(
+        capsys, monkeypatch):
+    def no_build(self, *args, **kwargs):
+        raise AssertionError("a FieldContext was built")
+    with monkeypatch.context() as patch:
+        patch.setattr(FieldContext, "__init__", no_build)
+        for q in ("1594323", "243"):  # 3^13 and 3^5
+            with pytest.raises(SystemExit) as info:
+                main(["census", "--q", q, "--kind", "weierstrass"])
+            assert info.value.code == 2
+            assert "p >= 5" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "census", "--q", "251", "--kind", "weierstrass")
+    assert code == 0 and json.loads(out)["q"] == 251
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["trace", "--level", "3", "--weight", "6", "--q", "3"])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import comb
 
@@ -208,7 +210,8 @@ def test_krawtchouk_recurrence_matches_the_binomial_sum():
 
 # The convolution form of the transform: a comb sum for each kernel, one
 # U-series convolution per (i0, v) and a double comb loop back to Y, Z.
-# It is the bit-identity reference for qr_macwilliams_dual.
+# It is the bit-identity reference for qr_macwilliams_dual, in the
+# unscaled U = Y + Z with one 2^n |C| denominator.
 
 def _reference_pair_weights(enum, q, limit):
     s_sq = q if q % 4 == 1 else -q
@@ -252,7 +255,14 @@ def _reference_transform(enum, q, code_size, max_codim=None):
                 key = (a + b, u - a + v - b)
                 accumulator[key] = (accumulator.get(key, 0)
                                     + (-1) ** b * comb(u, a) * comb(v, b) * value)
-    return _finalize(accumulator, n, q, code_size)
+    # the 2^n |C| denominator of the forms in U, divided out here on its
+    # own so that the library's per-degree scaling is compared, not shared
+    denominator = 2 ** n * code_size
+    terms = {}
+    for key, value in accumulator.items():
+        assert value % denominator == 0 and value >= 0, (key, value)
+        terms[key] = value // denominator
+    return QREnumerator(n, q, terms)
 
 
 def test_qr_transform_is_bit_identical_to_the_convolution_reference():
@@ -274,3 +284,32 @@ def test_qr_transform_is_bit_identical_to_the_convolution_reference():
         for enum in (quartic_code_enumerator(q), classical_quartic_code_enumerator(q)):
             assert qr_dual_coefficients(enum, q, q ** 5, 7) == _reference_transform(
                 enum, q, q ** 5, 7).terms, (q, enum.n)
+
+
+def _digest(coefficients):
+    text = json.dumps(sorted((j, k, str(value)) for (j, k), value in coefficients.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_truncated_duals_at_large_q_keep_their_digests():
+    # recorded from the transform that carried one 2^n denominator
+    pinned = {
+        (10007, 12): "63fcb59bcf59f4662d29fccf02c0a7e7b2a394a762f53077508644cac4ff6158",
+        (100003, 16): "7ca5ea54ccf89cb5fb940baa573c1061b4dccb3097cc6a9dbfe320fcf996b94e",
+    }
+    for (q, max_codim), digest in pinned.items():
+        coefficients = qr_dual_coefficients(quartic_code_enumerator(q), q, q ** 5, max_codim)
+        assert _digest(coefficients) == digest, q
+    classical = qr_dual_coefficients(classical_quartic_code_enumerator(131), 131, 131 ** 5, 7)
+    assert _digest(classical) == (
+        "6a22400c54f34697e1a04b018defdac4305b1f39ea1a644d9b82fbc21f474012")
+
+
+def test_finalize_divides_each_degree_by_its_own_power_of_two():
+    # degree m = j + k divides by 2^m |C|, never by 2^n |C|
+    dual = _finalize({(0, 0): 3, (1, 0): 2 * 3 * 5, (1, 1): 4 * 3 * 7}, 4, 5, 3)
+    assert dual.terms == {(0, 0): 1, (1, 0): 5, (1, 1): 7}
+    for key, numerator in (((0, 1), 3), ((2, 0), 2 * 3 * 5), ((1, 2), 4 * 3 * 7),
+                           ((0, 0), 2)):
+        with pytest.raises(ConsistencyError, match="not divisible by %d" % (3 << sum(key))):
+            _finalize({key: numerator}, 4, 5, 3)

@@ -1,14 +1,20 @@
+from fractions import Fraction
+
 import pytest
 
+from qrwe import qr_pipeline
+from qrwe.arith import odd_prime_powers
 from qrwe.curve_census import weierstrass_census
+from qrwe.errors import ConsistencyError
 from qrwe.finite_field import field
-from qrwe.isogeny_counts import weighted_count
+from qrwe.isogeny_counts import IsogenyProfile, weighted_count
 from qrwe.qr_pipeline import (classical_dual_weight7_check,
                               classical_quartic_code_enumerator,
                               dual_code_report, predicted_dual_coefficient,
                               quartic_code_enumerator, singular_quartic_part,
                               smooth_quartic_part)
 from qrwe.rs_codes import brute_force_enumerator, reed_solomon_code
+from references import smooth_quartic_part_fractions
 
 
 def test_singular_part_coefficients():
@@ -55,6 +61,29 @@ def test_smooth_part_fibers_recover_weighted_counts():
         for points, total in fibers.items():
             t = q + 1 - points
             assert total == weighted_count(q, t) * scale, (q, t)
+
+
+def test_smooth_part_in_integers_matches_the_fraction_reference():
+    # term by term, insertion order included
+    for q in [q for q in odd_prime_powers(2000) if q >= 5] + [3 ** 9, 5 ** 6, 10007, 100003]:
+        smooth = smooth_quartic_part(q)
+        assert list(smooth.terms.items()) == list(
+            smooth_quartic_part_fractions(q).terms.items()), q
+        assert all(type(value) is int for value in smooth.terms.values()), q
+
+
+def test_smooth_part_refuses_weights_it_cannot_split_exactly(monkeypatch):
+    def profile_of(table):
+        monkeypatch.setattr(qr_pipeline, "isogeny_profile",
+                            lambda q: IsogenyProfile(q=q, table=table))
+    # a denominator outside 1/24 has no quarter in units of 1/96
+    profile_of({1: (Fraction(1, 32), Fraction(0))})
+    with pytest.raises(ConsistencyError, match="1/24"):
+        smooth_quartic_part(11)
+    # a quarter of 1/24 at q = 11 leaves (q-1)^2 q (q+1) / 96 non-integral
+    profile_of({0: (Fraction(1, 24), Fraction(1, 24))})
+    with pytest.raises(ConsistencyError, match="non-integral"):
+        smooth_quartic_part(11)
 
 
 def test_model_counts_per_class_aggregate():
