@@ -20,10 +20,8 @@ from .errors import BudgetExceededError, ConsistencyError
 from .eta_products import (QSeries, eta_product, hecke_eigenvalue_prime_power,
                            ramanujan_tau)
 from .finite_field import FieldContext, field
-from .hecke_traces import (TraceTable, gegenbauer_kernel,
-                           kernel_expansion_coeff, min_power_sum,
-                           moment_formula, moment_kernel, trace, trace_level1,
-                           trace_level2, trace_level4)
+from .hecke_traces import (TraceTable, min_power_sum, moment_formula, trace,
+                           trace_level1, trace_level2, trace_level4)
 from .isogeny_counts import (IsogenyProfile, isogeny_profile, weighted_count,
                              weighted_count_full_2tors)
 from .qr_pipeline import (classical_dual_weight7_check,

@@ -143,9 +143,9 @@ def hecke_eigenvalue_prime_power(series: QSeries, weight: int, p: int, e: int) -
     Uses a(p^(m+1)) = a(p) a(p^m) - p^(weight-1) a(p^(m-1)) seeded with
     a(1) = 1 and a(p) read off the series.  Whenever p^e itself is
     within precision the recursion is checked against the directly
-    expanded coefficient.
+    expanded coefficient; a mismatch raises ConsistencyError.
     """
-    if series.coeff(series.leading_exponent) != 1 or series.leading_exponent != 1:
+    if series.coefficients[:2] != [0, 1]:
         raise ValueError("series is not a normalized eigenform expansion")
     if e == 0:
         return 1
@@ -156,7 +156,7 @@ def hecke_eigenvalue_prime_power(series: QSeries, weight: int, p: int, e: int) -
     for _ in range(e - 1):
         prev, cur = cur, a_p * cur - p ** (weight - 1) * prev
     if p ** e < series.precision and series.coeff(p ** e) != cur:
-        raise AssertionError("eigenvalue recursion disagrees with expansion at %d" % p ** e)
+        raise ConsistencyError("eigenvalue recursion disagrees with expansion at %d" % p ** e)
     return cur
 
 

@@ -47,14 +47,14 @@ over elliptic curves / F_q:
     flavor "full_two_torsion"  -> classes with all of E[2] rational.
 
 The moment of order 2R combines the kernels at weights 2, ..., 2R+2
-at q and q/p^2 by the ballot numbers (`kernel_expansion_coeff`), which
-write t^(2R) in the P_k, so it collapses to the moments M_R at q and
-q/p^2 (`moment_formula`).
+at q and q/p^2 by the ballot numbers b(R, j) = C(2R, j) - C(2R, j-1),
+which write t^(2R) = sum_j b(R, j) q^j P_(2R-2j+2)(t, q), so it
+collapses to the moments M_R at q and q/p^2 (`moment_formula`).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import isqrt
 from operator import mul
 
 from .arith import odd_prime_power_split, prime_power_split
@@ -113,28 +113,12 @@ def _kernel_binomials(k: int) -> tuple:
     return tuple(binomials)
 
 
-def _kernel_coefficients(k: int, q: int) -> list:
-    """P_k(t, q) as a polynomial in u = t^2, highest power first: the
-    coefficient of u^(k/2-1-j) is (-1)^j C(k-2-j, j) q^j."""
-    return [b * q ** j for j, b in enumerate(_kernel_binomials(k))]
-
-
-def gegenbauer_kernel(k: int, t: int, q: int) -> int:
-    """P_k(t, q) = (alpha^(k-1) - beta^(k-1)) / (alpha - beta) where
-    alpha, beta are the roots of X^2 - tX + q, by Horner's rule in
-    u = t^2 over `_kernel_coefficients`."""
-    if k < 2 or k % 2 != 0:
-        raise ValueError("weight must be even and >= 2, got %d" % k)
-    u = t * t
-    value = 0
-    for c in _kernel_coefficients(k, q):
-        value = value * u + c
-    return value
-
-
 def min_power_sum(q: int, k: int) -> int:
     """sum over 0 <= i <= v of min(p^i, p^(v-i))^(k-1) for q = p^v, k >= 2:
-    2 (1 + r + ... + r^(ceil(v/2) - 1)) + [v even] r^(v/2), r = p^(k-1)."""
+    2 (1 + r + ... + r^(ceil(v/2) - 1)) + [v even] r^(v/2), r = p^(k-1).
+    Raises ValueError for k < 2."""
+    if k < 2:
+        raise ValueError("weight must be >= 2, got %d" % k)
     p, v = prime_power_split(q)
     r = p ** (k - 1)
     total = 2 * (r ** ((v + 1) // 2) - 1) // (r - 1)
@@ -143,7 +127,7 @@ def min_power_sum(q: int, k: int) -> int:
 
 def _class_number_sum(k: int, q: int, flavor: str) -> int:
     """12 times the moment kernel of `flavor` at weight k and odd prime
-    power q, or q = 1: sum_j b_j q^j M_(k/2-1-j) over P_k's signed
+    power q: sum_j b_j q^j M_(k/2-1-j) over P_k's signed
     binomials b_j, by Horner's rule in q from M_0 up."""
     value = 0
     for b, moment in zip(reversed(_kernel_binomials(k)), _power_moments(q, flavor, k // 2)):
@@ -230,41 +214,6 @@ def trace(level: int, k: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 # Moment formulas
 # ---------------------------------------------------------------------------
-
-def kernel_expansion_coeff(R: int, j: int) -> int:
-    """Ballot number C(2R, j) - C(2R, j-1): the coefficient of
-    q^j P_{2R-2j+2}(t, q) in the expansion of t^(2R).  Equals 1 at j = 0
-    and the R-th Catalan number at j = R.
-
-    Read as power sums: sum_j ballot(R, j) q^j 12 K(2R-2j+2, q) is the
-    class-number power moment M_R(q), which is how `moment_formula`
-    skips the kernels."""
-    if not 0 <= j <= R:
-        raise ValueError("need 0 <= j <= R, got j=%d, R=%d" % (j, R))
-    return comb(2 * R, j) - (comb(2 * R, j - 1) if j >= 1 else 0)
-
-
-def moment_kernel(q_arg, k: int, flavor: str = "all") -> Fraction:
-    """Per-weight building block of the moment formulas.
-
-    `q_arg` is an odd prime power, or one of the two values q/p^2 that
-    the moment formulas meet: 1 (at q = p^2) and 0 (at q = p), where the
-    kernel vanishes, as it does for any value below 1.  At q = 1 the
-    kernel is the same class-number sum, over t^2 < 4, where H(-4) = 1/2
-    and H(-3) = 1/3.  A value of at least 1 that is not an integer
-    raises ValueError.
-    """
-    if flavor not in FLAVORS:
-        raise ValueError("unknown flavor %r" % (flavor,))
-    if q_arg < 1:
-        return Fraction(0)
-    q = int(q_arg)
-    if q != q_arg:
-        raise ValueError("q must be an integer, got %r" % (q_arg,))
-    if q != 1:
-        odd_prime_power_split(q)
-    return Fraction(_class_number_sum(k, q, flavor), 12)
-
 
 def moment_formula(q: int, R: int, flavor: str = "all") -> Fraction:
     """Closed form for the weighted 2R-th moment of the trace of

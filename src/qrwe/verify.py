@@ -13,7 +13,8 @@ from math import isqrt
 
 from .arith import odd_prime_powers, odd_primes, prime_power_split
 from .curve_census import (empirical_moment, j_special_census,
-                           legendre_family_sum, quartic_census)
+                           legendre_family_sum, quartic_census,
+                           weierstrass_census)
 from .enumerators import mds_weight_distribution, qr_macwilliams_dual
 from .eta_products import (hecke_eigenvalue_prime_power, ramanujan_tau,
                            weight6_level4_form, weight8_level2_form)
@@ -41,6 +42,10 @@ EXAMPLE_PRIMES_3MOD4 = (7, 11, 19, 23)
 CLASSICAL_PRIMES = (13, 17, 7, 11, 19)
 # after CENSUS_QS, censuses past the default budget
 CENSUS_SCALE_QS = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 49, 121)
+# Weierstrass censuses past the quartic census's reach: moments to R = 12
+# at the primes, to R = 8 at the prime powers
+WEIERSTRASS_PRIMES = (5, 7, 11, 101, 1009)
+WEIERSTRASS_PRIME_POWERS = (25, 49, 121, 125, 169, 289, 343, 361, 529, 625, 961, 1331)
 FAMILY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
                  67, 71, 73, 79, 83, 89, 97)
 
@@ -192,6 +197,31 @@ def checks_census(qmax=None):
                _census_matches(census, q))
 
 
+def checks_weierstrass_moments(qmax=None):
+    rows = [(q, 12) for q in _cap(WEIERSTRASS_PRIMES, qmax)]
+    rows += [(q, 8) for q in _cap(WEIERSTRASS_PRIME_POWERS, qmax)]
+    yield from _skipped(rows, qmax, "Weierstrass census moments match")
+    for q, top in rows:
+        # the budget admits the largest of the lists, 1331^2 models
+        census = weierstrass_census(field(*prime_power_split(q)), budget=1331 ** 2)
+        ok = all(empirical_moment(census, R, flavor) == moment_formula(q, R, flavor)
+                 for flavor in FLAVORS for R in range(top + 1))
+        yield "Weierstrass census moments match at q = %d" % q, ok
+
+
+def checks_legendre_moments(qmax=None):
+    # y^2 = x(x^2 + ax + b) marks one rational 2-torsion point, so a
+    # class with full 2-torsion is met three times
+    primes = _cap(FAMILY_PRIMES, qmax)
+    yield from _skipped(primes, qmax, "Legendre family sum matches the two-torsion moments")
+    for p in primes:
+        ok = all(legendre_family_sum(p, R)
+                 == (p - 1) * (moment_formula(p, R, "two_torsion")
+                               + 2 * moment_formula(p, R, "full_two_torsion"))
+                 for R in range(9))
+        yield "Legendre family sum matches the two-torsion moments at p = %d" % p, ok
+
+
 def checks_j_special(qmax=None):
     qs = _cap(JSPECIAL_QS, qmax)
     yield from _skipped(qs, qmax, "special j-invariant classes match")
@@ -328,7 +358,8 @@ def checks_family_sums(qmax=None):
 SUITES = {
     "classnumbers": (checks_classnumbers,),
     "traces": (checks_traces_dimension_zero, checks_traces_eta),
-    "moments": (checks_moments_displayed, checks_census, checks_j_special),
+    "moments": (checks_moments_displayed, checks_census, checks_weierstrass_moments,
+                checks_legendre_moments, checks_j_special),
     "c14": (checks_c14,),
     "duals": (checks_duals,),
     "examples": (checks_examples, checks_family_sums),

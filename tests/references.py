@@ -27,13 +27,19 @@ vectorizes, in scalar field arithmetic, and the tests compare the two:
    `qr_pipeline.smooth_quartic_part`: the same root splits of the
    isogeny weights in `Fraction` arithmetic, one rational weight per
    monomial, instead of integers in units of 1/96.
+ * `lucas_kernel(k, t, q)` and `ballot(R, j)` check
+   `hecke_traces._class_number_sum` and `moment_formula`: the kernel
+   P_k at one t by its three-term recurrence, summed over a Hurwitz row
+   instead of power moments read by Horner's rule in q, and the ballot
+   numbers that write t^(2R) in the P_k, which combine the kernels into
+   a moment instead of collapsing it to the power moments.
 
 None of them is read by the library; they live here so that `src/`
 holds only code the library runs.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 from qrwe.arith import is_prime, prime_power_split
 from qrwe.curve_census import (Census, TraceBucket, _j_special_tally,
@@ -254,3 +260,20 @@ def smooth_quartic_part_fractions(q: int) -> QREnumerator:
         if scaled:
             terms[(j, k)] = scaled.numerator
     return QREnumerator(q + 1, q, terms)
+
+
+def lucas_kernel(k: int, t: int, q: int) -> int:
+    """P_k(t, q) = (alpha^(k-1) - beta^(k-1)) / (alpha - beta), alpha and
+    beta the roots of X^2 - tX + q: u_1 = 1, u_2 = t,
+    u_m = t u_(m-1) - q u_(m-2)."""
+    prev, cur = 0, 1
+    for _ in range(k - 2):
+        prev, cur = cur, t * cur - q * prev
+    return cur
+
+
+def ballot(R: int, j: int) -> int:
+    """C(2R, j) - C(2R, j-1), 0 <= j <= R: the coefficient of
+    q^j P_(2R-2j+2)(t, q) in t^(2R).  1 at j = 0 and the R-th Catalan
+    number at j = R."""
+    return comb(2 * R, j) - (comb(2 * R, j - 1) if j else 0)

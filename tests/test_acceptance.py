@@ -41,8 +41,9 @@ def test_criterion_04_prime_moment_polynomials():
 
 
 def test_criterion_05_moments_vs_census():
-    _run(5, "census moments and weighted counts vs formulas (q <= 121)",
-         verify.checks_census)
+    _run(5, "quartic, Weierstrass and Legendre census moments vs formulas",
+         verify.checks_census, verify.checks_weierstrass_moments,
+         verify.checks_legendre_moments)
 
 
 def test_criterion_06_isogeny_counts_vs_census():

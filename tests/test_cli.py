@@ -251,8 +251,10 @@ def test_verify_refuses_small_qmax_and_skips_emptied_checks(capsys):
     assert code == 0
     assert out == "SKIP  degree-4 enumerator matches brute force: none of its q is <= 4\n"
     code, out, _ = run_cli(capsys, "verify", "--suite", "moments", "--qmax", "3")
-    assert code == 0 and out.count("PASS") == 2 and "FAIL" not in out
+    assert code == 0 and out.count("PASS") == 3 and "FAIL" not in out
     assert "PASS  census moments and weighted counts match at q = 3\n" in out
+    assert "SKIP  Weierstrass census moments match: none of its q is <= 3\n" in out
+    assert "PASS  Legendre family sum matches the two-torsion moments at p = 3\n" in out
     assert "SKIP  special j-invariant classes match: none of its q is <= 3\n" in out
 
 

@@ -4,7 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from qrwe import eta_products
+from qrwe import eta_products, verify
+from qrwe.cli import main
 from qrwe.errors import ConsistencyError
 from qrwe.eta_products import (QSeries, _series_power, discriminant_form,
                                eta_product, hecke_eigenvalue_prime_power,
@@ -57,6 +58,30 @@ def test_eigenvalue_recursion():
     assert ramanujan_tau(9) == 252 ** 2 - 3 ** 11 == -113643
     assert hecke_eigenvalue_prime_power(weight6_level4_form(), 6, 5, 1) == 54
     assert hecke_eigenvalue_prime_power(discriminant_form(), 12, 7, 0) == 1
+
+
+def test_eigenvalue_refuses_a_series_that_is_not_normalized():
+    for coefficients in ([0] * 10, [0], [1, 1, 0], [0, 2, 5], [0, 0, 1]):
+        with pytest.raises(ValueError, match="not a normalized eigenform"):
+            hecke_eigenvalue_prime_power(QSeries(coefficients), 12, 2, 1)
+
+
+def test_eigenvalue_recursion_that_disagrees_is_a_consistency_error():
+    broken = list(discriminant_form(60).coefficients)
+    broken[49] += 1
+    with pytest.raises(ConsistencyError, match="disagrees with expansion at 49"):
+        hecke_eigenvalue_prime_power(QSeries(broken), 12, 7, 2)
+
+
+def test_verify_reports_a_broken_eta_identity_without_a_traceback(capsys, monkeypatch):
+    def broken_form(precision):
+        coefficients = list(weight6_level4_form(precision).coefficients)
+        coefficients[25] += 1
+        return QSeries(coefficients, precision)
+    monkeypatch.setattr(verify, "weight6_level4_form", broken_form)
+    assert main(["verify", "--suite", "traces", "--qmax", "30"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: eigenvalue recursion disagrees with expansion at 25\n"
 
 
 def test_eigenvalue_needs_precision():

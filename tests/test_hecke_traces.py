@@ -9,48 +9,30 @@ from qrwe import hecke_traces
 from qrwe.arith import odd_prime_powers, odd_primes
 from qrwe.errors import ConsistencyError
 from qrwe.eta_products import weight8_level2_form
-from qrwe.hecke_traces import (FLAVORS, TraceTable, gegenbauer_kernel,
-                               kernel_expansion_coeff, min_power_sum,
-                               moment_formula, moment_kernel, trace,
+from qrwe.hecke_traces import (FLAVORS, TraceTable, _class_number_sum,
+                               min_power_sum, moment_formula, trace,
                                trace_level1, trace_level2, trace_level4)
 from qrwe.quadratic_forms import (hurwitz_class_number, hurwitz_row,
                                   weighted_class_number)
+from references import ballot, lucas_kernel
 
 
-def lucas_kernel(k, t, q):
-    """Reference P_k(t, q): u_1 = 1, u_2 = t, u_m = t u_(m-1) - q u_(m-2)."""
-    prev, cur = 0, 1
-    for _ in range(k - 2):
-        prev, cur = cur, t * cur - q * prev
-    return cur
+def _kernel_coefficients(k, q):
+    """P_k(t, q) as a polynomial in u = t^2, highest power first, from
+    the library's signed binomials."""
+    return [b * q ** j for j, b in enumerate(hecke_traces._kernel_binomials(k))]
 
 
-def test_kernel_coefficients_match_the_binomial_formula():
-    for q in (3, 5, 9, 16411):
-        for k in range(2, 201, 2):
-            assert hecke_traces._kernel_coefficients(k, q) == [
-                (-1) ** j * comb(k - 2 - j, j) * q ** j for j in range(k // 2)], (k, q)
+def _horner(coefficients, u):
+    value = 0
+    for c in coefficients:
+        value = value * u + c
+    return value
 
 
-def test_kernel_low_weights():
-    for t in range(-10, 11):
-        for q in (3, 5, 7, 9):
-            assert gegenbauer_kernel(2, t, q) == 1
-            assert gegenbauer_kernel(4, t, q) == t * t - q
-
-
-@given(st.integers(min_value=1, max_value=20), st.integers(min_value=-500, max_value=500),
-       st.integers(min_value=1, max_value=10 ** 5))
-def test_kernel_matches_lucas_recurrence(half, t, q):
-    assert gegenbauer_kernel(2 * half, t, q) == lucas_kernel(2 * half, t, q)
-
-
-@given(st.integers(min_value=1, max_value=8), st.sampled_from(FLAVORS),
-       st.sampled_from([1] + list(odd_prime_powers(2000))))
-def test_moment_kernel_matches_a_walk_over_the_hurwitz_row(half, flavor, q):
-    # 12 K = sum over all t with t^2 < 4q of the flavor of P_k(t, q) 6H,
-    # with 6H read off hurwitz_row at |t| (or |t|/2 for full 2-torsion)
-    k = 2 * half
+def _row_walk(q, flavor, kernel):
+    """sum over all t with t^2 < 4q of the flavor of kernel(t) 6H, with 6H
+    read off hurwitz_row at |t| (or |t|/2 for full 2-torsion)."""
     full = flavor == "full_two_torsion"
     row = hurwitz_row(q if full else 4 * q)
     total = 0
@@ -58,15 +40,39 @@ def test_moment_kernel_matches_a_walk_over_the_hurwitz_row(half, flavor, q):
     for t in range(-bound, bound + 1):
         if full:
             if t % 4 == (q + 1) % 4:
-                total += lucas_kernel(k, t, q) * row[abs(t) // 2]
+                total += kernel(t) * row[abs(t) // 2]
         elif flavor == "all" or t % 2 == 0:
-            total += lucas_kernel(k, t, q) * row[abs(t)]
-    assert moment_kernel(q, k, flavor) == Fraction(total, 12)
+            total += kernel(t) * row[abs(t)]
+    return total
 
 
-def test_kernel_rejects_odd_weight():
-    with pytest.raises(ValueError):
-        gegenbauer_kernel(3, 1, 5)
+def test_kernel_coefficients_match_the_binomial_formula():
+    for k in range(2, 201, 2):
+        assert hecke_traces._kernel_binomials(k) == tuple(
+            (-1) ** j * comb(k - 2 - j, j) for j in range(k // 2)), k
+
+
+def test_kernel_low_weights():
+    # P_2 = 1 and P_4 = t^2 - q
+    for q in (1, 3, 5, 7, 9):
+        for flavor in FLAVORS:
+            assert _class_number_sum(2, q, flavor) == _row_walk(q, flavor, lambda t: 1)
+            assert _class_number_sum(4, q, flavor) == _row_walk(
+                q, flavor, lambda t: t * t - q), (q, flavor)
+
+
+@given(st.integers(min_value=1, max_value=20), st.integers(min_value=-500, max_value=500),
+       st.integers(min_value=1, max_value=10 ** 5))
+def test_kernel_matches_lucas_recurrence(half, t, q):
+    assert _horner(_kernel_coefficients(2 * half, q), t * t) == lucas_kernel(2 * half, t, q)
+
+
+@given(st.integers(min_value=1, max_value=8), st.sampled_from(FLAVORS),
+       st.sampled_from([1] + list(odd_prime_powers(2000))))
+def test_moment_kernel_matches_a_walk_over_the_hurwitz_row(half, flavor, q):
+    k = 2 * half
+    assert _class_number_sum(k, q, flavor) == _row_walk(
+        q, flavor, lambda t: lucas_kernel(k, t, q))
 
 
 def test_min_power_sum_values():
@@ -78,6 +84,12 @@ def test_min_power_sum_values():
         for k in range(2, 25, 2):
             assert min_power_sum(q, k) == sum(min(p ** i, p ** (v - i)) ** (k - 1)
                                               for i in range(v + 1)), (q, k)
+
+
+def test_min_power_sum_refuses_weights_below_two():
+    for k in (1, 0, -2):
+        with pytest.raises(ValueError, match="weight"):
+            min_power_sum(9, k)
 
 
 def test_dimension_zero_traces_small():
@@ -118,50 +130,36 @@ def test_oldform_doubling():
 
 
 def test_moment_kernel_sentinels():
-    assert moment_kernel(Fraction(1, 5), 6) == 0
-    assert moment_kernel(Fraction(1, 3), 2, "two_torsion") == 0
-    assert moment_kernel(1, 2, "all") == Fraction(7, 12)
-    assert moment_kernel(1, 2, "two_torsion") == Fraction(1, 4)
-    assert moment_kernel(1, 4, "two_torsion") == Fraction(-1, 4)
-    assert moment_kernel(1, 6, "full_two_torsion") == 0
-    # q = 1 sums over t^2 < 4 only: H(-4) = 1/2 at t = 0, H(-3) = 1/3 at t = 1
+    # q = 1, which moment_formula meets as q/p^2 at v = 2, sums over
+    # t^2 < 4 only: H(-4) = 1/2 at t = 0, H(-3) = 1/3 at t = 1
+    assert _class_number_sum(2, 1, "all") == 12 * Fraction(7, 12)
+    assert _class_number_sum(2, 1, "two_torsion") == 12 * Fraction(1, 4)
+    assert _class_number_sum(4, 1, "two_torsion") == 12 * Fraction(-1, 4)
+    assert _class_number_sum(6, 1, "full_two_torsion") == 0
     for k in range(2, 41, 2):
-        at_zero = Fraction(gegenbauer_kernel(k, 0, 1), 4)
-        assert moment_kernel(1, k, "all") == at_zero + Fraction(gegenbauer_kernel(k, 1, 1), 3)
-        assert moment_kernel(1, k, "two_torsion") == at_zero
-        assert moment_kernel(1, k, "full_two_torsion") == 0
-    for bad in (1.5, 6, 8):
-        with pytest.raises(ValueError):
-            moment_kernel(bad, 4)
-
-
-def test_moment_kernel_rejects_non_integral_q():
-    for bad in (3.5, 9.9, Fraction(7, 2), Fraction(27, 2)):
-        with pytest.raises(ValueError, match="integer"):
-            moment_kernel(bad, 4)
-    assert moment_kernel(9.0, 4) == moment_kernel(9, 4)
+        at_zero = Fraction(lucas_kernel(k, 0, 1), 4)
+        assert _class_number_sum(k, 1, "all") == 12 * (
+            at_zero + Fraction(lucas_kernel(k, 1, 1), 3))
+        assert _class_number_sum(k, 1, "two_torsion") == 12 * at_zero
+        assert _class_number_sum(k, 1, "full_two_torsion") == 0
 
 
 def test_moment_kernel_level1_prime():
     # for prime q and weight 12 the kernel is -tau(q) - 1
-    assert moment_kernel(5, 12) == -4830 - 1
+    assert _class_number_sum(12, 5, "all") == 12 * (-4830 - 1)
 
 
 def test_kernel_expansion_coeff():
-    assert kernel_expansion_coeff(3, 0) == 1
-    assert kernel_expansion_coeff(3, 3) == 5      # Catalan number
-    assert kernel_expansion_coeff(2, 1) == 3
-    with pytest.raises(ValueError):
-        kernel_expansion_coeff(2, 3)
+    assert ballot(3, 0) == 1
+    assert ballot(3, 3) == 5      # Catalan number
+    assert ballot(2, 1) == 3
 
 
 @given(st.integers(min_value=0, max_value=12).flatmap(
     lambda R: st.tuples(st.just(R), st.integers(min_value=0, max_value=R))))
 def test_kernel_expansion_coeff_closed_form(R_j):
-    from math import comb
     R, j = R_j
-    assert (kernel_expansion_coeff(R, j) * (2 * R + 1)
-            == (2 * R - 2 * j + 1) * comb(2 * R + 1, j))
+    assert ballot(R, j) * (2 * R + 1) == (2 * R - 2 * j + 1) * comb(2 * R + 1, j)
 
 
 def test_power_expands_into_kernels():
@@ -171,25 +169,27 @@ def test_power_expands_into_kernels():
             for t in range(-int((4 * q) ** 0.5), int((4 * q) ** 0.5) + 1):
                 if t * t > 4 * q:
                     continue
-                total = sum(kernel_expansion_coeff(R, j) * q ** j
-                            * gegenbauer_kernel(2 * R - 2 * j + 2, t, q)
+                total = sum(ballot(R, j) * q ** j * lucas_kernel(2 * R - 2 * j + 2, t, q)
                             for j in range(R + 1))
                 assert total == t ** (2 * R), (q, R, t)
 
 
 def _ballot_moment(q, R, flavor):
     """Reference: the moment as the ballot combination of the kernels at
-    q and q/p^2, plus the boundary term at even v."""
+    q and q/p^2, plus the boundary term at even v.  q/p^2 is 0 at v = 1,
+    where the kernel vanishes."""
     p, v = hecke_traces.odd_prime_power_split(q)
     sub = q // (p * p)
-    total = Fraction(0)
+    total = 0
     for j in range(R + 1):
         k = 2 * R - 2 * j + 2
-        term = moment_kernel(q, k, flavor) - p ** (k - 1) * moment_kernel(sub, k, flavor)
-        total += kernel_expansion_coeff(R, j) * q ** j * term
+        term = _class_number_sum(k, q, flavor)
+        if sub:
+            term -= p ** (k - 1) * _class_number_sum(k, sub, flavor)
+        total += ballot(R, j) * q ** j * term
     if v % 2 == 0:
-        total += Fraction(p - 1, 12) * (4 * q) ** R
-    return total
+        total += (p - 1) * (4 * q) ** R
+    return Fraction(total, 12)
 
 
 def test_moment_formula_collapses_the_ballot_combination():
@@ -207,13 +207,10 @@ def _horner_class_number_sum(k, q, flavor):
     full = flavor == "full_two_torsion"
     row = hurwitz_row(q if full else 4 * q)
     start, step = ((q + 1) % 4, 4) if full else (0, 1 if flavor == "all" else 2)
-    coefficients = hecke_traces._kernel_coefficients(k, q)
+    coefficients = _kernel_coefficients(k, q)
     total = 0
     for t in range(start, isqrt(4 * q - 1) + 1, step):
-        u = t * t
-        value = 0
-        for c in coefficients:
-            value = value * u + c
+        value = _horner(coefficients, t * t)
         total += (2 if t else 1) * value * row[t // 2 if full else t]
     return total
 
@@ -257,9 +254,8 @@ def test_even_trace_class_number_sum_is_two_torsion_kernel():
             total = Fraction(0)
             for t in range(-isqrt(4 * q), isqrt(4 * q) + 1):
                 if t % 2 == 0 and t * t < 4 * q:
-                    total += Fraction(gegenbauer_kernel(k, t, q)) \
-                        * hurwitz_class_number(t * t - 4 * q)
-            assert total / 2 == moment_kernel(q, k, "two_torsion"), (q, k)
+                    total += lucas_kernel(k, t, q) * hurwitz_class_number(t * t - 4 * q)
+            assert 12 * total / 2 == _class_number_sum(k, q, "two_torsion"), (q, k)
 
 
 def test_odd_conductor_sum_and_vanishing_quarter_discriminant():
@@ -291,13 +287,11 @@ def test_ordinary_part_recursion():
             total = Fraction(0)
             for t in range(-isqrt(4 * q), isqrt(4 * q) + 1):
                 if t % 2 == 0 and t % p != 0 and t * t < 4 * q:
-                    total += Fraction(gegenbauer_kernel(k, t, q)) \
-                        * hurwitz_class_number(t * t - 4 * q)
-            total = total / 2 + gegenbauer_kernel(k, 0, q) * weighted_count(q, 0)
-            sub = q // (p * p) if q // (p * p) > 1 else 1
-            expected = (moment_kernel(q, k, "two_torsion")
-                        - p ** (k - 1) * moment_kernel(sub, k, "two_torsion"))
-            assert total == expected, (q, k)
+                    total += lucas_kernel(k, t, q) * hurwitz_class_number(t * t - 4 * q)
+            total = total / 2 + lucas_kernel(k, 0, q) * weighted_count(q, 0)
+            expected = (_class_number_sum(k, q, "two_torsion")
+                        - p ** (k - 1) * _class_number_sum(k, q // (p * p), "two_torsion"))
+            assert 12 * total == expected, (q, k)
 
 
 def test_prime_moment_polynomials():
@@ -358,7 +352,7 @@ def test_moment_formula_rejects_bad_input():
     with pytest.raises(ValueError):
         moment_formula(5, -1)
     with pytest.raises(ValueError):
-        moment_kernel(5, 4, "nope")
+        moment_formula(5, 4, "nope")
 
 
 def test_level1_trace_at_large_prime():

