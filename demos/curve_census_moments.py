@@ -9,7 +9,7 @@ polynomials in p plus Hecke traces.
 """
 
 from qrwe import (empirical_moment, field, isogeny_profile, moment_formula,
-                  quartic_census, weierstrass_census, weighted_count)
+                  quartic_census, weierstrass_census)
 
 q = 7
 ctx = field(q, 1)
@@ -25,13 +25,13 @@ print("\nThe same weighted counts from class numbers:")
 profile = isogeny_profile(q)
 for t in profile.traces():
     n_all, n_full = profile.table[t]
-    assert n_all == census.weighted_count(t)
+    assert (n_all, n_full) == (census.weighted_count(t), census.weighted_count_full_2tors(t))
     print("  t = %+d: all classes %s, full 2-torsion %s" % (t, n_all, n_full))
 
 print("\nShort Weierstrass models agree (p >= 5): models(t)/(q-1):")
 wcensus = weierstrass_census(ctx)
-for t in wcensus.traces():
-    assert wcensus.weighted_count(t) == weighted_count(q, t)
+assert {t: (wcensus.weighted_count(t), wcensus.weighted_count_full_2tors(t))
+        for t in wcensus.traces()} == profile.table
 print("  checked all traces at q = %d" % q)
 
 print("\nMoments of the trace, census vs closed form:")

@@ -44,6 +44,7 @@ which live with the quartic walk in `tests/references.py`.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import ConsistencyError, check_budget
@@ -295,21 +296,26 @@ def legendre_family_sum(p: int, R: int) -> int:
     per orbit is summed, times the orbit size: (1, b) for each b != 0
     with 1 - 4b != 0, of weight p - 1 (the orbits with a != 0), and
     (0, 1) and (0, nu), nu a non-square, of weight (p-1)/2.  That is p^2
-    point evaluations; the full walk (`tests/references.py`) makes all
-    p^3.  Raises ValueError for R < 0, and refuses
+    point evaluations, made once per p for every R
+    (`_legendre_orbit_sums`); the full walk (`tests/references.py`)
+    makes all p^3.  Raises ValueError for R < 0, and refuses
     (BudgetExceededError) when the p^3 terms of the full walk exceed
-    the budget.
+    the budget, at every call.
     """
     if R < 0:
         raise ValueError("moment order R must be >= 0")
     check_budget(p ** 3)
+    return sum(weight * s ** (2 * R) for s, weight in _legendre_orbit_sums(p))
+
+
+@lru_cache(maxsize=32)
+def _legendre_orbit_sums(p: int) -> tuple:
+    """((S, orbit size), ...), one pair per orbit of `legendre_family_sum`."""
     ctx = field(p, 1)
     chi = [ctx.quadratic_character(x) for x in range(p)]
-    total = (p - 1) * sum(_legendre_point_sum(chi, 1, b) ** (2 * R)
-                          for b in range(1, p) if (1 - 4 * b) % p)
-    total += sum(weight * _legendre_point_sum(chi, 0, b) ** (2 * R)
-                 for b, weight in _scaling_orbits(ctx, 2))
-    return total
+    sums = [(_legendre_point_sum(chi, 1, b), p - 1) for b in range(1, p) if (1 - 4 * b) % p]
+    sums += [(_legendre_point_sum(chi, 0, b), weight) for b, weight in _scaling_orbits(ctx, 2)]
+    return tuple(sums)
 
 
 def _j_special_model(ctx: FieldContext, label: str, c: int) -> tuple:

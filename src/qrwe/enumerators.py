@@ -106,13 +106,6 @@ class QREnumerator:
                           "A": str(self.terms[(j, k)])})
         return {"n": self.n, "q": self.q, "terms": terms}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QREnumerator":
-        terms = {}
-        for item in data["terms"]:
-            terms[(int(item["j"]), int(item["k"]))] = int(item["A"])
-        return cls(int(data["n"]), int(data["q"]), terms)
-
 
 # ---------------------------------------------------------------------------
 # Hamming enumerators

@@ -39,14 +39,6 @@ class QSeries:
             raise IndexError("coefficient %d beyond precision %d" % (n, self.precision))
         return self.coefficients[n]
 
-    @property
-    def leading_exponent(self) -> int:
-        """Index of the first nonzero coefficient (valuation)."""
-        for i, c in enumerate(self.coefficients):
-            if c:
-                return i
-        return self.precision
-
     def __mul__(self, other):
         prec = min(self.precision, other.precision)
         out = [0] * prec

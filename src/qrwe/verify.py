@@ -9,7 +9,6 @@ enumerator equality, with zero tolerance.
 """
 
 from fractions import Fraction
-from math import isqrt
 
 from .arith import odd_prime_powers, odd_primes, prime_power_split
 from .curve_census import (empirical_moment, j_special_census,
@@ -21,7 +20,7 @@ from .eta_products import (hecke_eigenvalue_prime_power, ramanujan_tau,
 from .finite_field import field
 from .hecke_traces import (FLAVORS, moment_formula, trace, trace_level1,
                            trace_level2, trace_level4)
-from .isogeny_counts import weighted_count, weighted_count_full_2tors
+from .isogeny_counts import isogeny_profile
 from .qr_pipeline import (classical_dual_weight7_check, dual_code_report,
                           quartic_code_enumerator)
 from .quadratic_forms import (hurwitz_class_number, kronecker,
@@ -173,18 +172,15 @@ def checks_moments_displayed(qmax=None):
 
 # -- criteria 5 and 6 --------------------------------------------------------
 
-def _census_matches(census, q: int) -> bool:
-    """The census's moments equal `moment_formula` at every R <= 5 in
-    every flavor, and its weighted counts the closed forms at every
-    trace it holds and every |t| <= 2 sqrt(q) + 2."""
-    bound = isqrt(4 * q) + 2
-    traces = set(census.traces()) | set(range(-bound, bound + 1))
+def _census_matches(census, q: int, top: int) -> bool:
+    """The census's moments equal `moment_formula` at every R <= top in
+    every flavor, and its weighted counts, trace by trace, the table of
+    `isogeny_profile`."""
+    counts = {t: (census.weighted_count(t), census.weighted_count_full_2tors(t))
+              for t in census.traces()}
     return (all(empirical_moment(census, R, flavor) == moment_formula(q, R, flavor)
-                for flavor in FLAVORS for R in range(6))
-            and all(census.weighted_count(t) == weighted_count(q, t)
-                    and census.weighted_count_full_2tors(t)
-                    == weighted_count_full_2tors(q, t)
-                    for t in traces))
+                for flavor in FLAVORS for R in range(top + 1))
+            and counts == isogeny_profile(q).table)
 
 
 def checks_census(qmax=None):
@@ -194,19 +190,18 @@ def checks_census(qmax=None):
         # the budget admits the largest of the lists, 121^5 forms
         census = quartic_census(field(*prime_power_split(q)), budget=121 ** 5)
         yield ("census moments and weighted counts match at q = %d" % q,
-               _census_matches(census, q))
+               _census_matches(census, q, 5))
 
 
 def checks_weierstrass_moments(qmax=None):
     rows = [(q, 12) for q in _cap(WEIERSTRASS_PRIMES, qmax)]
     rows += [(q, 8) for q in _cap(WEIERSTRASS_PRIME_POWERS, qmax)]
-    yield from _skipped(rows, qmax, "Weierstrass census moments match")
+    label = "Weierstrass census moments and weighted counts match"
+    yield from _skipped(rows, qmax, label)
     for q, top in rows:
         # the budget admits the largest of the lists, 1331^2 models
         census = weierstrass_census(field(*prime_power_split(q)), budget=1331 ** 2)
-        ok = all(empirical_moment(census, R, flavor) == moment_formula(q, R, flavor)
-                 for flavor in FLAVORS for R in range(top + 1))
-        yield "Weierstrass census moments match at q = %d" % q, ok
+        yield "%s at q = %d" % (label, q), _census_matches(census, q, top)
 
 
 def checks_legendre_moments(qmax=None):

@@ -33,6 +33,13 @@ vectorizes, in scalar field arithmetic, and the tests compare the two:
    instead of power moments read by Horner's rule in q, and the ballot
    numbers that write t^(2R) in the P_k, which combine the kernels into
    a moment instead of collapsing it to the power moments.
+ * `weighted_count_by_cases(q, t)` and
+   `weighted_count_full_2tors_by_cases(q, t)` check
+   `isogeny_counts.isogeny_profile` and the two counts that read it:
+   the case analysis at one t, with the class number read off a Hurwitz
+   row at the t prime to p, instead of one pass over the rows.
+ * `qr_enumerator_from_json(data)` inverts
+   `enumerators.QREnumerator.to_json_dict`, for the round-trip test.
 
 None of them is read by the library; they live here so that `src/`
 holds only code the library runs.
@@ -41,13 +48,14 @@ holds only code the library runs.
 from fractions import Fraction
 from math import comb, isqrt
 
-from qrwe.arith import is_prime, prime_power_split
+from qrwe.arith import is_prime, odd_prime_power_split, prime_power_split
 from qrwe.curve_census import (Census, TraceBucket, _j_special_tally,
                                _legendre_point_sum, _quartic_census_of)
 from qrwe.enumerators import QREnumerator
 from qrwe.errors import ConsistencyError
 from qrwe.finite_field import FieldContext, field, poly_degree, poly_mod
 from qrwe.isogeny_counts import isogeny_profile
+from qrwe.quadratic_forms import hurwitz_row, kronecker
 from qrwe.rs_codes import LinearCode
 
 # ---------------------------------------------------------------------------
@@ -277,3 +285,67 @@ def ballot(R: int, j: int) -> int:
     q^j P_(2R-2j+2)(t, q) in t^(2R).  1 at j = 0 and the R-th Catalan
     number at j = R."""
     return comb(2 * R, j) - (comb(2 * R, j - 1) if j else 0)
+
+
+# ---------------------------------------------------------------------------
+# The weighted isogeny counts, one t at a time
+# ---------------------------------------------------------------------------
+
+def _half_hurwitz(m: int, t: int) -> Fraction:
+    """H(t^2 - m) / 2 for t^2 < m, read off the Hurwitz row."""
+    return Fraction(hurwitz_row(m)[abs(t)], 12)
+
+
+def weighted_count_by_cases(q: int, t: int) -> Fraction:
+    """Classes with trace t over F_q, weighted by 1/|Aut|: the boundary
+    cases t = 0, t^2 = q, 3q, 4q first, then the t prime to p."""
+    p, v = odd_prime_power_split(q)
+    if t * t > 4 * q:
+        return Fraction(0)
+    if v % 2 == 1:
+        if t == 0:
+            return _half_hurwitz(4 * p, 0)
+        if t * t == 3 * q and p == 3:
+            return Fraction(1, 6)
+        if t * t < 4 * q and t % p != 0:
+            return _half_hurwitz(4 * q, t)
+        return Fraction(0)
+    if t == 0:
+        return Fraction(1 - kronecker(-4, p), 4)
+    if t * t == q:
+        return Fraction(1 - kronecker(-3, p), 6)
+    if t * t == 4 * q:
+        return Fraction(p - 1, 24)
+    if t % p != 0:
+        return _half_hurwitz(4 * q, t)
+    return Fraction(0)
+
+
+def weighted_count_full_2tors_by_cases(q: int, t: int) -> Fraction:
+    """Classes with trace t and fully rational 2-torsion, weighted."""
+    p, _ = odd_prime_power_split(q)
+    if t % 2 or t * t > 4 * q:
+        return Fraction(0)  # an odd trace never has full 2-torsion
+    if t * t == 4 * q:
+        return weighted_count_by_cases(q, t)
+    if t == 0:
+        if q % 4 == 1:
+            return Fraction(0)
+        return _half_hurwitz(p, 0)
+    if t * t in (q, 2 * q, 3 * q):
+        return Fraction(0)
+    if t % p != 0 and t % 4 == (q + 1) % 4:
+        return _half_hurwitz(q, t // 2)
+    return Fraction(0)
+
+
+# ---------------------------------------------------------------------------
+# The enumerator JSON format
+# ---------------------------------------------------------------------------
+
+def qr_enumerator_from_json(data: dict) -> QREnumerator:
+    """The enumerator `QREnumerator.to_json_dict` wrote."""
+    terms = {}
+    for item in data["terms"]:
+        terms[(int(item["j"]), int(item["k"]))] = int(item["A"])
+    return QREnumerator(int(data["n"]), int(data["q"]), terms)

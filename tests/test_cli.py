@@ -253,7 +253,8 @@ def test_verify_refuses_small_qmax_and_skips_emptied_checks(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "moments", "--qmax", "3")
     assert code == 0 and out.count("PASS") == 3 and "FAIL" not in out
     assert "PASS  census moments and weighted counts match at q = 3\n" in out
-    assert "SKIP  Weierstrass census moments match: none of its q is <= 3\n" in out
+    assert ("SKIP  Weierstrass census moments and weighted counts match: "
+            "none of its q is <= 3\n") in out
     assert "PASS  Legendre family sum matches the two-torsion moments at p = 3\n" in out
     assert "SKIP  special j-invariant classes match: none of its q is <= 3\n" in out
 

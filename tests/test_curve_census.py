@@ -7,6 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from qrwe import curve_census
 from qrwe.arith import is_prime, odd_prime_power_split
 from qrwe.curve_census import (_discriminant_grid, _j_special_model,
                                _quartic_unit_counts, _scaling_orbits,
@@ -291,6 +292,19 @@ def test_reduced_legendre_sum_matches_full_walk():
     for p in filter(is_prime, range(3, 60)):
         for R in range(5):
             assert legendre_family_sum(p, R) == _legendre_family_sum_scalar(p, R), (p, R)
+
+
+def test_legendre_family_sum_walks_each_p_once(monkeypatch):
+    # the nine orders of a moment row evaluate the p orbit sums once
+    calls = []
+    point_sum = curve_census._legendre_point_sum
+    monkeypatch.setattr(curve_census, "_legendre_point_sum",
+                        lambda *args: calls.append(args) or point_sum(*args))
+    p = 23
+    curve_census._legendre_orbit_sums.cache_clear()
+    for R in range(9):
+        assert legendre_family_sum(p, R) == _legendre_family_sum_scalar(p, R), R
+    assert len(calls) == p
 
 
 def test_reduced_j_special_census_matches_full_walk():

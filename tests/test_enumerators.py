@@ -12,6 +12,8 @@ from qrwe.enumerators import (QREnumerator, _finalize, _krawtchouk,
 from qrwe.errors import ConsistencyError
 from qrwe.qr_pipeline import classical_quartic_code_enumerator, quartic_code_enumerator
 
+from references import qr_enumerator_from_json
+
 
 def full_space_enumerator(n, q):
     """Every word of F_q^n: multinomial counts with (q-1)/2 residues and
@@ -143,7 +145,7 @@ def test_json_round_trip_and_order():
     weights = [(item["j"] + item["k"], item["j"]) for item in payload["terms"]]
     assert weights == sorted(weights)
     assert all(isinstance(item["A"], str) for item in payload["terms"])
-    assert QREnumerator.from_json_dict(payload) == enum
+    assert qr_enumerator_from_json(payload) == enum
 
 
 def test_total_scaling_through_transform():

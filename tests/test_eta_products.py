@@ -36,7 +36,7 @@ def reference_eta_product(factors, precision):
 def test_discriminant_form_leading_coefficients():
     delta = eta_product([(1, 24)], 10)
     assert [delta.coeff(n) for n in range(1, 6)] == [1, -24, 252, -1472, 4830]
-    assert delta.leading_exponent == 1
+    assert delta.coefficients[:2] == [0, 1]  # the expansion starts at x^1
 
 
 def test_weight6_level4_expansion():

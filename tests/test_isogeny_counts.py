@@ -4,9 +4,12 @@ from math import isqrt
 import pytest
 
 from qrwe.arith import odd_prime_powers
+from qrwe.errors import BudgetExceededError
 from qrwe.hecke_traces import moment_formula
 from qrwe.isogeny_counts import (isogeny_profile, weighted_count,
                                  weighted_count_full_2tors)
+
+from references import weighted_count_by_cases, weighted_count_full_2tors_by_cases
 
 
 def test_reference_values():
@@ -66,6 +69,8 @@ def test_rejects_even_q():
         weighted_count(8, 1)
     with pytest.raises(ValueError):
         weighted_count_full_2tors(16, 0)
+    with pytest.raises(ValueError):
+        weighted_count_full_2tors(16, 1)
 
 
 def test_isogeny_profile_at_large_prime():
@@ -76,11 +81,11 @@ def test_isogeny_profile_at_large_prime():
 
 
 def _profile_by_t(q):
-    """The profile table from the two counts at every t, in t order."""
+    """The profile table from the case analysis at every t, in t order."""
     bound = isqrt(4 * q)
     table = {}
     for t in range(-bound, bound + 1):
-        pair = (weighted_count(q, t), weighted_count_full_2tors(q, t))
+        pair = (weighted_count_by_cases(q, t), weighted_count_full_2tors_by_cases(q, t))
         if pair != (0, 0):
             table[t] = pair
     return table
@@ -91,3 +96,27 @@ def test_isogeny_profile_matches_the_counts_at_every_t():
         table, expected = isogeny_profile(q).table, _profile_by_t(q)
         assert list(table.items()) == list(expected.items()), q
         assert all(type(x) is Fraction for pair in table.values() for x in pair), q
+        bound = isqrt(4 * q) + 3
+        for t in range(-bound, bound + 1):
+            pair = (weighted_count(q, t), weighted_count_full_2tors(q, t))
+            assert pair == expected.get(t, (0, 0)), (q, t)
+            assert all(type(x) is Fraction for x in pair), (q, t)
+
+
+@pytest.mark.parametrize("p, v", [(467, 3), (10007, 2)])
+def test_traces_divisible_by_p_answer_without_the_row_of_4q(monkeypatch, p, v):
+    # 4q is past the default budget: only the t prime to p need that row,
+    # and the full count at an odd t needs none
+    monkeypatch.delenv("QRWE_BUDGET", raising=False)
+    q = p ** v
+    for t in (0, p, 2 * p, 3 * p, 10 ** 9):
+        pair = (weighted_count(q, t), weighted_count_full_2tors(q, t))
+        assert pair == (weighted_count_by_cases(q, t),
+                        weighted_count_full_2tors_by_cases(q, t)), t
+    for t in (1, -3, p + 2):
+        count = weighted_count_full_2tors(q, t)
+        assert count == 0 and type(count) is Fraction, t
+    if p == 467:
+        assert weighted_count(q, 0) == 14
+        with pytest.raises(BudgetExceededError):
+            weighted_count(q, 1)
