@@ -1,10 +1,11 @@
 """Command-line front end.
 
+    qrwe [--threads N] COMMAND ...    (N >= 1, accepted and ignored)
     qrwe c14 --q Q [--classical] [--format json|csv]
     qrwe dual --q Q --max-codim M [--classical]
     qrwe brute --q Q --h H [--classical] [--budget N]
     qrwe census --q Q [--kind quartic|weierstrass] [--budget N]
-    qrwe trace --level {1|2|4} --weight K --q Q
+    qrwe trace --level {1|2|4} --weight K --q Q [--dump-table FILE]
     qrwe moments --q Q --R R --flavor {all|2tors|full2tors} [--empirical]
     qrwe classnum --disc D
     qrwe hurwitz --disc D

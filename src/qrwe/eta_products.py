@@ -135,8 +135,11 @@ def hecke_eigenvalue_prime_power(series: QSeries, weight: int, p: int, e: int) -
     Uses a(p^(m+1)) = a(p) a(p^m) - p^(weight-1) a(p^(m-1)) seeded with
     a(1) = 1 and a(p) read off the series.  Whenever p^e itself is
     within precision the recursion is checked against the directly
-    expanded coefficient; a mismatch raises ConsistencyError.
+    expanded coefficient; a mismatch raises ConsistencyError.  A
+    p < 2 or an e < 0 raises ValueError.
     """
+    if p < 2 or e < 0:
+        raise ValueError("a(p^e) needs p >= 2 and e >= 0, got p = %d, e = %d" % (p, e))
     if series.coefficients[:2] != [0, 1]:
         raise ValueError("series is not a normalized eigenform expansion")
     if e == 0:

@@ -1,11 +1,12 @@
 """Verification suites: every published identity as an exact check.
 
 Each suite yields (label, ok) pairs; `run_suite` prints a pass/fail
-table and reports overall success.  With `qmax`, a check whose q-list
-holds no q <= qmax yields one row with ok None, printed as SKIP.  The
-same functions back the acceptance test module, so `qrwe verify --suite
-all` and pytest exercise identical logic.  All comparisons are exact: integers, Fractions, or
-enumerator equality, with zero tolerance.
+table and reports overall success.  Every per-q check is one `_rows`
+call: one row per label at each q <= qmax, or, when `qmax` leaves no q,
+one row per label with ok None, printed as SKIP.  The same functions
+back the acceptance test module, so `qrwe verify --suite all` and pytest
+exercise identical logic.  All comparisons are exact: integers,
+Fractions, or enumerator equality, with zero tolerance.
 """
 
 from fractions import Fraction
@@ -48,14 +49,25 @@ WEIERSTRASS_PRIME_POWERS = (25, 49, 121, 125, 169, 289, 343, 361, 529, 625, 961,
 FAMILY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
                  67, 71, 73, 79, 83, 89, 97)
 
-def _cap(values, qmax):
-    return tuple(v for v in values if qmax is None or v <= qmax)
-
-
-def _skipped(values, qmax, label):
-    """A SKIP row (ok None) for a check that `_cap` left with no q."""
+def _rows(labels, values, qmax, check, var="q"):
+    """The rows of a per-q check.  `labels` is one label, with `check(N)`
+    its ok at N, or a tuple of labels, with `check(N)` a tuple of as many
+    oks.  Each value N <= qmax gives one row "<label> at <var> = N" per
+    label; with no such value, each label gives one SKIP row (ok None)."""
+    single = isinstance(labels, str)
+    labels = (labels,) if single else labels
+    values = [v for v in values if qmax is None or v <= qmax]
     if not values:
-        yield "%s: none of its q is <= %d" % (label, qmax), None
+        for label in labels:
+            yield "%s: none of its q is <= %d" % (label, qmax), None
+    for v in values:
+        oks = (check(v),) if single else check(v)
+        for label, ok in zip(labels, oks, strict=True):
+            yield "%s at %s = %d" % (label, var, v), ok
+
+
+def _field(q: int):
+    return field(*prime_power_split(q))
 
 
 # -- criterion 1 -------------------------------------------------------------
@@ -155,19 +167,18 @@ def _displayed_full(p, R, a_p):
 def checks_moments_displayed(qmax=None):
     # moment_formula reads class-number power moments and no trace, so
     # this compares them with tau(p) and the eta coefficients directly
-    primes = _cap(tuple(odd_primes(47)), qmax)
-    yield from _skipped(primes, qmax, "displayed prime moment polynomials")
     eta6 = weight6_level4_form()
-    for p in primes:
+    def check(p):
         tau_p = ramanujan_tau(p)
         a_p = eta6.coeff(p)
-        ok = all(moment_formula(p, R, "all") == _displayed_all(p, R, tau_p)
-                 for R in range(6))
-        ok = ok and all(moment_formula(p, R, "two_torsion")
+        return (all(moment_formula(p, R, "all") == _displayed_all(p, R, tau_p)
+                    for R in range(6))
+                and all(moment_formula(p, R, "two_torsion")
                         == _displayed_two_torsion(p, R, a_p) for R in range(3))
-        ok = ok and all(moment_formula(p, R, "full_two_torsion")
-                        == _displayed_full(p, R, a_p) for R in range(3))
-        yield "displayed prime moment polynomials at p = %d" % p, ok
+                and all(moment_formula(p, R, "full_two_torsion")
+                        == _displayed_full(p, R, a_p) for R in range(3)))
+    yield from _rows("displayed prime moment polynomials", odd_primes(47), qmax,
+                     check, "p")
 
 
 # -- criteria 5 and 6 --------------------------------------------------------
@@ -184,50 +195,42 @@ def _census_matches(census, q: int, top: int) -> bool:
 
 
 def checks_census(qmax=None):
-    qs = _cap(CENSUS_QS + CENSUS_SCALE_QS, qmax)
-    yield from _skipped(qs, qmax, "census moments and weighted counts match")
-    for q in qs:
+    def check(q):
         # the budget admits the largest of the lists, 121^5 forms
-        census = quartic_census(field(*prime_power_split(q)), budget=121 ** 5)
-        yield ("census moments and weighted counts match at q = %d" % q,
-               _census_matches(census, q, 5))
+        return _census_matches(quartic_census(_field(q), budget=121 ** 5), q, 5)
+    yield from _rows("census moments and weighted counts match",
+                     CENSUS_QS + CENSUS_SCALE_QS, qmax, check)
 
 
 def checks_weierstrass_moments(qmax=None):
-    rows = [(q, 12) for q in _cap(WEIERSTRASS_PRIMES, qmax)]
-    rows += [(q, 8) for q in _cap(WEIERSTRASS_PRIME_POWERS, qmax)]
-    label = "Weierstrass census moments and weighted counts match"
-    yield from _skipped(rows, qmax, label)
-    for q, top in rows:
+    def check(q):
         # the budget admits the largest of the lists, 1331^2 models
-        census = weierstrass_census(field(*prime_power_split(q)), budget=1331 ** 2)
-        yield "%s at q = %d" % (label, q), _census_matches(census, q, top)
+        census = weierstrass_census(_field(q), budget=1331 ** 2)
+        return _census_matches(census, q, 12 if q in WEIERSTRASS_PRIMES else 8)
+    yield from _rows("Weierstrass census moments and weighted counts match",
+                     WEIERSTRASS_PRIMES + WEIERSTRASS_PRIME_POWERS, qmax, check)
 
 
 def checks_legendre_moments(qmax=None):
     # y^2 = x(x^2 + ax + b) marks one rational 2-torsion point, so a
     # class with full 2-torsion is met three times
-    primes = _cap(FAMILY_PRIMES, qmax)
-    yield from _skipped(primes, qmax, "Legendre family sum matches the two-torsion moments")
-    for p in primes:
-        ok = all(legendre_family_sum(p, R)
-                 == (p - 1) * (moment_formula(p, R, "two_torsion")
-                               + 2 * moment_formula(p, R, "full_two_torsion"))
-                 for R in range(9))
-        yield "Legendre family sum matches the two-torsion moments at p = %d" % p, ok
+    def check(p):
+        return all(legendre_family_sum(p, R)
+                   == (p - 1) * (moment_formula(p, R, "two_torsion")
+                                 + 2 * moment_formula(p, R, "full_two_torsion"))
+                   for R in range(9))
+    yield from _rows("Legendre family sum matches the two-torsion moments",
+                     FAMILY_PRIMES, qmax, check, "p")
 
 
 def checks_j_special(qmax=None):
-    qs = _cap(JSPECIAL_QS, qmax)
-    yield from _skipped(qs, qmax, "special j-invariant classes match")
-    for q in qs:
-        yield ("special j-invariant classes match at q = %d" % q,
-               _check_j_special(q))
+    yield from _rows("special j-invariant classes match", JSPECIAL_QS, qmax,
+                     _check_j_special)
 
 
 def _check_j_special(q: int) -> bool:
-    p, v = prime_power_split(q)
-    ctx = field(p, v)
+    ctx = _field(q)
+    p = ctx.p
     data = j_special_census(ctx)
     ok = True
     j0_square = ctx.quadratic_character(ctx.int_embed(-3)) == 1
@@ -263,91 +266,83 @@ def _check_j_special(q: int) -> bool:
 # -- criterion 7 -------------------------------------------------------------
 
 def checks_c14(qmax=None):
-    qs = _cap(C14_QS, qmax)
-    yield from _skipped(qs, qmax, "degree-4 enumerator matches brute force")
-    for q in qs:
+    def check(q):
         enum = quartic_code_enumerator(q)
-        code = reed_solomon_code(field(*prime_power_split(q)), 4, projective=True)
-        brute = brute_force_enumerator(code)
-        ok = enum == brute
-        ok = ok and enum.total() == q ** 5
-        ok = ok and enum.hamming_distribution() == mds_weight_distribution(q + 1, 5, q)
-        yield "degree-4 enumerator matches brute force at q = %d" % q, ok
+        brute = brute_force_enumerator(reed_solomon_code(_field(q), 4, projective=True))
+        return (enum == brute and enum.total() == q ** 5
+                and enum.hamming_distribution() == mds_weight_distribution(q + 1, 5, q))
+    yield from _rows("degree-4 enumerator matches brute force", C14_QS, qmax, check)
 
 
 # -- criterion 8 -------------------------------------------------------------
 
 def checks_duals(qmax=None):
-    qs = _cap(DUAL_QS, qmax)
-    yield from _skipped(qs, qmax, "MacWilliams dual matches brute force")
-    yield from _skipped(qs, qmax, "double transform returns the enumerator")
-    for q in qs:
+    def dual_and_back(q):
         primal = quartic_code_enumerator(q)
         dual = qr_macwilliams_dual(primal, q, q ** 5)
-        code = reed_solomon_code(field(*prime_power_split(q)), q - 5, projective=True)
-        ok = dual == brute_force_enumerator(code)
-        yield "MacWilliams dual matches brute force at q = %d" % q, ok
-        again = qr_macwilliams_dual(dual, q, q ** (q - 4))
-        yield "double transform returns the enumerator at q = %d" % q, again == primal
-    qs = _cap(PUNCTURE_QS, qmax)
-    yield from _skipped(qs, qmax, "puncturing matches the classical brute force")
-    for q in qs:
-        punctured = puncture_enumerator(quartic_code_enumerator(q))
-        code = reed_solomon_code(field(*prime_power_split(q)), 4, projective=False)
-        ok = punctured == brute_force_enumerator(code)
-        yield "puncturing matches the classical brute force at q = %d" % q, ok
-    qs = _cap(DUAL_PRIME_POWER_QS, qmax)
-    yield from _skipped(qs, qmax, "double transform and MDS dual at prime powers")
-    for q in qs:
-        primal = quartic_code_enumerator(q)
-        dual = qr_macwilliams_dual(primal, q, q ** 5)
-        again = qr_macwilliams_dual(dual, q, q ** (q - 4))
-        yield "double transform returns the enumerator at q = %d" % q, again == primal
-        ok = dual.hamming_distribution() == mds_weight_distribution(q + 1, q - 4, q)
-        yield "dual Hamming distribution is MDS at q = %d" % q, ok
-    qs = _cap(DUAL_TRUNCATED_QS, qmax)
-    yield from _skipped(qs, qmax, "truncated dual is symmetric and MDS")
-    for q in qs:
+        return primal, dual, qr_macwilliams_dual(dual, q, q ** (q - 4))
+
+    def against_brute_force(q):
+        primal, dual, again = dual_and_back(q)
+        code = reed_solomon_code(_field(q), q - 5, projective=True)
+        return dual == brute_force_enumerator(code), again == primal
+
+    def punctured(q):
+        code = reed_solomon_code(_field(q), 4, projective=False)
+        return puncture_enumerator(quartic_code_enumerator(q)) == brute_force_enumerator(code)
+
+    def at_prime_power(q):
+        primal, dual, again = dual_and_back(q)
+        return again == primal, (dual.hamming_distribution()
+                                 == mds_weight_distribution(q + 1, q - 4, q))
+
+    def truncated(q):
         dual = qr_macwilliams_dual(quartic_code_enumerator(q), q, q ** 5, 12)
-        ok = dual.is_yz_symmetric() and dual.hamming_distribution()[:13] == (
+        return dual.is_yz_symmetric() and dual.hamming_distribution()[:13] == (
             mds_weight_distribution(q + 1, q - 4, q)[:13])
-        yield "truncated dual (j + k <= 12) is symmetric and MDS at q = %d" % q, ok
+    involution = "double transform returns the enumerator"
+    yield from _rows(("MacWilliams dual matches brute force", involution), DUAL_QS, qmax,
+                     against_brute_force)
+    yield from _rows("puncturing matches the classical brute force", PUNCTURE_QS, qmax,
+                     punctured)
+    yield from _rows((involution, "dual Hamming distribution is MDS"),
+                     DUAL_PRIME_POWER_QS, qmax, at_prime_power)
+    yield from _rows("truncated dual (j + k <= 12) is symmetric and MDS",
+                     DUAL_TRUNCATED_QS, qmax, truncated)
 
 
 # -- criterion 9 -------------------------------------------------------------
 
 def checks_examples(qmax=None):
-    qs = _cap(EXAMPLE_PRIMES_1MOD4 + EXAMPLE_PRIMES_3MOD4, qmax)
-    yield from _skipped(qs, qmax, "projective dual closed forms hold")
-    for q in qs:
+    # an ArithmeticError, a broken identity among them, is a failed row
+    def projective(q):
         try:
-            report = dual_code_report(q, 7)
-            ok = bool(report["comparisons"]) and all(
-                item["match"] for item in report["comparisons"])
+            comparisons = dual_code_report(q, 7)["comparisons"]
         except ArithmeticError:
-            ok = False
-        yield "projective dual closed forms hold at q = %d" % q, ok
-    qs = _cap(CLASSICAL_PRIMES, qmax)
-    yield from _skipped(qs, qmax, "classical dual weight-7 closed form holds")
-    for q in qs:
+            return False
+        return bool(comparisons) and all(item["match"] for item in comparisons)
+
+    def classical(q):
         try:
-            ok = classical_dual_weight7_check(q)["match"]
+            return classical_dual_weight7_check(q)["match"]
         except ArithmeticError:
-            ok = False
-        yield "classical dual weight-7 closed form holds at q = %d" % q, ok
+            return False
+    yield from _rows("projective dual closed forms hold",
+                     EXAMPLE_PRIMES_1MOD4 + EXAMPLE_PRIMES_3MOD4, qmax, projective)
+    yield from _rows("classical dual weight-7 closed form holds", CLASSICAL_PRIMES, qmax,
+                     classical)
 
 
 # -- criterion 10 ------------------------------------------------------------
 
 def checks_family_sums(qmax=None):
-    primes = _cap(FAMILY_PRIMES, qmax)
-    yield from _skipped(primes, qmax, "sixth-power family sum matches its closed form")
-    for p in primes:
+    def check(p):
         expected = (Fraction((p - 1) * (p + 1)
                              * (5 * p ** 3 - 10 * p ** 2 - 8 * p - 2))
                     - Fraction(p - 1, 2) * trace_level4(8, p))
-        yield ("sixth-power family sum matches its closed form at p = %d" % p,
-               legendre_family_sum(p, 3) == expected)
+        return legendre_family_sum(p, 3) == expected
+    yield from _rows("sixth-power family sum matches its closed form", FAMILY_PRIMES,
+                     qmax, check, "p")
 
 
 SUITES = {

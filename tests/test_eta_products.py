@@ -60,6 +60,12 @@ def test_eigenvalue_recursion():
     assert hecke_eigenvalue_prime_power(discriminant_form(), 12, 7, 0) == 1
 
 
+@pytest.mark.parametrize("p,e", [(7, -1), (0, 1), (1, 1)])
+def test_eigenvalue_refuses_p_below_2_and_negative_e(p, e):
+    with pytest.raises(ValueError, match="needs p >= 2 and e >= 0"):
+        hecke_eigenvalue_prime_power(discriminant_form(), 12, p, e)
+
+
 def test_eigenvalue_refuses_a_series_that_is_not_normalized():
     for coefficients in ([0] * 10, [0], [1, 1, 0], [0, 2, 5], [0, 0, 1]):
         with pytest.raises(ValueError, match="not a normalized eigenform"):
