@@ -12,6 +12,13 @@
     qrwe verify --suite {classnumbers|traces|moments|c14|duals|examples|all}
                 [--qmax N]
 
+`main` takes the command to be the first argument after any global
+`--threads N` or `--threads=N` and builds only that command's
+subparser.  No command, an unknown one or `-h`/`--help` before it
+builds the full parser, and so does any parse error: the full parser
+parses again and reports it, so help and usage text never depend on
+which parser was built first.
+
 Exit codes: 0 success, 1 verification failure, broken identity or
 budget refusal, 2 usage error.  Counts that may exceed 53 bits are
 printed as decimal strings inside JSON.
@@ -101,10 +108,15 @@ def _cmd_brute(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    print(trace(args.level, args.weight, args.q))
+    value = trace(args.level, args.weight, args.q)
     if args.dump_table:
-        with open(args.dump_table, "w") as handle:
-            DEFAULT_TABLE.to_csv(handle)
+        try:
+            with open(args.dump_table, "w") as handle:
+                DEFAULT_TABLE.to_csv(handle)
+        except OSError as exc:
+            raise ValueError("cannot write --dump-table %s: %s"
+                             % (args.dump_table, exc.strerror)) from exc
+    print(value)
     return 0
 
 
@@ -150,8 +162,51 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+# command: (help, handler, its options as (flag, add_argument keywords))
+_INT = {"type": int, "required": True}
+_FLAG = {"action": "store_true"}
+_BUDGET = {"type": _int_at_least(0)}
+_COMMANDS = {
+    "c14": ("enumerator of the degree-4 code (formula path)", _cmd_c14, (
+        ("--q", _INT), ("--classical", _FLAG),
+        ("--format", {"choices": ("json", "csv"), "default": "json"}))),
+    "dual": ("truncated dual coefficients", _cmd_dual, (
+        ("--q", _INT), ("--max-codim", dict(_INT, dest="max_codim")),
+        ("--classical", _FLAG))),
+    "brute": ("brute-force enumerator (budget guarded)", _cmd_brute, (
+        ("--q", _INT), ("--h", _INT), ("--classical", _FLAG), ("--budget", _BUDGET))),
+    "trace": ("Hecke operator trace", _cmd_trace, (
+        ("--level", dict(_INT, choices=(1, 2, 4))), ("--weight", _INT), ("--q", _INT),
+        ("--dump-table", {"metavar": "FILE", "help": "also write every memoized "
+                          "trace as CSV (N,k,q,trace)"}))),
+    "census": ("curve census as JSON", _cmd_census, (
+        ("--q", _INT), ("--kind", {"choices": ("quartic", "weierstrass"),
+                                   "default": "quartic"}), ("--budget", _BUDGET))),
+    "moments": ("moment of the trace of Frobenius", _cmd_moments, (
+        ("--q", _INT), ("--R", _INT),
+        ("--flavor", {"choices": tuple(_FLAVOR), "default": "all"}),
+        ("--empirical", dict(_FLAG, help="compute from a census instead of the formula")))),
+    "classnum": ("class number h(d)", _cmd_classnum, (("--disc", _INT),)),
+    "hurwitz": ("Hurwitz-Kronecker class number", _cmd_hurwitz, (("--disc", _INT),)),
+    "verify": ("run a verification suite", _cmd_verify, (
+        ("--suite", {"required": True, "choices": tuple(verify_suites.SUITES)}),
+        ("--qmax", {"type": _int_at_least(3), "help": "cap every q-list at this q (3, "
+                    "the smallest odd prime power, or more)"}))),
+}
+
+
+def _raise(parser, message):
+    raise argparse.ArgumentError(None, message)
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    error = _raise  # argparse reports every parse error through this method
+
+
+def build_parser(command: str = None) -> argparse.ArgumentParser:
+    """The parser of every command; given a command, the parser of that
+    one alone, which raises argparse.ArgumentError instead of exiting."""
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
         prog="qrwe",
         description="Quadratic-residue weight enumerators of Reed-Solomon "
                     "codes, exactly.")
@@ -159,70 +214,31 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted (N >= 1) and ignored: every "
                              "command runs on one thread")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    c14 = sub.add_parser("c14", help="enumerator of the degree-4 code (formula path)")
-    c14.add_argument("--q", type=int, required=True)
-    c14.add_argument("--classical", action="store_true")
-    c14.add_argument("--format", choices=("json", "csv"), default="json")
-    c14.set_defaults(func=_cmd_c14)
-
-    dual = sub.add_parser("dual", help="truncated dual coefficients")
-    dual.add_argument("--q", type=int, required=True)
-    dual.add_argument("--max-codim", type=int, required=True, dest="max_codim")
-    dual.add_argument("--classical", action="store_true")
-    dual.set_defaults(func=_cmd_dual)
-
-    brute = sub.add_parser("brute", help="brute-force enumerator (budget guarded)")
-    brute.add_argument("--q", type=int, required=True)
-    brute.add_argument("--h", type=int, required=True)
-    brute.add_argument("--classical", action="store_true")
-    brute.add_argument("--budget", type=_int_at_least(0), default=None)
-    brute.set_defaults(func=_cmd_brute)
-
-    tr = sub.add_parser("trace", help="Hecke operator trace")
-    tr.add_argument("--level", type=int, choices=(1, 2, 4), required=True)
-    tr.add_argument("--weight", type=int, required=True)
-    tr.add_argument("--q", type=int, required=True)
-    tr.add_argument("--dump-table", metavar="FILE", default=None,
-                    help="also write every memoized trace as CSV (N,k,q,trace)")
-    tr.set_defaults(func=_cmd_trace)
-
-    census = sub.add_parser("census", help="curve census as JSON")
-    census.add_argument("--q", type=int, required=True)
-    census.add_argument("--kind", choices=("quartic", "weierstrass"),
-                        default="quartic")
-    census.add_argument("--budget", type=_int_at_least(0), default=None)
-    census.set_defaults(func=_cmd_census)
-
-    mom = sub.add_parser("moments", help="moment of the trace of Frobenius")
-    mom.add_argument("--q", type=int, required=True)
-    mom.add_argument("--R", type=int, required=True)
-    mom.add_argument("--flavor", choices=tuple(_FLAVOR), default="all")
-    mom.add_argument("--empirical", action="store_true",
-                     help="compute from a census instead of the formula")
-    mom.set_defaults(func=_cmd_moments)
-
-    cn = sub.add_parser("classnum", help="class number h(d)")
-    cn.add_argument("--disc", type=int, required=True)
-    cn.set_defaults(func=_cmd_classnum)
-
-    hw = sub.add_parser("hurwitz", help="Hurwitz-Kronecker class number")
-    hw.add_argument("--disc", type=int, required=True)
-    hw.set_defaults(func=_cmd_hurwitz)
-
-    ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("--suite", required=True, choices=tuple(verify_suites.SUITES))
-    ver.add_argument("--qmax", type=_int_at_least(3), default=None,
-                     help="cap every q-list at this q (3, the smallest odd "
-                          "prime power, or more)")
-    ver.set_defaults(func=_cmd_verify)
-
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        if command in (None, name):
+            cmd = sub.add_parser(name, help=help_text)
+            for flag, keywords in options:
+                cmd.add_argument(flag, **keywords)
+            cmd.set_defaults(func=handler)
     return parser
 
 
+def _command(argv) -> str:
+    """The command named after the global --threads options, or None."""
+    at = 0
+    while at < len(argv) and argv[at].partition("=")[0] == "--threads":
+        at += 2 if argv[at] == "--threads" else 1
+    return argv[at] if at < len(argv) and argv[at] in _COMMANDS else None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(_command(argv))
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError:  # reported with the usage of every command
+        parser = build_parser()
+        args = parser.parse_args(argv)
     # exact results can pass the int-to-str digit limit (Python 3.10.7+); argv is parsed under it
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:

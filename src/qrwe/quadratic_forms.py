@@ -14,8 +14,9 @@ lookup in one table of 6H(N) for every N <= X, sieved from the same
 forms once a process asks for more than two rows (the class-number
 table of Cohen, *A Course in Computational Algebraic Number Theory*,
 5.3).  The sweep runs as a Python loop (`_sweep_row`) or, for large
-rows in a process that has numpy loaded, as array passes over blocks of
-a (`_sweep_row_numpy`).  Each engine serves as the others' test.
+rows in a process that has numpy loaded or for rows too large for the
+loop to beat numpy's import, as array passes over blocks of a
+(`_sweep_row_numpy`).  Each engine serves as the others' test.
 
 Conventions:
   * a discriminant d is a negative integer with d = 0 or 1 (mod 4);
@@ -145,8 +146,13 @@ def hurwitz_class_number(delta: int) -> Fraction:
 # _NUMPY_SWEEP_FROM runs the numpy passes when numpy is already loaded.
 # Each call of the passes costs about 0.15 ms before any work: they
 # break even with the loop near m = 1100 and are 2-3x faster at 2^13.
+# A row with m >= _NUMPY_IMPORT_FROM imports numpy for them: in fresh
+# processes the passes save 85-135 ns per unit of m over the loop, as
+# the host's speed drifts, so they repay numpy's 60-75 ms import between
+# m = 5 * 10^5 and 8 * 10^5.
 _SWEEP_BELOW = 1 << 7
 _NUMPY_SWEEP_FROM = 1 << 13
+_NUMPY_IMPORT_FROM = 1 << 20
 _TABLE_CAP = 1 << 18
 _SWEEPS_BEFORE_TABLE = 2
 _table = ()  # 6H(N) for 0 <= N < len(_table): an int32 array once built
@@ -173,10 +179,12 @@ def hurwitz_row(m: int) -> tuple:
     table.  Any later row _SWEEP_BELOW <= m <= _TABLE_CAP first rebuilds
     the table up to min(_TABLE_CAP, max(m, 2X)), X its current top, so a
     loop over q reads every later row off it.  A swept row runs the
-    numpy passes (`_sweep_row_numpy`), 2-4x faster than the loop,
-    only when m >= _NUMPY_SWEEP_FROM and numpy is already in
-    `sys.modules`: smaller rows are faster in the loop, and importing
-    numpy for a lone trace would cost more than its two rows save.  Each
+    numpy passes (`_sweep_row_numpy`), 2-4x faster than the loop, when
+    m >= _NUMPY_SWEEP_FROM and numpy is already in `sys.modules`
+    (smaller rows are faster in the loop), or when m >=
+    _NUMPY_IMPORT_FROM, whatever was imported before: such a row saves
+    more than numpy's import costs, while importing it for a lone
+    trace at q = 16411 would cost more than its two rows save.  Each
     cache miss charges m to the budget, whichever engine serves it.  The
     cache holds a fixed number of rows.
     """
@@ -192,7 +200,7 @@ def hurwitz_row(m: int) -> tuple:
             table = _table = _sieve_table(min(_TABLE_CAP, max(m, 2 * (len(table) - 1))))
     if m < len(table):
         return _table_row(table, m)
-    if m >= _NUMPY_SWEEP_FROM and "numpy" in sys.modules:
+    if m >= _NUMPY_SWEEP_FROM and ("numpy" in sys.modules or m >= _NUMPY_IMPORT_FROM):
         return _sweep_row_numpy(m)
     return _sweep_row(m)
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -152,30 +153,82 @@ def test_weierstrass_census_at_p_3_is_refused_before_the_field_is_built(
     assert code == 0 and json.loads(out)["q"] == 251
 
 
-def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["trace", "--level", "3", "--weight", "6", "--q", "3"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["nonsense"])
-    assert info.value.code == 2
+USAGE_ERRORS = (
+    ["trace", "--level", "3", "--weight", "6", "--q", "3"],
+    ["nonsense"],
     # domain errors surface as usage errors too
-    with pytest.raises(SystemExit) as info:
-        main(["moments", "--q", "8", "--R", "1"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["moments", "--q", "7", "--R", "-1", "--empirical"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["dual", "--q", "13", "--max-codim", "-1"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["--threads", "0", "census", "--q", "5"])
-    assert info.value.code == 2
+    ["moments", "--q", "8", "--R", "1"],
+    ["moments", "--q", "7", "--R", "-1", "--empirical"],
+    ["dual", "--q", "13", "--max-codim", "-1"],
+    ["--threads", "0", "census", "--q", "5"],
     # a classical code of order q has rank q, not q + 1
+    ["brute", "--q", "7", "--h", "7", "--classical"],
+)
+
+
+def test_usage_errors_exit_2(capsys):
+    for argv in USAGE_ERRORS:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+
+
+def test_unwritable_dump_table_is_a_usage_error(capsys, tmp_path):
+    trace = ["trace", "--level", "1", "--weight", "12", "--q", "9"]
+    code, out, err = run_cli(capsys, *trace, "--dump-table", str(tmp_path / "x.csv"))
+    assert code == 0 and out == "-113643\n"  # tau(9)
+    assert (tmp_path / "x.csv").read_text().startswith("N,k,q,trace\n")
+    missing = tmp_path / "missing" / "x.csv"
     with pytest.raises(SystemExit) as info:
-        main(["brute", "--q", "7", "--h", "7", "--classical"])
+        main([*trace, "--dump-table", str(missing)])
     assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot write --dump-table %s: No such file or directory\n"
+                            % missing)
+
+
+COMMANDS = ("c14", "dual", "brute", "trace", "census", "moments", "classnum", "hurwitz",
+            "verify")
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], *([command, "--help"] for command in COMMANDS),
+    *USAGE_ERRORS,
+    ["dual", "--q", "5", "--max-codim", "1", "--bogus"],
+    ["dual", "--q", "5", "--max-codim", "1", "--threads", "2"],
+    ["--threads=2", "dual", "--q", "13", "--max-codim", "7"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    lean = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_command", lambda argv: None)  # always the full parser
+    assert lean == _outcome(capsys, argv)
+
+
+def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kwargs: built.append(name)
+                        or add_parser(self, name, **kwargs))
+    for command, argv in (("dual", ["dual", "--q", "13", "--max-codim", "7"]),
+                          ("trace", ["--threads=2", "trace", "--level", "1", "--weight", "12",
+                                     "--q", "9"])):
+        built.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out and built == [command], built
+    built.clear()
+    cli.build_parser()
+    assert built == list(COMMANDS)
 
 
 @pytest.mark.parametrize("argv", [

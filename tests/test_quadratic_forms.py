@@ -285,6 +285,28 @@ assert served == [4 * 16411], served
     assert result.returncode == 0, result.stderr
 
 
+def test_a_row_at_the_import_limit_imports_numpy_for_its_sweep():
+    # the limit patched low, so both rows stay cheap: the row just below
+    # it runs the loop without numpy, the row at it imports numpy
+    code = """
+import sys
+import qrwe.quadratic_forms as qf
+
+qf._NUMPY_IMPORT_FROM = limit = 3 * qf._NUMPY_SWEEP_FROM
+served = []
+numpy_sweep = qf._sweep_row_numpy
+qf._sweep_row_numpy = lambda m: served.append(m) or numpy_sweep(m)
+qf.hurwitz_row(limit - 1)
+assert "numpy" not in sys.modules and served == [], served
+assert qf.hurwitz_row(limit) == qf._sweep_row(limit)
+assert "numpy" in sys.modules and served == [limit], served
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 def test_every_class_number_sweep_is_charged_to_the_budget(monkeypatch):
     # the uncached bodies, so each call is a cache miss, on any engine;
     # a row above the table cap is swept by the numpy passes, and the
