@@ -136,6 +136,8 @@ def _cmd_census(args) -> int:
 def _cmd_moments(args) -> int:
     flavor = _FLAVOR[args.flavor]
     if args.empirical:
+        if args.R < 0:  # before the census and its field
+            raise ValueError("moment order R must be >= 0")
         ctx = _field_for(args.q, lambda p: args.q ** (2 if p >= 5 else 5))
         if ctx.p >= 5:
             census = weierstrass_census(ctx)

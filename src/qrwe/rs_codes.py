@@ -10,13 +10,16 @@ F_q-linear combinations of the generator rows.  The scalar reference,
 with the tests in `tests/references.py`, is a mixed-radix odometer
 whose single-row delta updates make each visit O(n) field additions; it
 visits every codeword, and the tests compare it with the vector walk.
-The vector walk uses that scaling a codeword of any linear code by a
-nonzero square keeps its (squares, non-squares) counts while a
-non-square swaps them: it takes the q+1 tops (two highest message
-digits) whose first nonzero digit is 1 and the zero top, q+2 instead
-of q^2, into one tally.  Their counts come from `_form_counts`, the one
-numpy engine that evaluates binary forms on P^1, which both censuses in
-`curve_census` run too.
+The vector walk goes by leading coefficient: level k holds the messages
+whose first nonzero digit is c_k.  Scaling a codeword of any linear
+code by a nonzero square keeps its (squares, non-squares) counts and a
+non-square swaps them, so each level walks c_k = 1 alone.  In an RS
+code the translation y -> y + ax permutes the points (1, s), fixes
+(0, 1) and moves c_(k+1) by (h - k) a c_k, so where p does not divide
+h - k the level walks c_(k+1) = 0 alone, for all q of its values.
+Every other code and level walks every c_(k+1).  A level's counts come
+from one call of `_form_counts`, the numpy engine that evaluates binary
+forms on P^1, which both censuses in `curve_census` run too.
 
 Brute-force enumeration refuses politely (BudgetExceededError) when
 q^dim exceeds the budget, which defaults to 10^8 and can be overridden
@@ -84,10 +87,10 @@ def reed_solomon_dimension(q: int, h: int, projective: bool = True) -> int:
 def _monomial_rows(ctx: FieldContext, h: int, projective: bool = True) -> list:
     """The rows of x^a y^(h-a), a = 0..h, at the points (1, s) for s in
     field order, then (0, 1) if projective; any h >= 0 (independent for h < n)."""
-    # x^a y^(h-a) is s^(h-a) at (1, s) and [a = 0] at (0, 1)
-    powers = [[1] * ctx.q]
-    for _ in range(h):
-        powers.append(list(map(ctx.mul, powers[-1], ctx.elements())))
+    # x^a y^(h-a) is s^(h-a) at (1, s), 0^0 = 1, and [a = 0] at (0, 1)
+    q, exp, logs = ctx.q, ctx._exp, ctx._log[1:]
+    powers = [[1] * q] + [[0] + [exp[e * log % (q - 1)] for log in logs]
+                          for e in range(1, h + 1)]
     return [powers[h - a] + ([int(a == 0)] if projective else []) for a in range(h + 1)]
 
 
@@ -134,33 +137,37 @@ def brute_force_enumerator(code: LinearCode, budget: int = None,
 
 
 def _tally_vector(code: LinearCode) -> dict:
+    """{(squares, non-squares): codewords}, walked by leading
+    coefficient.  Level k walks the messages c with c_0 = ... = c_(k-1)
+    = 0 and c_k = 1 as the bases row_k + c_(k+1) row_(k+1) over the grid
+    of rows k+2, ...; its tally P stands for (q-1)/2 (P + P^T), since
+    scaling by a square keeps a codeword's counts and by a non-square
+    swaps them.  When the rows are the monomials x^a y^(h-a) of
+    `_monomial_rows` and p does not divide h - k, y -> y + ax sends the
+    level's messages with c_(k+1) = 0 onto those with c_(k+1) =
+    (h - k) a and permutes the coordinates, so the base row_k alone
+    counts q times.  The zero codeword is tallied apart."""
     import numpy as np
 
-    ctx, q, n = code.ctx, code.ctx.q, code.n
+    ctx, q, n, h = code.ctx, code.ctx.q, code.n, code.dim - 1
     rows = np.array(code.rows, dtype=np.int16)
-    # In any linear code, scaling a codeword by a nonzero square keeps
-    # (j, k) and scaling by a non-square swaps them.  Every nonzero top
-    # is a unit multiple of exactly one top whose first nonzero digit is
-    # 1, and the low combinations are closed under scaling, so those
-    # tops (tally P) and the zero top (tally Z) give (q-1)/2 (P + P^T) + Z.  The tops are
-    # (1, s) for every s, (0, 1) and (0, 0); at dim 1, (1,) and (0,).
-    ones = [ctx.add_table[rows[-2], _grid(ctx, rows[-1:])]] if code.dim > 1 else []
-    tops = np.concatenate(ones + [rows[-1:], np.zeros((1, n), dtype=np.int16)])
-    zeros, squares = _form_counts(ctx, tops, rows[:-2])
-    # (zeros, squares) of each codeword as one key, in place where int16 holds it
-    keys = zeros.astype(np.int16 if (n + 1) ** 2 <= 2 ** 15 else np.int32, copy=False)
-    keys *= n + 1
-    keys += squares
-
-    def histogram(block):  # {(j, k): codewords} over a block of keys
-        values, counts = np.unique(block, return_counts=True)
-        return {(s, n - z - s): c for (z, s), c in
-                zip((divmod(v, n + 1) for v in values.tolist()), counts.tolist())}
-
-    tally = Counter(histogram(keys[-1]))
-    for (j, k), c in histogram(keys[:-1]).items():
-        tally[j, k] += (q - 1) // 2 * c
-        tally[k, j] += (q - 1) // 2 * c
+    translates = code.rows == _monomial_rows(ctx, h, n == q + 1)
+    tally = Counter({(0, 0): 1})
+    for k in range(h + 1):
+        if k < h and not (translates and (h - k) % ctx.p):
+            bases, weight = ctx.add_table[rows[k], _grid(ctx, rows[k + 1:k + 2])], 1
+        else:  # c_(k+1) = 0 stands for its q values, or there is no c_(k+1)
+            bases, weight = rows[k:k + 1], q if k < h else 1
+        zeros, squares = _form_counts(ctx, bases, rows[k + 2:])
+        # (zeros, squares) of each codeword as one key, in place where int16 holds it
+        keys = zeros.astype(np.int16 if (n + 1) ** 2 <= 2 ** 15 else np.int32, copy=False)
+        keys *= n + 1
+        keys += squares
+        values, counts = np.unique(keys, return_counts=True)
+        for key, c in zip(values.tolist(), counts.tolist()):
+            z, s = divmod(key, n + 1)
+            tally[s, n - z - s] += (q - 1) // 2 * weight * c
+            tally[n - z - s, s] += (q - 1) // 2 * weight * c
     return dict(sorted(tally.items()))
 
 

@@ -16,7 +16,7 @@ vectorizes, in scalar field arithmetic, and the tests compare the two:
    all q - 1 models of each special j-invariant instead of one per coset.
  * `_tally_scalar(code)` checks `rs_codes.brute_force_enumerator`: a
    mixed-radix odometer over every codeword, one basis-row addition per
-   step, instead of the numpy walk over q + 2 tops.
+   step, instead of the numpy walk by leading coefficient.
  * `trial_division_split(q)` checks `arith.prime_power_split` and
    `arith.is_prime`: trial division by every d <= isqrt(q), with no
    strong test and no integer roots.

@@ -153,6 +153,18 @@ def test_weierstrass_census_at_p_3_is_refused_before_the_field_is_built(
     assert code == 0 and json.loads(out)["q"] == 251
 
 
+def test_negative_empirical_moment_order_is_refused_before_the_field_is_built(
+        capsys, monkeypatch):
+    def no_build(self, *args, **kwargs):
+        raise AssertionError("a FieldContext was built")
+    monkeypatch.setattr(FieldContext, "__init__", no_build)
+    for q in ("3001", "2187"):  # a Weierstrass census and a quartic one (3^7)
+        with pytest.raises(SystemExit) as info:
+            main(["moments", "--q", q, "--R", "-1", "--empirical"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == "error: moment order R must be >= 0\n"
+
+
 USAGE_ERRORS = (
     ["trace", "--level", "3", "--weight", "6", "--q", "3"],
     ["nonsense"],

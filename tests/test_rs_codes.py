@@ -7,11 +7,13 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qrwe import rs_codes
+from qrwe.arith import odd_prime_power_split
 from qrwe.enumerators import (QREnumerator, mds_weight_distribution,
                               qr_dual_coefficients, qr_macwilliams_dual)
 from qrwe.errors import BudgetExceededError, ConsistencyError, check_budget
 from qrwe.finite_field import FieldContext, field
-from qrwe.rs_codes import (LinearCode, brute_force_enumerator,
+from qrwe.rs_codes import (LinearCode, _monomial_rows, brute_force_enumerator,
                            puncture_enumerator, reed_solomon_code)
 from references import _tally_scalar
 
@@ -97,7 +99,73 @@ def test_order_one_walk_matches_its_closed_form(p, v):
         tracemalloc.stop()
     assert enum.terms == {(0, 0): 1, (q, 0): half, (0, q): half,
                           (half + 1, half): q * half, (half, half + 1): q * half}
-    assert peak < 64 * 2 ** 20  # one tally over the q + 2 tops, not (n + 1)^2 cells per top
+    assert peak < 64 * 2 ** 20  # two levels of one base each, not (n + 1)^2 cells per base
+
+
+@pytest.mark.parametrize("q", [3, 7, 9, 169, 251, 9973])
+def test_monomial_rows_are_the_powers_of_the_points(q):
+    ctx = field(*odd_prime_power_split(q))
+    for h in (0, 1, 4):
+        powers = [[1] * q]  # s^e at s = 0, 1, ..., q - 1, one product at a time
+        for _ in range(h):
+            powers.append([ctx.mul(x, s) for x, s in zip(powers[-1], ctx.elements())])
+        classical = [powers[h - a] for a in range(h + 1)]
+        assert _monomial_rows(ctx, h, projective=False) == classical
+        assert _monomial_rows(ctx, h) == [row + [int(a == 0)] for a, row in enumerate(classical)]
+
+
+def _rs_codes(q, limit):
+    """Every projective and classical RS code over F_q with q^dim <= limit."""
+    ctx = field(*odd_prime_power_split(q))
+    return [reed_solomon_code(ctx, h, projective) for projective in (True, False)
+            for h in range(q + projective) if q ** (h + 1) <= limit]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+def test_level_walk_matches_the_scalar_walk(q):
+    # with p | h - k at q = 3, h = 3; q = 5, h = 5; q = 9, h = 3 and 4
+    for code in _rs_codes(q, 6 * 10 ** 4):
+        assert rs_codes._tally_vector(code) == _tally_scalar(code), code
+
+
+@pytest.mark.parametrize("q,h", [(11, 4), (13, 4), (25, 4), (27, 4), (37, 4), (11, 6)])
+def test_translated_walk_matches_the_walk_of_the_reversed_rows(q, h):
+    # reversed, the rows are not the monomials, so every level walks all of c_(k+1)
+    ctx = field(*odd_prime_power_split(q))
+    for projective in (True, False):
+        code = reed_solomon_code(ctx, h, projective)
+        reversed_code = LinearCode(ctx, code.rows[::-1])
+        assert rs_codes._tally_vector(code) == rs_codes._tally_vector(reversed_code)
+
+
+def _cells_walked(code):
+    """The cells (base, grid combination, point) that `_form_counts`
+    evaluates in one walk of `code`."""
+    cells, form_counts = [], rs_codes._form_counts
+
+    def spy(ctx, bases, grid_rows):
+        cells.append(bases.shape[0] * ctx.q ** len(grid_rows) * bases.shape[1])
+        return form_counts(ctx, bases, grid_rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rs_codes, "_form_counts", spy)
+        brute_force_enumerator(code)
+    return sum(cells)
+
+
+@pytest.mark.parametrize("p,v,h", [(7, 1, 6), (3, 1, 3), (5, 1, 5), (3, 2, 3), (3, 2, 4),
+                                   (11, 1, 4)])
+def test_the_walk_evaluates_one_base_per_translated_level(p, v, h):
+    # level k < h walks q^(h-k-1) grid combinations of 1 base, or of q
+    # where p | h - k; level h walks its one codeword; the zero codeword
+    # is tallied without an evaluation
+    ctx, q = field(p, v), p ** v
+    for code in [reed_solomon_code(ctx, h, projective) for projective in (True, False)
+                 if h < q + projective]:
+        n = code.n
+        levels = sum((q if (h - k) % p == 0 else 1) * q ** (h - k - 1) for k in range(h))
+        assert _cells_walked(code) == (levels + 1) * n
+        reversed_code = LinearCode(ctx, code.rows[::-1])
+        assert _cells_walked(reversed_code) == sum(q ** e for e in range(h + 1)) * n
 
 
 def test_brute_force_threads_deterministic():
