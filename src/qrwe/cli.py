@@ -30,8 +30,8 @@ import sys
 
 from . import verify as verify_suites
 from .arith import odd_prime_power_split
-from .curve_census import (census_json, empirical_moment, quartic_census,
-                           weierstrass_census)
+from .curve_census import (census_charge, census_json, empirical_moment,
+                           quartic_census, weierstrass_census)
 from .enumerators import qr_dual_coefficients
 from .errors import BudgetExceededError, ConsistencyError, check_budget
 from .finite_field import field
@@ -45,12 +45,18 @@ from .rs_codes import (brute_force_enumerator, reed_solomon_code,
 _FLAVOR = {"all": "all", "2tors": "two_torsion", "full2tors": "full_two_torsion"}
 
 
-def _field_for(q: int, walk_steps, budget: int = None):
-    """F_q for a walk of walk_steps(p) steps, refused by the budget
+def _field_for(q: int, charge: int, budget: int = None):
+    """F_q for a walk that charges `charge` to the budget, refused
     before the field's O(q) tables are built."""
     p, v = odd_prime_power_split(q)
-    check_budget(walk_steps(p), budget)
+    check_budget(charge, budget)
     return field(p, v)
+
+
+def _census(q: int, kind: str, budget: int = None):
+    ctx = _field_for(q, census_charge(q, kind), budget)
+    census = weierstrass_census if kind == "weierstrass" else quartic_census
+    return census(ctx, budget=budget)
 
 
 def _int_at_least(low: int):
@@ -99,7 +105,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_brute(args) -> int:
-    ctx = _field_for(args.q, lambda p: args.q ** reed_solomon_dimension(
+    ctx = _field_for(args.q, args.q ** reed_solomon_dimension(
         args.q, args.h, not args.classical), args.budget)
     code = reed_solomon_code(ctx, args.h, projective=not args.classical)
     enum = brute_force_enumerator(code, budget=args.budget)
@@ -121,15 +127,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    weierstrass = args.kind == "weierstrass"
-    if weierstrass and odd_prime_power_split(args.q)[0] < 5:  # before the field is built
-        raise ValueError("--kind weierstrass needs p >= 5; use --kind quartic at p = 3")
-    ctx = _field_for(args.q, lambda p: args.q ** (2 if weierstrass else 5), args.budget)
-    if weierstrass:
-        census = weierstrass_census(ctx, budget=args.budget)
-    else:
-        census = quartic_census(ctx, budget=args.budget)
-    print(json.dumps(census_json(census)))
+    print(json.dumps(census_json(_census(args.q, args.kind, args.budget))))
     return 0
 
 
@@ -138,12 +136,8 @@ def _cmd_moments(args) -> int:
     if args.empirical:
         if args.R < 0:  # before the census and its field
             raise ValueError("moment order R must be >= 0")
-        ctx = _field_for(args.q, lambda p: args.q ** (2 if p >= 5 else 5))
-        if ctx.p >= 5:
-            census = weierstrass_census(ctx)
-        else:
-            census = quartic_census(ctx)
-        print(empirical_moment(census, args.R, flavor))
+        kind = "weierstrass" if odd_prime_power_split(args.q)[0] >= 5 else "quartic"
+        print(empirical_moment(_census(args.q, kind), args.R, flavor))
     else:
         print(moment_formula(args.q, args.R, flavor))
     return 0

@@ -47,6 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
+from .arith import odd_prime_power_split
 from .errors import ConsistencyError, check_budget
 from .finite_field import FieldContext, field
 from .rs_codes import _form_counts, _monomial_rows
@@ -182,15 +183,26 @@ def _quartic_unit_counts(ctx: FieldContext, leads) -> list:
     return out
 
 
+def census_charge(q: int, kind: str) -> int:
+    """The budget charge of a `kind` census over F_q, from q alone: the
+    9 q^2 (q + 1) cells a quartic census evaluates (9 units of q^2 forms
+    on q + 1 points), or the q^2 Weierstrass models, which need p >= 5."""
+    if kind == "quartic":
+        return 9 * q ** 2 * (q + 1)
+    if odd_prime_power_split(q)[0] < 5:
+        raise ValueError("short Weierstrass census needs p >= 5 "
+                         "(the quartic census covers p = 3)")
+    return q ** 2
+
+
 def quartic_census(ctx: FieldContext, threads: int = None, budget: int = None) -> Census:
     """Census of all smooth binary quartics over F_q, bucketed by trace
-    t = q + 1 - #points and by rational root count.  Refuses
-    (BudgetExceededError) when the q^5 forms exceed the budget:
-    `budget` if given, else QRWE_BUDGET, else 10^8; a negative budget
-    raises ValueError.  `threads` is accepted and ignored until the
-    benchmark harness stops passing it (ROADMAP item 5, step 2)."""
+    t = q + 1 - #points and by rational root count, after charging its
+    `census_charge` cells to `check_budget`.  `threads` is accepted and
+    ignored until the benchmark harness stops passing it (ROADMAP item 5,
+    step 2)."""
     q = ctx.q
-    check_budget(q ** 5, budget)
+    check_budget(census_charge(q, "quartic"), budget)
     # Each unit (c4, c3, c2) stands for its orbit of slabs, on which the
     # free (c1, c0) run over the q^2 grid.  x -> x + sy moves c3 by 4sc4,
     # scaling the form by a square moves c4 within its square class, and
@@ -216,16 +228,12 @@ def quartic_census(ctx: FieldContext, threads: int = None, budget: int = None) -
 
 def weierstrass_census(ctx: FieldContext, threads: int = None,
                        budget: int = None) -> Census:
-    """Census of the q^2 short Weierstrass models y^2 = x^3 + ax + b.
-    Refuses (BudgetExceededError) when the q^2 models exceed the budget,
-    which `quartic_census` reads the same way.  `threads` is accepted and
-    ignored until the benchmark harness stops passing it (ROADMAP item 5,
-    step 2)."""
-    if ctx.p < 5:
-        raise ValueError("short Weierstrass census needs p >= 5 "
-                         "(the quartic census covers p = 3)")
+    """Census of the q^2 short Weierstrass models y^2 = x^3 + ax + b,
+    after charging them (`census_charge`) to `check_budget`.  `threads`
+    is accepted and ignored until the benchmark harness stops passing it
+    (ROADMAP item 5, step 2)."""
     q = ctx.q
-    check_budget(q ** 2, budget)
+    check_budget(census_charge(q, "weierstrass"), budget)
     # The model is the quartic y (x^3 + a x y^2 + b y^3) of lead (0, 1, 0, a),
     # whose roots are the cubic's plus (1 : 0): its slot 0 is empty.
     # (a, b) -> (u^4 a, u^6 b) is an isomorphism that permutes the b of
@@ -298,13 +306,12 @@ def legendre_family_sum(p: int, R: int) -> int:
     (0, 1) and (0, nu), nu a non-square, of weight (p-1)/2.  That is p^2
     point evaluations, made once per p for every R
     (`_legendre_orbit_sums`); the full walk (`tests/references.py`)
-    makes all p^3.  Raises ValueError for R < 0, and refuses
-    (BudgetExceededError) when the p^3 terms of the full walk exceed
-    the budget, at every call.
+    makes all p^3.  Raises ValueError for R < 0, and charges the p^2
+    points to `check_budget` at every call, cached or not.
     """
     if R < 0:
         raise ValueError("moment order R must be >= 0")
-    check_budget(p ** 3)
+    check_budget(p ** 2)
     return sum(weight * s ** (2 * R) for s, weight in _legendre_orbit_sums(p))
 
 

@@ -21,9 +21,8 @@ Every other code and level walks every c_(k+1).  A level's counts come
 from one call of `_form_counts`, the numpy engine that evaluates binary
 forms on P^1, which both censuses in `curve_census` run too.
 
-Brute-force enumeration refuses politely (BudgetExceededError) when
-q^dim exceeds the budget, which defaults to 10^8 and can be overridden
-per call or with the QRWE_BUDGET environment variable.
+Brute-force enumeration charges its q^dim codewords to `check_budget`
+before the walk.
 """
 
 from collections import Counter

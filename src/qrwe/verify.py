@@ -40,7 +40,7 @@ PUNCTURE_QS = (7, 9)
 EXAMPLE_PRIMES_1MOD4 = (13, 17, 29)
 EXAMPLE_PRIMES_3MOD4 = (7, 11, 19, 23)
 CLASSICAL_PRIMES = (13, 17, 7, 11, 19)
-# after CENSUS_QS, censuses past the default budget
+# after CENSUS_QS, the primes to 101 and the prime powers 49 and 121
 CENSUS_SCALE_QS = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 49, 121)
 # Weierstrass censuses past the quartic census's reach: moments to R = 12
 # at the primes, to R = 8 at the prime powers
@@ -196,17 +196,15 @@ def _census_matches(census, q: int, top: int) -> bool:
 
 def checks_census(qmax=None):
     def check(q):
-        # the budget admits the largest of the lists, 121^5 forms
-        return _census_matches(quartic_census(_field(q), budget=121 ** 5), q, 5)
+        return _census_matches(quartic_census(_field(q)), q, 5)
     yield from _rows("census moments and weighted counts match",
                      CENSUS_QS + CENSUS_SCALE_QS, qmax, check)
 
 
 def checks_weierstrass_moments(qmax=None):
     def check(q):
-        # the budget admits the largest of the lists, 1331^2 models
-        census = weierstrass_census(_field(q), budget=1331 ** 2)
-        return _census_matches(census, q, 12 if q in WEIERSTRASS_PRIMES else 8)
+        return _census_matches(weierstrass_census(_field(q)), q,
+                               12 if q in WEIERSTRASS_PRIMES else 8)
     yield from _rows("Weierstrass census moments and weighted counts match",
                      WEIERSTRASS_PRIMES + WEIERSTRASS_PRIME_POWERS, qmax, check)
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 
@@ -107,11 +108,13 @@ def test_brute_subcommand_and_budget(capsys):
 
 def test_census_budget_flag(capsys, monkeypatch):
     monkeypatch.delenv("QRWE_BUDGET", raising=False)
-    # 41^5 quartics exceed the default budget of 10^8
-    code, out, err = run_cli(capsys, "census", "--q", "41")
+    # the 9 * 223^2 * 224 = 100253664 quartic cells exceed the default budget of 10^8
+    code, out, err = run_cli(capsys, "census", "--q", "223")
     assert code == 1 and out == "" and err.startswith("refused: ")
-    code, out, _ = run_cli(capsys, "census", "--q", "41", "--budget", "200000000")
-    assert code == 0 and json.loads(out)["q"] == 41
+    code, out, err = run_cli(capsys, "census", "--q", "223", "--budget", "100253663")
+    assert code == 1 and out == "" and "budget >= 100253664" in err
+    code, out, _ = run_cli(capsys, "census", "--q", "223", "--budget", "100253664")
+    assert code == 0 and json.loads(out)["q"] == 223
     code, out, err = run_cli(capsys, "census", "--q", "7", "--kind", "weierstrass",
                              "--budget", "48")
     assert code == 1 and "budget >= 49" in err
@@ -120,13 +123,24 @@ def test_census_budget_flag(capsys, monkeypatch):
     assert info.value.code == 2
 
 
+def test_quartic_census_at_q_101_runs_at_the_default_budget(capsys, monkeypatch):
+    monkeypatch.delenv("QRWE_BUDGET", raising=False)
+    code, out, _ = run_cli(capsys, "census", "--q", "101")
+    # the digest of `census --q 101 --budget 20000000000` before the quartic
+    # census charged its 9 q^2 (q + 1) cells instead of q^5 forms
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+        "9a705909086800bc5d4e5eab82bd955d40d13caf9d41dac43f27a2a55a0d3dfb")
+
+
 @pytest.mark.parametrize("argv", [
     ("census", "--q", "1000003"),
+    ("census", "--q", "223"),
     ("census", "--q", "1000003", "--kind", "weierstrass"),
     ("brute", "--q", "1000003", "--h", "1"),
     ("moments", "--q", "1000003", "--R", "1", "--empirical"),
     ("moments", "--q", "3486784401", "--R", "1", "--empirical"),
-], ids=["quartic", "weierstrass", "brute", "moments-weierstrass", "moments-quartic"])
+], ids=["quartic", "quartic-223", "weierstrass", "brute", "moments-weierstrass",
+        "moments-quartic"])
 def test_walks_beyond_the_budget_are_refused_before_the_field_is_built(
         capsys, monkeypatch, argv):
     monkeypatch.delenv("QRWE_BUDGET", raising=False)
@@ -144,7 +158,7 @@ def test_weierstrass_census_at_p_3_is_refused_before_the_field_is_built(
         raise AssertionError("a FieldContext was built")
     with monkeypatch.context() as patch:
         patch.setattr(FieldContext, "__init__", no_build)
-        for q in ("1594323", "243"):  # 3^13 and 3^5
+        for q in ("1594323", "243", "3"):  # 3^13, 3^5 and 3
             with pytest.raises(SystemExit) as info:
                 main(["census", "--q", q, "--kind", "weierstrass"])
             assert info.value.code == 2

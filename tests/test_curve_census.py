@@ -11,7 +11,7 @@ from qrwe import curve_census
 from qrwe.arith import is_prime, odd_prime_power_split
 from qrwe.curve_census import (_discriminant_grid, _j_special_model,
                                _quartic_unit_counts, _scaling_orbits,
-                               census_json, empirical_moment,
+                               census_charge, census_json, empirical_moment,
                                j_special_census, legendre_family_sum,
                                quartic_census, weierstrass_census)
 from qrwe.errors import BudgetExceededError
@@ -348,15 +348,28 @@ def test_j_special_census_small():
 
 
 def test_family_sum_and_j_special_census_refuse_beyond_budget(monkeypatch):
-    monkeypatch.setenv("QRWE_BUDGET", "50")
+    monkeypatch.setenv("QRWE_BUDGET", "24")
     with pytest.raises(BudgetExceededError) as info:
         legendre_family_sum(5, 1)
-    assert info.value.required == 5 ** 3
+    assert info.value.required == 5 ** 2
     with pytest.raises(BudgetExceededError) as info:
         j_special_census(field(7, 1))
     assert info.value.required == 2 * 7 ** 2
-    monkeypatch.setenv("QRWE_BUDGET", "125")
+    monkeypatch.setenv("QRWE_BUDGET", "25")
     assert legendre_family_sum(5, 1) == 72
+
+
+@pytest.mark.parametrize("p", [3, 5, 23, 97])
+def test_the_legendre_charge_is_the_points_it_evaluates(monkeypatch, p):
+    points, point_sum = [], curve_census._legendre_point_sum
+    monkeypatch.setattr(curve_census, "_legendre_point_sum",
+                        lambda chi, a, b: points.append(len(chi)) or point_sum(chi, a, b))
+    curve_census._legendre_orbit_sums.cache_clear()
+    legendre_family_sum(p, 1)
+    monkeypatch.setenv("QRWE_BUDGET", "0")
+    with pytest.raises(BudgetExceededError) as info:
+        legendre_family_sum(p, 1)  # charged again, though the sums are cached
+    assert info.value.required == sum(points) == p ** 2
 
 
 def test_j_special_rejects_char_3():
@@ -427,7 +440,8 @@ def test_census_json_is_bit_identical(q, quartic_census_for):
 def test_census_budget_is_explicit_then_environment(monkeypatch):
     ctx = field(5, 1)
     monkeypatch.setenv("QRWE_BUDGET", "100")
-    for census, required in ((quartic_census, 5 ** 5), (weierstrass_census, 5 ** 2)):
+    # 9 * 5^2 * 6 quartic cells, 5^2 Weierstrass models
+    for census, required in ((quartic_census, 1350), (weierstrass_census, 25)):
         with pytest.raises(BudgetExceededError) as info:
             census(ctx, budget=required - 1)
         assert (info.value.required, info.value.budget) == (required, required - 1)
@@ -436,10 +450,29 @@ def test_census_budget_is_explicit_then_environment(monkeypatch):
         assert census_json(census(ctx, budget=required)) == census_json(
             census(ctx, budget=10 ** 8))
     with pytest.raises(BudgetExceededError) as info:
-        quartic_census(ctx)  # the environment's 100 < 5^5
+        quartic_census(ctx)  # the environment's 100 < 1350
     assert info.value.budget == 100
     assert weierstrass_census(ctx).q == 5  # 25 <= 100
     monkeypatch.delenv("QRWE_BUDGET")
+    ctx = field(223, 1)
     with pytest.raises(BudgetExceededError) as info:
-        quartic_census(field(41, 1))  # 41^5 > 10^8, the default
-    assert info.value.budget == 10 ** 8
+        quartic_census(ctx)  # 9 * 223^2 * 224 > 10^8, the default
+    assert (info.value.required, info.value.budget) == (100253664, 10 ** 8)
+    with pytest.raises(BudgetExceededError):
+        quartic_census(ctx, budget=100253663)
+    assert quartic_census(ctx, budget=100253664).q == 223
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 25, 27])
+def test_the_quartic_charge_is_the_cells_it_evaluates(monkeypatch, q):
+    cells, form_counts = [], curve_census._form_counts
+
+    def spy(ctx, bases, grid_rows):
+        cells.append(bases.shape[0] * ctx.q ** len(grid_rows) * bases.shape[1])
+        return form_counts(ctx, bases, grid_rows)
+    monkeypatch.setattr(curve_census, "_form_counts", spy)
+    ctx = field(*odd_prime_power_split(q))
+    quartic_census(ctx)
+    with pytest.raises(BudgetExceededError) as info:
+        quartic_census(ctx, budget=0)
+    assert info.value.required == census_charge(q, "quartic") == sum(cells)
