@@ -13,11 +13,17 @@ the sum against the Gegenbauer kernel P_k, a polynomial in u = t^2,
 
     P_k(t, q) = sum_{0 <= j < k/2} (-1)^j C(k-2-j, j) q^j u^(k/2-1-j),
 
-so 12 K = sum_j (-1)^j C(k-2-j, j) q^j M_(k/2-1-j), and every weight
-at one (q, flavor) reads the same moments, summed by Horner's rule in
-q over signed binomials cached per weight.  The trace of the
-Hecke operator T_q on S_k(Gamma_0(N)) for N in {1, 2, 4} is an affine
-function of the kernels:
+so 12 K = sum_j (-1)^j C(k-2-j, j) q^j M_(k/2-1-j), summed by Horner's
+rule in q over signed binomials cached per weight.
+
+The moments are kept per q (the last _MOMENTS_MAX = 4096 q) as integer
+lists for three classes of t, each built on first use and extended by
+only the moments it lacks: even t and odd t of hurwitz_row(4q), and
+t = q + 1 (mod 4) at t/2 of hurwitz_row(q).  "two_torsion" is the even
+class, "all" the even plus the odd one, "full_two_torsion" the third.
+
+The trace of the Hecke operator T_q on S_k(Gamma_0(N)) for N in
+{1, 2, 4} is an affine function of the kernels:
 
     tr_N(k, q) = [v even] psi(N) (k-1)/12 q^(k/2-1) - (class part)
                  - c(N)/2 min_power_sum(q, k) + [k = 2] sigma_1(q),
@@ -54,8 +60,9 @@ collapses to the moments M_R at q and q/p^2 (`moment_formula`).
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import isqrt
-from operator import mul
+from operator import add, mul
 
 from .arith import odd_prime_power_split, prime_power_split
 from .errors import ConsistencyError
@@ -63,41 +70,51 @@ from .quadratic_forms import hurwitz_row
 
 FLAVORS = ("all", "two_torsion", "full_two_torsion")
 
-# (q, flavor) -> (M_0, M_1, ...), least recently used first
+# q -> {class of t: [M_0, M_1, ...]} for the classes built so far, least
+# recently used q first; a flavor sums the moments of its classes
 _MOMENTS = {}
 _MOMENTS_MAX = 1 << 12
+_CLASSES = {"all": ("even", "odd"), "two_torsion": ("even",),
+            "full_two_torsion": ("full",)}
 
 
-def _power_moments(q: int, flavor: str, count: int) -> tuple:
-    """(M_0, ..., M_(count-1)) of `flavor` at odd prime power q, or at
-    q = 1 (t^2 < 4: H(-4) = 1/2, H(-3) = 1/3), cached as moments only
-    and recomputed, at least doubled, when an entry is too short.
-
-    The integers 6H are read off one Hurwitz row: H(t^2 - 4q) at |t| in
-    `hurwitz_row(4q)`, H((t^2 - 4q)/4) = H(u^2 - q) at u = |t|/2 in
-    `hurwitz_row(q)`.  t > 0 stands for t and -t, and each further
-    moment is one C-level product of the last terms with the t^2."""
-    key = (q, flavor)
-    moments = _MOMENTS.pop(key, ())
-    if len(moments) < count:
-        # at least double, so weights asked in ascending order recompute
-        # an entry O(log k) times
-        count = max(count, 2 * len(moments))
-        full = flavor == "full_two_torsion"
-        row = hurwitz_row(q if full else 4 * q)
-        start, step = ((q + 1) % 4, 4) if full else (0, 1 if flavor == "all" else 2)
-        terms = row[start // 2::2] if full else row[::step]
-        squares = [t * t for t in range(start, isqrt(4 * q - 1) + 1, step)]
-        # t = 0, present when start = 0, counts once and only in M_0
-        at_zero = terms[0] if start == 0 else 0
-        moments = [2 * sum(terms) - at_zero]
-        for _ in range(1, count):
-            terms = list(map(mul, terms, squares))
-            moments.append(2 * sum(terms))
-        moments = tuple(moments)
-    _MOMENTS[key] = moments
+def _power_moments(q: int, flavor: str, count: int) -> list:
+    """(M_0, ..., M_(count-1)), or more, of `flavor` at odd prime power q,
+    or at q = 1 (t^2 < 4: H(-4) = 1/2, H(-3) = 1/3), summed over its
+    classes of t in the record of q."""
+    record = _MOMENTS.pop(q, None) or {}
+    _MOMENTS[q] = record
     if len(_MOMENTS) > _MOMENTS_MAX:
         del _MOMENTS[next(iter(_MOMENTS))]
+    lists = [_class_moments(q, record, name, count) for name in _CLASSES[flavor]]
+    return list(map(add, *lists)) if len(lists) > 1 else lists[0]
+
+
+def _class_moments(q: int, record: dict, name: str, count: int) -> list:
+    """The moments of class `name` at q in `record`, extended to at least
+    `count`.  t > 0 stands for t and -t.  One pass raises the terms 6H to
+    the last moment held, and each new moment is one C-level product of
+    the last terms with the t^2; the record keeps only the moments."""
+    moments = record.setdefault(name, [])
+    have = len(moments)
+    if have < count:
+        if name == "full":
+            start, step = (q + 1) % 4, 4
+            terms = hurwitz_row(q)[start // 2::2]
+        else:
+            start, step = (1 if name == "odd" else 0), 2
+            terms = hurwitz_row(4 * q)[start::2]
+        traces = range(start, isqrt(4 * q - 1) + 1, step)
+        squares = list(map(mul, traces, traces))
+        if not have:
+            # t = 0, present when start = 0, counts once and only in M_0
+            moments.append(2 * sum(terms) - (terms[0] if start == 0 else 0))
+            have = 1
+        elif have > 1:
+            terms = list(map(mul, terms, map(pow, traces, repeat(2 * have - 2))))
+        for _ in range(have, count):
+            terms = list(map(mul, terms, squares))
+            moments.append(2 * sum(terms))
     return moments
 
 
@@ -129,9 +146,12 @@ def _class_number_sum(k: int, q: int, flavor: str) -> int:
     """12 times the moment kernel of `flavor` at weight k and odd prime
     power q: sum_j b_j q^j M_(k/2-1-j) over P_k's signed
     binomials b_j, by Horner's rule in q from M_0 up."""
+    binomials = _kernel_binomials(k)
+    last = k // 2 - 1
+    moments = _power_moments(q, flavor, last + 1)
     value = 0
-    for b, moment in zip(reversed(_kernel_binomials(k)), _power_moments(q, flavor, k // 2)):
-        value = value * q + b * moment
+    for j in range(last, -1, -1):
+        value = value * q + binomials[j] * moments[last - j]
     return value
 
 

@@ -144,8 +144,10 @@ def hurwitz_class_number(delta: int) -> Fraction:
 # a sweep of the same size up to 2^18, but 2.6x at 2^19 and 12x at 2^22,
 # and the table at the cap takes 1 MB.  A row swept with m >=
 # _NUMPY_SWEEP_FROM runs the numpy passes when numpy is already loaded.
-# Each call of the passes costs about 0.15 ms before any work: they
-# break even with the loop near m = 1100 and are 2-3x faster at 2^13.
+# Each call of the passes costs about 0.15 ms before any work, and the
+# first in a process 0.5 ms more.  Warm, they win from m = 768 on (3x at
+# 2^13), but a first call loses below m = 4096, and as only the first two
+# rows up to _TABLE_CAP are swept, most swept rows are first calls.
 # A row with m >= _NUMPY_IMPORT_FROM imports numpy for them: in fresh
 # processes the passes save 85-135 ns per unit of m over the loop, as
 # the host's speed drifts, so they repay numpy's 60-75 ms import between
@@ -157,6 +159,7 @@ _TABLE_CAP = 1 << 18
 _SWEEPS_BEFORE_TABLE = 2
 _table = ()  # 6H(N) for 0 <= N < len(_table): an int32 array once built
 _sweeps = 0  # uncovered rows _SWEEP_BELOW <= m <= _TABLE_CAP swept so far
+_squares = ()  # t^2 for t < len(_squares), grown by _table_row
 # The sieve expands progressions of at most _SHORT_PROGRESSION cells in
 # one ragged pass; each block of the numpy sweep holds about _BLOCK_CELLS
 # cells, which bounds its memory.
@@ -179,7 +182,7 @@ def hurwitz_row(m: int) -> tuple:
     table.  Any later row _SWEEP_BELOW <= m <= _TABLE_CAP first rebuilds
     the table up to min(_TABLE_CAP, max(m, 2X)), X its current top, so a
     loop over q reads every later row off it.  A swept row runs the
-    numpy passes (`_sweep_row_numpy`), 2-4x faster than the loop, when
+    numpy passes (`_sweep_row_numpy`), up to 3x faster than the loop, when
     m >= _NUMPY_SWEEP_FROM and numpy is already in `sys.modules`
     (smaller rows are faster in the loop), or when m >=
     _NUMPY_IMPORT_FROM, whatever was imported before: such a row saves
@@ -206,11 +209,15 @@ def hurwitz_row(m: int) -> tuple:
 
 
 def _table_row(table, m: int) -> tuple:
-    """Row m read off a table that covers it, as Python ints."""
-    import numpy as np
+    """Row m read off a table that covers it, as Python ints: one gather
+    at m - t^2 through the cached squares."""
+    global _squares
+    size = isqrt(m - 1) + 1
+    if len(_squares) < size:
+        import numpy as np
 
-    t = np.arange(isqrt(m - 1) + 1)
-    return tuple(table[m - t * t].tolist())
+        _squares = np.arange(isqrt(len(table) - 1) + 1) ** 2
+    return tuple(table[m - _squares[:size]].tolist())
 
 
 def _sieve_table(top: int):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 from fractions import Fraction
 from math import comb, isqrt
@@ -216,23 +217,34 @@ def _horner_class_number_sum(k, q, flavor):
 
 
 def test_kernels_from_moments_match_horner_in_any_weight_order(monkeypatch):
+    # each flavor alone in ascending, descending and zigzag order, then
+    # the flavors interleaved at one q: the even class is shared by
+    # "all" and "two_torsion", so a request can extend it mid-list
     weights = list(range(2, 41, 2))
     half = len(weights) // 2
-    orders = (weights, weights[::-1],
-              [k for pair in zip(weights[:half], weights[half:]) for k in pair])
+    zigzag = [k for pair in zip(weights[:half], weights[half:]) for k in pair]
+    orders = [[(flavor, k) for k in order]
+              for flavor in FLAVORS for order in (weights, weights[::-1], zigzag)]
+    orders += [[(flavor, k) for k in weights for flavor in FLAVORS],
+               [("two_torsion", 6), ("all", 14), ("two_torsion", 20), ("all", 4),
+                ("full_two_torsion", 8), ("all", 30), ("two_torsion", 40),
+                ("all", 40), ("full_two_torsion", 2)],
+               [pair for pairs in zip([("all", k) for k in zigzag],
+                                      [("two_torsion", k) for k in weights[::-1]])
+                for pair in pairs]]
     for q in [1] + list(odd_prime_powers(2000)) + [100003]:
-        for flavor in FLAVORS:
-            expected = {k: _horner_class_number_sum(k, q, flavor) for k in weights}
-            for order in orders:
-                monkeypatch.setattr(hecke_traces, "_MOMENTS", {})
-                for k in order:
-                    assert hecke_traces._class_number_sum(k, q, flavor) == expected[k], (
-                        q, flavor, k, order[0])
+        expected = {(flavor, k): _horner_class_number_sum(k, q, flavor)
+                    for flavor in FLAVORS for k in weights}
+        for order in orders:
+            monkeypatch.setattr(hecke_traces, "_MOMENTS", {})
+            for flavor, k in order:
+                assert hecke_traces._class_number_sum(k, q, flavor) == expected[flavor, k], (
+                    q, flavor, k, order[0])
 
 
 def test_moments_cache_stays_within_its_bound(monkeypatch):
     bound = hecke_traces._MOMENTS_MAX
-    cache = {(-i, "all"): (0,) * 8 for i in range(bound)}
+    cache = {-i: {"even": [0] * 8, "odd": [0] * 8} for i in range(bound)}
     monkeypatch.setattr(hecke_traces, "_MOMENTS", cache)
     hecke_traces._power_moments(-1, "all", 8)  # a hit refreshes its entry
     for q in odd_prime_powers(300):
@@ -240,9 +252,47 @@ def test_moments_cache_stays_within_its_bound(monkeypatch):
             hecke_traces._power_moments(q, flavor, 3)
             assert len(cache) <= bound
     assert len(cache) == bound
-    assert (-1, "all") in cache and (-2, "all") not in cache
-    # an entry is the moments only, not the power lists
-    assert all(type(m) is int for m in cache[(3, "all")]) and len(cache[(3, "all")]) == 3
+    assert -1 in cache and -2 not in cache
+    # an entry is the moments of each class of t, not the term lists
+    assert sorted(cache[3]) == ["even", "full", "odd"]
+    assert all(type(m) is int and len(moments) == 3
+               for moments in cache[3].values() for m in moments)
+
+
+def test_each_trace_and_moment_reads_only_the_rows_it_needs(monkeypatch):
+    asked = []
+    monkeypatch.setattr(hecke_traces, "hurwitz_row", lambda m: asked.append(m) or hurwitz_row(m))
+    calls = ((lambda q: trace_level1(12, q), lambda q: {4 * q}),
+             (lambda q: trace_level2(8, q), lambda q: {4 * q, q}),
+             (lambda q: trace_level4(6, q), lambda q: {q}),
+             (lambda q: moment_formula(q, 5, "two_torsion"), lambda q: {4 * q}),
+             (lambda q: moment_formula(q, 5, "full_two_torsion"), lambda q: {q}))
+    for q in (3, 1009, 16411):
+        for call, rows in calls:
+            monkeypatch.setattr(hecke_traces, "_MOMENTS", {})
+            monkeypatch.setattr(hecke_traces.DEFAULT_TABLE, "entries", {})
+            asked.clear()
+            call(q)
+            assert set(asked) == rows(q), (q, asked)
+
+
+# sha256 of every trace at levels 1, 2, 4 and weights 2..22 and every
+# moment formula R <= 8 at the odd prime powers q <= 2000 and four larger
+# q, taken before the moments were kept per q as three classes of t
+PINNED_DIGEST = "70ca17886ecf1ab640595a7399f7e4a7c0ada308f1bb3447d74f6580b3416385"
+
+
+def test_traces_and_moments_are_bit_identical_to_the_pinned_digest():
+    digest = hashlib.sha256()
+    for q in list(odd_prime_powers(2000)) + [16411, 65537, 3 ** 9, 5 ** 6]:
+        for level in (1, 2, 4):
+            for k in range(2, 23, 2):
+                digest.update(b"%d,%d,%d,%d;" % (level, k, q, trace(level, k, q)))
+        for flavor in FLAVORS:
+            for R in range(9):
+                digest.update(("%s,%d,%d,%s;" % (flavor, R, q, moment_formula(q, R, flavor)))
+                              .encode())
+    assert digest.hexdigest() == PINNED_DIGEST
 
 
 def test_even_trace_class_number_sum_is_two_torsion_kernel():
