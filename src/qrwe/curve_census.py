@@ -174,7 +174,7 @@ def _quartic_unit_counts(ctx: FieldContext, leads) -> list:
     bases = 0
     for c, row in zip(np.array(leads).T, rows):
         bases = add[bases, mul[c[:, None], row]]
-    zeros, squares = _form_counts(ctx, bases, rows[width:])
+    zeros, squares = _form_counts(ctx, ctx.char_table[add].ravel(), bases, rows[width:])
     out = []
     for smooth, z, s in zip(_discriminant_grid(ctx, leads, rows) != 0, zeros, squares):
         t = q + 1 - z[smooth] - 2 * s[smooth]

@@ -14,16 +14,20 @@ explicitly; weight enumerators and censuses do not depend on the choice.
 Every field, prime or not, uses one representation: the exp/log tables
 of the generator of smallest code and its Zech logarithms
 log(1 + g^k) (Lidl and Niederreiter, *Finite Fields*), built once at
-construction in O(q) products.  In a prime field (modulus x) a product
-is an integer product mod p, with no polynomial arithmetic.  An
-extension field finds its modulus and forms its products in F_p[x]
-through the F_q polynomial helpers at the end of this module, run over
-F_p; there is no second polynomial arithmetic.  Each scalar operation
-is a few list lookups.  The q x q int16 numpy tables of the census
-kernels (q < 2^15) are vectorized from the same tables on first use.
+construction by walking the powers of each candidate generator.  In a
+prime field (modulus x) a step is an integer product mod p.  In an
+extension field multiplication by g is an F_p-linear map of the
+coefficient vectors, whose columns are the vectors of x^j g, j < v
+(the companion-matrix action), so a step is v dot products mod p.  The
+modulus is found, and an explicit one checked, by trial division in
+integer coefficient lists mod p; building a field needs no polynomial
+arithmetic over another field.  Each scalar operation is a few list
+lookups.  The q x q int16 numpy tables of the census kernels (q < 2^15)
+are vectorized from the same tables on first use.
 """
 
 from functools import lru_cache
+from operator import mul
 
 from .arith import is_prime
 
@@ -36,10 +40,22 @@ def _digits(code: int, p: int, length: int) -> list:
     return out
 
 
+def _remainder(f, d, p: int) -> list:
+    """The remainder of f by the monic d over F_p, as len(d) - 1
+    coefficients; both are integer lists, lowest degree first."""
+    f, n = list(f), len(d) - 1
+    for top in range(len(f) - 1, n - 1, -1):
+        c = f[top]
+        if c:
+            for i in range(n):
+                f[top - n + i] = (f[top - n + i] - c * d[i]) % p
+    return f[:n]
+
+
 def _is_irreducible(f, p: int) -> bool:
     """Trial division of f over F_p by every monic polynomial of degree
-    1 to deg(f)/2; a degree-1 f needs no division (and no F_p)."""
-    return all(poly_mod(field(p, 1), f, _digits(code, p, d) + [1])
+    1 to deg(f)/2; a degree-1 f needs no division."""
+    return all(any(_remainder(f, _digits(code, p, d) + [1], p))
                for d in range(1, (len(f) - 1) // 2 + 1) for code in range(p ** d))
 
 
@@ -94,12 +110,6 @@ class FieldContext:
 
     # -- representation ----------------------------------------------------
 
-    def element(self, coeffs) -> int:
-        code = 0
-        for c in reversed(list(coeffs)):
-            code = code * self.p + (c % self.p)
-        return code
-
     def elements(self) -> range:
         """All q element codes, ascending; the first element is 0."""
         return range(self.q)
@@ -110,35 +120,37 @@ class FieldContext:
 
     # -- log/antilog tables ---------------------------------------------------
 
-    def _mul_slow(self, a: int, b: int) -> int:
-        """a * b from the definition: an integer product in a prime
-        field, else a product in F_p[x] reduced by the modulus."""
-        p, v = self.p, self.v
-        if v == 1:
-            return a * b % p
-        fp = field(p, 1)
-        prod = poly_mod(fp, poly_mul(fp, _digits(a, p, v), _digits(b, p, v)), self.modulus)
-        return self.element(prod)
-
     def _build_mul_table(self):
-        """Exp, log and Zech tables of the generator, in O(q) products.
+        """Exp, log and Zech tables of the generator, in O(q) steps.
 
         exp[k] = g^k for 0 <= k < 2(q-1), stored twice over so that
         exp[log a + log b] needs no reduction; log[x] is the discrete log
         of x != 0; zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0.
         """
-        q, p = self.q, self.p
+        q, p, v = self.q, self.p, self.v
+        weights = [p ** i for i in range(v)]
         # A power of a candidate of order < q - 1 has order < q - 1 too,
         # so the walk skips every element of a subgroup already seen.
         seen = bytearray(q)
         for g in range(1, q):
             if seen[g]:
                 continue
-            exp = [1]
-            x = g
-            while x != 1:
-                exp.append(x)
-                x = self._mul_slow(x, g)
+            exp, x = [1], g
+            if v == 1:
+                while x != 1:
+                    exp.append(x)
+                    x = x * g % p
+            else:
+                # The vectors of x^j g: each is the last shifted up one
+                # degree and reduced by the modulus.
+                columns = [_digits(g, p, v)]
+                for _ in range(1, v):
+                    columns.append(_remainder([0] + columns[-1], self.modulus, p))
+                rows, digits = list(zip(*columns)), columns[0]
+                while x != 1:
+                    exp.append(x)
+                    digits = [sum(map(mul, row, digits)) % p for row in rows]
+                    x = sum(map(mul, digits, weights))
             if len(exp) == q - 1:
                 break
             for x in exp:
@@ -267,42 +279,3 @@ def field(p: int, v: int) -> FieldContext:
     """Shared default-modulus context for F_{p^v}; the last 64 fields
     asked for keep their tables."""
     return FieldContext(p, v)
-
-
-# ---------------------------------------------------------------------------
-# Polynomials over F_q (dense coefficient lists of element codes)
-# ---------------------------------------------------------------------------
-
-def poly_degree(f) -> int:
-    """Degree with deg 0 = -1 for the zero polynomial."""
-    for i in range(len(f) - 1, -1, -1):
-        if f[i] != 0:
-            return i
-    return -1
-
-
-def poly_mul(ctx: FieldContext, f, g) -> list:
-    """Product of f and g over F_q."""
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
-    return out
-
-
-def poly_mod(ctx: FieldContext, f, g) -> list:
-    """Remainder of f by nonzero g over F_q."""
-    f = list(f)
-    dg = poly_degree(g)
-    if dg < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = ctx.inv(g[dg])
-    # Clear f's coefficients from the top down to degree dg.
-    for df in range(len(f) - 1, dg - 1, -1):
-        factor = ctx.neg(ctx.mul(f[df], inv_lead))
-        if factor:
-            shift = df - dg
-            for i in range(dg + 1):
-                f[shift + i] = ctx.add(f[shift + i], ctx.mul(factor, g[i]))
-    return f[:poly_degree(f[:dg]) + 1]

@@ -150,6 +150,7 @@ def _tally_vector(code: LinearCode) -> dict:
 
     ctx, q, n, h = code.ctx, code.ctx.q, code.n, code.dim - 1
     rows = np.array(code.rows, dtype=np.int16)
+    chi = ctx.char_table[ctx.add_table].ravel()  # the character of each of the q^2 sums
     translates = code.rows == _monomial_rows(ctx, h, n == q + 1)
     tally = Counter({(0, 0): 1})
     for k in range(h + 1):
@@ -157,7 +158,7 @@ def _tally_vector(code: LinearCode) -> dict:
             bases, weight = ctx.add_table[rows[k], _grid(ctx, rows[k + 1:k + 2])], 1
         else:  # c_(k+1) = 0 stands for its q values, or there is no c_(k+1)
             bases, weight = rows[k:k + 1], q if k < h else 1
-        zeros, squares = _form_counts(ctx, bases, rows[k + 2:])
+        zeros, squares = _form_counts(ctx, chi, bases, rows[k + 2:])
         # (zeros, squares) of each codeword as one key, in place where int16 holds it
         keys = zeros.astype(np.int16 if (n + 1) ** 2 <= 2 ** 15 else np.int32, copy=False)
         keys *= n + 1
@@ -182,17 +183,16 @@ def _grid(ctx: FieldContext, rows):
     return grid
 
 
-def _form_counts(ctx: FieldContext, bases, grid_rows) -> tuple:
+def _form_counts(ctx: FieldContext, chi, bases, grid_rows) -> tuple:
     """(zeros, squares): two (T, C) int16 arrays counting, for each of
     the T bases (a (T, n) array of element codes) and each g of the
     C = q^m combinations of the (m, n) `grid_rows` in `_grid` order, the
     points where base + g vanishes and where it is a nonzero square.
-    Counts accumulate over blocks of points, one gather of characters per
-    block and part of the bases."""
+    Counts accumulate over blocks of points, one gather from `chi`, the
+    characters of the q^2 sums, per block and part of the bases."""
     import numpy as np
 
     q, (count, n) = ctx.q, bases.shape
-    chi = ctx.char_table[ctx.add_table].ravel()  # the character of each of the q^2 sums
     zeros = np.zeros((count, q ** len(grid_rows)), dtype=np.int16)
     squares = np.zeros_like(zeros)
     # parts of at most 2^14 cells (unless one base has more) bound the gathers

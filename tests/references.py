@@ -40,6 +40,11 @@ vectorizes, in scalar field arithmetic, and the tests compare the two:
    row at the t prime to p, instead of one pass over the rows.
  * `qr_enumerator_from_json(data)` inverts
    `enumerators.QREnumerator.to_json_dict`, for the round-trip test.
+ * `mul_slow(ctx, a, b)` checks `finite_field.FieldContext`'s walk of
+   the generator's powers through the linear map of multiplication: a
+   product in F_p[x] reduced by the modulus, by `poly_mul` and
+   `poly_mod` over the context of F_p.  The square-free test runs the
+   same polynomial helpers over F_q.
 
 None of them is read by the library; they live here so that `src/`
 holds only code the library runs.
@@ -53,14 +58,61 @@ from qrwe.curve_census import (Census, TraceBucket, _j_special_tally,
                                _legendre_point_sum, _quartic_census_of)
 from qrwe.enumerators import QREnumerator
 from qrwe.errors import ConsistencyError
-from qrwe.finite_field import FieldContext, field, poly_degree, poly_mod
+from qrwe.finite_field import FieldContext, _digits, field
 from qrwe.isogeny_counts import isogeny_profile
 from qrwe.quadratic_forms import hurwitz_row, kronecker
 from qrwe.rs_codes import LinearCode
 
 # ---------------------------------------------------------------------------
-# Polynomials over F_q, for the square-free test
+# Polynomials over F_q (dense coefficient lists of element codes)
 # ---------------------------------------------------------------------------
+
+def poly_degree(f) -> int:
+    """Degree with deg 0 = -1 for the zero polynomial."""
+    for i in range(len(f) - 1, -1, -1):
+        if f[i] != 0:
+            return i
+    return -1
+
+
+def poly_mul(ctx: FieldContext, f, g) -> list:
+    """Product of f and g over F_q."""
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
+    return out
+
+
+def poly_mod(ctx: FieldContext, f, g) -> list:
+    """Remainder of f by nonzero g over F_q."""
+    f = list(f)
+    dg = poly_degree(g)
+    if dg < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv_lead = ctx.inv(g[dg])
+    # Clear f's coefficients from the top down to degree dg.
+    for df in range(len(f) - 1, dg - 1, -1):
+        factor = ctx.neg(ctx.mul(f[df], inv_lead))
+        if factor:
+            shift = df - dg
+            for i in range(dg + 1):
+                f[shift + i] = ctx.add(f[shift + i], ctx.mul(factor, g[i]))
+    return f[:poly_degree(f[:dg]) + 1]
+
+
+def mul_slow(ctx: FieldContext, a: int, b: int) -> int:
+    """a * b from the definition: an integer product in a prime field,
+    else a product in F_p[x], over the context of F_p, reduced by the
+    modulus."""
+    p, v = ctx.p, ctx.v
+    if v == 1:
+        return a * b % p
+    fp = field(p, 1)
+    prod = poly_mod(fp, poly_mul(fp, _digits(a, p, v), _digits(b, p, v)), ctx.modulus)
+    return sum(c * p ** i for i, c in enumerate(prod))
+
 
 def poly_derivative(ctx: FieldContext, f) -> list:
     return [ctx.mul(ctx.int_embed(i), f[i]) for i in range(1, len(f))]

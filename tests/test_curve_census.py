@@ -467,9 +467,9 @@ def test_census_budget_is_explicit_then_environment(monkeypatch):
 def test_the_quartic_charge_is_the_cells_it_evaluates(monkeypatch, q):
     cells, form_counts = [], curve_census._form_counts
 
-    def spy(ctx, bases, grid_rows):
+    def spy(ctx, chi, bases, grid_rows):
         cells.append(bases.shape[0] * ctx.q ** len(grid_rows) * bases.shape[1])
-        return form_counts(ctx, bases, grid_rows)
+        return form_counts(ctx, chi, bases, grid_rows)
     monkeypatch.setattr(curve_census, "_form_counts", spy)
     ctx = field(*odd_prime_power_split(q))
     quartic_census(ctx)

@@ -1,12 +1,14 @@
+import hashlib
 import random
 import tracemalloc
 
 import pytest
 
+import references
 from qrwe import finite_field
 from qrwe.arith import odd_primes
-from qrwe.finite_field import FieldContext, field, poly_degree
-from references import poly_gcd
+from qrwe.finite_field import FieldContext, field
+from references import mul_slow, poly_degree, poly_gcd
 
 
 def test_construction_errors_name_the_condition():
@@ -52,14 +54,52 @@ def test_prime_field_needs_no_polynomial_arithmetic(monkeypatch):
         raise AssertionError("polynomial arithmetic while building F_p")
 
     for name in ("poly_mul", "poly_mod", "field"):
-        monkeypatch.setattr(finite_field, name, forbidden)
+        monkeypatch.setattr(references, name, forbidden)
+    monkeypatch.setattr(finite_field, "field", forbidden)
     for p in (3, 251, 9973):
         ctx = FieldContext(p, 1)
         rng = random.Random(p)
         for _ in range(500):
             a, b = rng.randrange(p), rng.randrange(p)
-            assert ctx._mul_slow(a, b) == ctx.mul(a, b) == a * b % p
+            assert mul_slow(ctx, a, b) == ctx.mul(a, b) == a * b % p
     assert FieldContext(7, 1, modulus=(3, 1)).modulus == (3, 1)
+
+
+def test_extension_field_needs_no_prime_field_context(monkeypatch):
+    # the modulus is found and checked, and the powers walked, in integer
+    # arithmetic mod p: no context of F_p and no scalar field operation
+    def forbidden(*args):
+        raise AssertionError("field arithmetic while building F_{p^v}")
+
+    monkeypatch.setattr(finite_field, "field", forbidden)
+    for name in ("add", "neg", "mul", "inv"):
+        monkeypatch.setattr(FieldContext, name, forbidden)
+    assert FieldContext(13, 2).modulus == (2, 0, 1)
+    assert FieldContext(3, 5).generator == 3
+    assert FieldContext(3, 2, modulus=(1, 0, 1)).generator == 4
+    with pytest.raises(ValueError, match="reducible"):
+        FieldContext(3, 2, modulus=(0, 0, 1))
+
+
+def test_field_tables_are_bit_identical_to_the_pinned_digest():
+    # modulus, generator, exp, log, Zech and character tables of 41 fields
+    fields = [(p, v) for p in odd_primes(50) for v in range(1, 8) if p ** v <= 2500]
+    fields += [(3, 7), (101, 2)]
+    assert len(fields) == 41
+    digest = hashlib.sha256()
+    for p, v in fields:
+        c = FieldContext(p, v)
+        digest.update(("%d,%d,%r,%d,%r,%r,%r,%r;" % (p, v, c.modulus, c.generator, c._exp,
+                                                     c._log, c._zech, c._char)).encode())
+    assert digest.hexdigest() == (
+        "13085a5138a75eea27c71ed5d157c1a46935a8ce87abdc3114271133636758b6")
+
+
+@pytest.mark.parametrize("p,v", [(3, 2), (13, 2), (3, 5)])
+def test_the_power_walk_matches_the_polynomial_reference(p, v):
+    ctx = FieldContext(p, v)
+    exp = ctx._exp
+    assert all(exp[k + 1] == mul_slow(ctx, exp[k], ctx.generator) for k in range(len(exp) - 1))
 
 
 def test_element_enumeration():
@@ -165,7 +205,7 @@ def test_encoding_matches_polynomial_reference(p, v):
     ctx = field(p, v)
     for a in ctx.elements():
         for b in ctx.elements():
-            assert ctx.mul(a, b) == ctx._mul_slow(a, b)
+            assert ctx.mul(a, b) == mul_slow(ctx, a, b)
             digit_sum = sum((a // p ** i + b // p ** i) % p * p ** i for i in range(v))
             assert ctx.add(a, b) == digit_sum
 

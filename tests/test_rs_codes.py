@@ -143,9 +143,9 @@ def _cells_walked(code):
     evaluates in one walk of `code`."""
     cells, form_counts = [], rs_codes._form_counts
 
-    def spy(ctx, bases, grid_rows):
+    def spy(ctx, chi, bases, grid_rows):
         cells.append(bases.shape[0] * ctx.q ** len(grid_rows) * bases.shape[1])
-        return form_counts(ctx, bases, grid_rows)
+        return form_counts(ctx, chi, bases, grid_rows)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rs_codes, "_form_counts", spy)
         brute_force_enumerator(code)
@@ -166,6 +166,19 @@ def test_the_walk_evaluates_one_base_per_translated_level(p, v, h):
         assert _cells_walked(code) == (levels + 1) * n
         reversed_code = LinearCode(ctx, code.rows[::-1])
         assert _cells_walked(reversed_code) == sum(q ** e for e in range(h + 1)) * n
+
+
+@pytest.mark.parametrize("q,h", [(7, 6), (11, 4)])
+def test_the_walk_gathers_the_characters_of_the_sums_once(monkeypatch, q, h):
+    # char_table[add_table] holds q^2 characters; the h + 1 levels share one
+    code, reads, table = reed_solomon_code(field(q, 1), h), [], FieldContext._table
+
+    def spy(ctx, name):
+        reads.append(name)
+        return table(ctx, name)
+    monkeypatch.setattr(FieldContext, "_table", spy)
+    brute_force_enumerator(code)
+    assert reads.count("char") == 1
 
 
 def test_brute_force_threads_deterministic():
