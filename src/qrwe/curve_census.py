@@ -45,11 +45,11 @@ which live with the quartic walk in `tests/references.py`.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 from .arith import odd_prime_power_split
 from .errors import ConsistencyError, check_budget
-from .finite_field import FieldContext, field
+from .finite_field import FieldContext, _scaling_orbits, field
 from .rs_codes import _form_counts, _monomial_rows
 
 # Universal discriminant of a x^4 + b x^3 y + c x^2 y^2 + d x y^3 + e y^4
@@ -269,26 +269,19 @@ def empirical_moment(census, R: int, flavor: str = "all") -> Fraction:
     return Fraction(total, census.denominator)
 
 
-def _scaling_orbits(ctx: FieldContext, n: int) -> list:
-    """[(c, weight)]: one c per orbit of F_q^* under c -> c u^n, i.e. per
-    coset of the d-th powers, d = gcd(n, q-1), each of weight (q-1)/d.
-    Each c is the smallest code of its coset (cosets are told apart by
-    c^((q-1)/d)), so the list is in the order a walk over every c meets
-    the cosets."""
-    q = ctx.q
-    d = gcd(n, q - 1)
-    first = {}
-    for c in range(1, q):
-        first.setdefault(ctx.pow(c, (q - 1) // d), c)
-        if len(first) == d:
-            break
-    return [(c, (q - 1) // d) for c in first.values()]
+def _legendre_point_sums(chi, a: int, bs: list) -> list:
+    """[S(a, b) for b in bs], S(a, b) = sum over x in F_p of chi(x(x^2 + ax + b))
+    = sum over y of chi(y + b) w(y), w(y) the sum of chi(x) over x^2 + ax = y,
+    p = len(chi): rows of the window chi(y + b) times w, in numpy blocks."""
+    import numpy as np
 
-
-def _legendre_point_sum(chi: list, a: int, b: int) -> int:
-    """S(a, b) = sum over x in F_p of chi(x(x^2 + ax + b)), p = len(chi)."""
-    p = len(chi)
-    return sum(chi[x * (x * x + a * x + b) % p] for x in range(p))
+    p, x = len(chi), np.arange(len(chi))
+    chi = np.asarray(chi, dtype=np.int32)
+    w = np.zeros(p, dtype=np.int32)
+    np.add.at(w, (x * x + a * x) % p, chi)
+    window = np.lib.stride_tricks.sliding_window_view(np.concatenate([chi, chi]), p)
+    step = max(1, (1 << 16) // p)
+    return [s for i in range(0, len(bs), step) for s in (window[bs[i:i + step]] @ w).tolist()]
 
 
 def legendre_family_sum(p: int, R: int) -> int:
@@ -319,9 +312,11 @@ def legendre_family_sum(p: int, R: int) -> int:
 def _legendre_orbit_sums(p: int) -> tuple:
     """((S, orbit size), ...), one pair per orbit of `legendre_family_sum`."""
     ctx = field(p, 1)
-    chi = [ctx.quadratic_character(x) for x in range(p)]
-    sums = [(_legendre_point_sum(chi, 1, b), p - 1) for b in range(1, p) if (1 - 4 * b) % p]
-    sums += [(_legendre_point_sum(chi, 0, b), weight) for b, weight in _scaling_orbits(ctx, 2)]
+    bs = [b for b in range(1, p) if (1 - 4 * b) % p]
+    sums = [(s, p - 1) for s in _legendre_point_sums(ctx.char_table, 1, bs)]
+    classes = _scaling_orbits(ctx, 2)
+    sums += zip(_legendre_point_sums(ctx.char_table, 0, [b for b, _ in classes]),
+                [weight for _, weight in classes])
     return tuple(sums)
 
 

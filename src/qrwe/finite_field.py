@@ -27,6 +27,7 @@ are vectorized from the same tables on first use.
 """
 
 from functools import lru_cache
+from math import gcd
 from operator import mul
 
 from .arith import is_prime
@@ -279,3 +280,19 @@ def field(p: int, v: int) -> FieldContext:
     """Shared default-modulus context for F_{p^v}; the last 64 fields
     asked for keep their tables."""
     return FieldContext(p, v)
+
+
+def _scaling_orbits(ctx: FieldContext, n: int) -> list:
+    """[(c, weight)]: one c per orbit of F_q^* under c -> c u^n, i.e. per
+    coset of the d-th powers, d = gcd(n, q-1), each of weight (q-1)/d.
+    Each c is the smallest code of its coset (cosets are told apart by
+    c^((q-1)/d)), so the list is in the order a walk over every c meets
+    the cosets."""
+    q = ctx.q
+    d = gcd(n, q - 1)
+    first = {}
+    for c in range(1, q):
+        first.setdefault(ctx.pow(c, (q - 1) // d), c)
+        if len(first) == d:
+            break
+    return [(c, (q - 1) // d) for c in first.values()]

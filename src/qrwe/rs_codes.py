@@ -10,16 +10,18 @@ F_q-linear combinations of the generator rows.  The scalar reference,
 with the tests in `tests/references.py`, is a mixed-radix odometer
 whose single-row delta updates make each visit O(n) field additions; it
 visits every codeword, and the tests compare it with the vector walk.
-The vector walk goes by leading coefficient: level k holds the messages
-whose first nonzero digit is c_k.  Scaling a codeword of any linear
-code by a nonzero square keeps its (squares, non-squares) counts and a
-non-square swaps them, so each level walks c_k = 1 alone.  In an RS
-code the translation y -> y + ax permutes the points (1, s), fixes
-(0, 1) and moves c_(k+1) by (h - k) a c_k, so where p does not divide
-h - k the level walks c_(k+1) = 0 alone, for all q of its values.
-Every other code and level walks every c_(k+1).  A level's counts come
-from one call of `_form_counts`, the numpy engine that evaluates binary
-forms on P^1, which both censuses in `curve_census` run too.
+The vector walk goes by leading coefficient: level k walks the messages
+with c_0 = ... = c_(k-1) = 0 and c_k = 1, since scaling by a nonzero
+square keeps a codeword's (squares, non-squares) counts and a non-square
+swaps them.  In an RS code y -> y + ax moves c_(k+1) by (h - k) a c_k,
+and the torus f -> mu^(k-h) f(x, mu y) sends c_a to mu^(k-a) c_a; both
+permute the points (1, s), the torus scaling their values by mu^(k-h),
+and keep the value c_0 at (0, 1).  So where p does not divide h - k the
+level walks c_(k+1) = 0 and c_(k+2) in {0, 1, nu}, and where it does,
+c_(k+1) in {0, 1}, except that level 0 of a projective code of odd h,
+whose value 1 at (0, 1) stays a square, uses the translations alone.
+Other codes walk every c_(k+1).  Each level is one `_form_counts` call,
+the numpy engine for binary forms on P^1 that `curve_census` runs too.
 
 Brute-force enumeration charges its q^dim codewords to `check_budget`
 before the walk.
@@ -30,7 +32,7 @@ from collections import Counter
 from .enumerators import QREnumerator
 from .errors import DEFAULT_BUDGET  # noqa: F401  (still read as rs_codes.DEFAULT_BUDGET)
 from .errors import ConsistencyError, check_budget
-from .finite_field import FieldContext
+from .finite_field import FieldContext, _scaling_orbits
 
 
 class LinearCode:
@@ -136,38 +138,47 @@ def brute_force_enumerator(code: LinearCode, budget: int = None,
 
 
 def _tally_vector(code: LinearCode) -> dict:
-    """{(squares, non-squares): codewords}, walked by leading
-    coefficient.  Level k walks the messages c with c_0 = ... = c_(k-1)
-    = 0 and c_k = 1 as the bases row_k + c_(k+1) row_(k+1) over the grid
-    of rows k+2, ...; its tally P stands for (q-1)/2 (P + P^T), since
-    scaling by a square keeps a codeword's counts and by a non-square
-    swaps them.  When the rows are the monomials x^a y^(h-a) of
-    `_monomial_rows` and p does not divide h - k, y -> y + ax sends the
-    level's messages with c_(k+1) = 0 onto those with c_(k+1) =
-    (h - k) a and permutes the coordinates, so the base row_k alone
-    counts q times.  The zero codeword is tallied apart."""
+    """{(squares, non-squares): codewords} by the level walk of the module
+    docstring: level k evaluates row_k + c row_j, each c of its orbit's
+    weight, over the grid of rows j+1, ...; the tally P of the c_k = 1
+    messages stands for (q-1)/2 (P + P^T), folded once for all levels, and
+    the zero codeword is tallied apart."""
     import numpy as np
 
     ctx, q, n, h = code.ctx, code.ctx.q, code.n, code.dim - 1
     rows = np.array(code.rows, dtype=np.int16)
     chi = ctx.char_table[ctx.add_table].ravel()  # the character of each of the q^2 sums
-    translates = code.rows == _monomial_rows(ctx, h, n == q + 1)
-    tally = Counter({(0, 0): 1})
+    monomial = code.rows == _monomial_rows(ctx, h, n == q + 1)
+    keyed = {}  # the codewords' keys by weight, folded once the walk is done
     for k in range(h + 1):
-        if k < h and not (translates and (h - k) % ctx.p):
-            bases, weight = ctx.add_table[rows[k], _grid(ctx, rows[k + 1:k + 2])], 1
-        else:  # c_(k+1) = 0 stands for its q values, or there is no c_(k+1)
-            bases, weight = rows[k:k + 1], q if k < h else 1
-        zeros, squares = _form_counts(ctx, chi, bases, rows[k + 2:])
+        translate = monomial and (h - k) % ctx.p  # c_(k+1) = 0 stands for its q values
+        j = k + 1 + bool(translate)
+        if j > h:
+            digits = [(0, 1)]
+        elif monomial and not (n == q + 1 and k == 0 and h % 2):
+            digits = [(0, 1)] + _scaling_orbits(ctx, j - k)
+        else:
+            digits = [(c, 1) for c in range(q)]
+        bases = (ctx.add_table[rows[k], ctx.mul_table[[c for c, _ in digits]][:, rows[j]]]
+                 if j <= h else rows[k:k + 1])
+        zeros, squares = _form_counts(ctx, chi, bases, rows[j + 1:])
         # (zeros, squares) of each codeword as one key, in place where int16 holds it
         keys = zeros.astype(np.int16 if (n + 1) ** 2 <= 2 ** 15 else np.int32, copy=False)
         keys *= n + 1
         keys += squares
-        values, counts = np.unique(keys, return_counts=True)
-        for key, c in zip(values.tolist(), counts.tolist()):
-            z, s = divmod(key, n + 1)
-            tally[s, n - z - s] += (q - 1) // 2 * weight * c
-            tally[n - z - s, s] += (q - 1) // 2 * weight * c
+        for weight in {w for _, w in digits}:
+            keyed.setdefault(weight * (q if translate else 1), []).append(
+                keys[[w == weight for _, w in digits]].ravel())
+    found = [np.unique(np.concatenate(parts), return_counts=True) for parts in keyed.values()]
+    values, where = np.unique(np.concatenate([v for v, _ in found]), return_inverse=True)
+    counts = np.zeros(len(values), dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([c * (weight * (q - 1) // 2)
+                                             for (_, c), weight in zip(found, keyed)]))
+    tally = Counter({(0, 0): 1})
+    for key, c in zip(values.tolist(), counts.tolist()):
+        z, s = divmod(key, n + 1)
+        tally[s, n - z - s] += c
+        tally[n - z - s, s] += c
     return dict(sorted(tally.items()))
 
 

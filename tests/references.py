@@ -11,7 +11,8 @@ vectorizes, in scalar field arithmetic, and the tests compare the two:
    the census's discriminant grid (`curve_census._discriminant_grid`).
  * `_legendre_family_sum_scalar(p, R)` checks
    `curve_census.legendre_family_sum`: all (p-1)^2 pairs (a, b) instead
-   of one per orbit.
+   of one per orbit, each point sum a loop over the p points
+   (`_legendre_point_sum`) instead of a numpy row of the character window.
  * `_j_special_census_scalar(ctx)` checks `curve_census.j_special_census`:
    all q - 1 models of each special j-invariant instead of one per coset.
  * `_tally_scalar(code)` checks `rs_codes.brute_force_enumerator`: a
@@ -54,8 +55,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from qrwe.arith import is_prime, odd_prime_power_split, prime_power_split
-from qrwe.curve_census import (Census, TraceBucket, _j_special_tally,
-                               _legendre_point_sum, _quartic_census_of)
+from qrwe.curve_census import Census, TraceBucket, _j_special_tally, _quartic_census_of
 from qrwe.enumerators import QREnumerator
 from qrwe.errors import ConsistencyError
 from qrwe.finite_field import FieldContext, _digits, field
@@ -202,6 +202,12 @@ def _quartic_census_scalar(ctx: FieldContext) -> Census:
 # ---------------------------------------------------------------------------
 # The two scalar oracles' full walks
 # ---------------------------------------------------------------------------
+
+def _legendre_point_sum(chi: list, a: int, b: int) -> int:
+    """S(a, b) = sum over x in F_p of chi(x(x^2 + ax + b)), p = len(chi)."""
+    p = len(chi)
+    return sum(chi[x * (x * x + a * x + b) % p] for x in range(p))
+
 
 def _legendre_family_sum_scalar(p: int, R: int) -> int:
     chi = [field(p, 1).quadratic_character(x) for x in range(p)]

@@ -10,15 +10,15 @@ import pytest
 from qrwe import curve_census
 from qrwe.arith import is_prime, odd_prime_power_split
 from qrwe.curve_census import (_discriminant_grid, _j_special_model,
-                               _quartic_unit_counts, _scaling_orbits,
-                               census_charge, census_json, empirical_moment,
-                               j_special_census, legendre_family_sum,
+                               _quartic_unit_counts, census_charge, census_json,
+                               empirical_moment, j_special_census, legendre_family_sum,
                                quartic_census, weierstrass_census)
 from qrwe.errors import BudgetExceededError
-from qrwe.finite_field import field
+from qrwe.finite_field import _scaling_orbits, field
 from qrwe.hecke_traces import moment_formula
 from qrwe.isogeny_counts import weighted_count, weighted_count_full_2tors
 from qrwe.rs_codes import _monomial_rows
+from qrwe.verify import FAMILY_PRIMES
 from references import (_j_special_census_scalar, _legendre_family_sum_scalar,
                         _quartic_census_scalar, is_squarefree_quartic,
                         quartic_point_count)
@@ -289,22 +289,28 @@ def test_legendre_family_sum_count_and_regression():
 
 
 def test_reduced_legendre_sum_matches_full_walk():
-    for p in filter(is_prime, range(3, 60)):
-        for R in range(5):
+    # the window rows against the loop over the points, at every family prime up to 61
+    for p in [p for p in FAMILY_PRIMES if p <= 61]:
+        for R in range(9):
             assert legendre_family_sum(p, R) == _legendre_family_sum_scalar(p, R), (p, R)
+
+
+def _spy_point_sums(monkeypatch, sums):
+    """Record the S(a, b) each call of `_legendre_point_sums` evaluates."""
+    point_sums = curve_census._legendre_point_sums
+    monkeypatch.setattr(curve_census, "_legendre_point_sums",
+                        lambda chi, a, bs: sums.extend((a, b) for b in bs)
+                        or point_sums(chi, a, bs))
+    curve_census._legendre_orbit_sums.cache_clear()
 
 
 def test_legendre_family_sum_walks_each_p_once(monkeypatch):
     # the nine orders of a moment row evaluate the p orbit sums once
-    calls = []
-    point_sum = curve_census._legendre_point_sum
-    monkeypatch.setattr(curve_census, "_legendre_point_sum",
-                        lambda *args: calls.append(args) or point_sum(*args))
-    p = 23
-    curve_census._legendre_orbit_sums.cache_clear()
+    sums, p = [], 23
+    _spy_point_sums(monkeypatch, sums)
     for R in range(9):
         assert legendre_family_sum(p, R) == _legendre_family_sum_scalar(p, R), R
-    assert len(calls) == p
+    assert len(sums) == len(set(sums)) == p
 
 
 def test_reduced_j_special_census_matches_full_walk():
@@ -361,15 +367,13 @@ def test_family_sum_and_j_special_census_refuse_beyond_budget(monkeypatch):
 
 @pytest.mark.parametrize("p", [3, 5, 23, 97])
 def test_the_legendre_charge_is_the_points_it_evaluates(monkeypatch, p):
-    points, point_sum = [], curve_census._legendre_point_sum
-    monkeypatch.setattr(curve_census, "_legendre_point_sum",
-                        lambda chi, a, b: points.append(len(chi)) or point_sum(chi, a, b))
-    curve_census._legendre_orbit_sums.cache_clear()
+    sums = []  # each S(a, b) is a sum over the p points
+    _spy_point_sums(monkeypatch, sums)
     legendre_family_sum(p, 1)
     monkeypatch.setenv("QRWE_BUDGET", "0")
     with pytest.raises(BudgetExceededError) as info:
         legendre_family_sum(p, 1)  # charged again, though the sums are cached
-    assert info.value.required == sum(points) == p ** 2
+    assert info.value.required == len(sums) * p == p ** 2
 
 
 def test_j_special_rejects_char_3():

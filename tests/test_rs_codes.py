@@ -121,16 +121,20 @@ def _rs_codes(q, limit):
             for h in range(q + projective) if q ** (h + 1) <= limit]
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
 def test_level_walk_matches_the_scalar_walk(q):
-    # with p | h - k at q = 3, h = 3; q = 5, h = 5; q = 9, h = 3 and 4
+    # with p | h - k at q = 3, h = 3; q = 5, h = 5; q = 9, h = 3 and 4, and
+    # level 0 of every projective code of odd h on the translations alone
     for code in _rs_codes(q, 6 * 10 ** 4):
         assert rs_codes._tally_vector(code) == _tally_scalar(code), code
 
 
-@pytest.mark.parametrize("q,h", [(11, 4), (13, 4), (25, 4), (27, 4), (37, 4), (11, 6)])
+@pytest.mark.parametrize("q,h", [(11, 4), (13, 4), (25, 4), (27, 4), (37, 4), (11, 6),
+                                 (7, 3), (13, 5), (9, 5), (25, 3), (27, 3)])
 def test_translated_walk_matches_the_walk_of_the_reversed_rows(q, h):
-    # reversed, the rows are not the monomials, so every level walks all of c_(k+1)
+    # reversed, the rows are not the monomials, so every level walks all of c_(k+1);
+    # odd h takes the projective level-0 exception, and p | h - k at q = 9, h = 5
+    # and q = 27, h = 3
     ctx = field(*odd_prime_power_split(q))
     for projective in (True, False):
         code = reed_solomon_code(ctx, h, projective)
@@ -153,17 +157,25 @@ def _cells_walked(code):
 
 
 @pytest.mark.parametrize("p,v,h", [(7, 1, 6), (3, 1, 3), (5, 1, 5), (3, 2, 3), (3, 2, 4),
-                                   (11, 1, 4)])
+                                   (11, 1, 4), (7, 1, 3), (3, 2, 5)])
 def test_the_walk_evaluates_one_base_per_translated_level(p, v, h):
-    # level k < h walks q^(h-k-1) grid combinations of 1 base, or of q
-    # where p | h - k; level h walks its one codeword; the zero codeword
-    # is tallied without an evaluation
+    # level k < h - 1 walks the 3 bases c_(k+2) = 0, 1, nu over q^(h-k-2)
+    # grid combinations, or the 2 bases c_(k+1) = 0, 1 over q^(h-k-1) where
+    # p | h - k; level 0 of a projective code of odd h walks 1 base, or q
+    # where p | h, over q^(h-1); levels h - 1 and h walk one codeword each;
+    # the zero codeword is tallied without an evaluation
     ctx, q = field(p, v), p ** v
+
+    def level(k, projective):
+        if k >= h - 1:
+            return 1
+        if projective and k == 0 and h % 2:
+            return (q if h % p == 0 else 1) * q ** (h - 1)
+        return 2 * q ** (h - k - 1) if (h - k) % p == 0 else 3 * q ** (h - k - 2)
     for code in [reed_solomon_code(ctx, h, projective) for projective in (True, False)
                  if h < q + projective]:
         n = code.n
-        levels = sum((q if (h - k) % p == 0 else 1) * q ** (h - k - 1) for k in range(h))
-        assert _cells_walked(code) == (levels + 1) * n
+        assert _cells_walked(code) == sum(level(k, n == q + 1) for k in range(h + 1)) * n
         reversed_code = LinearCode(ctx, code.rows[::-1])
         assert _cells_walked(reversed_code) == sum(q ** e for e in range(h + 1)) * n
 
